@@ -57,7 +57,11 @@ def main() -> None:
         for name, reference in references.items():
             spec = scenario(name, direction=direction, dark_mode=dark_mode)
             distance = achievable_distance(spec, l_min=l_min, l_max=args.l_max)
-            print(f"{name:<12} {distance:>12.2f} {reference:>13.1f} {distance - reference:>+10.2f}")
+            if distance is None:
+                print(f"{name:<12} {'beyond range':>12} {reference:>13.1f} {'':>10}")
+            else:
+                deviation = distance - reference
+                print(f"{name:<12} {distance:>12.2f} {reference:>13.1f} {deviation:>+10.2f}")
         print(f"({time.perf_counter() - start:.1f}s)")
 
 

@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .expansion import ExpansionTable, IntensityGrid
+from .expansion import ExpansionTable, IntensityGrid, constraint_matrix
+
 
 class InfeasibleStatsError(RuntimeError):
     """The observed rates are inconsistent with the constraint system."""
@@ -124,24 +125,77 @@ class BoundResult:
         return min(self.b1_max / self.q1_min, 1.0)
 
 
+def _exp(x):
+    """e^x: math.exp for a fixed intensity, np.exp for a numpy trial signal."""
+    return np.exp(x) if isinstance(x, (np.ndarray, np.generic)) else math.exp(x)
+
+
+def _beta_row(points) -> list:
+    """beta(j, 1..j) over the j = len(points) intensities of an order-j solve.
+
+    The last point may be a numpy trial signal, over which the row broadcasts.
+    """
+    j = len(points)
+    prod = math.prod(points)
+    sign = -1.0 if j % 2 == 0 else 1.0
+    row = []
+    for i, mu_i in enumerate(points):
+        denom = mu_i**2
+        for t, mu_t in enumerate(points):
+            if t != i:
+                denom *= mu_i - mu_t
+        row.append(sign * (prod * _exp(mu_i)) / denom)
+    return row
+
+
 def beta(j: int, i: int, grid: IntensityGrid) -> float:
     """Inversion coefficient beta(j, i) of the order-j triangular solve."""
     if not 1 <= i <= j <= grid.k:
         raise ValueError("indices must satisfy 1 <= i <= j <= k")
-    mus = grid.mus
-    mu_i = mus[i - 1]
-    numerator = math.prod(mus[:j]) * math.exp(mu_i)
-    denom = mu_i**2
-    for t in range(j):
-        if t != i - 1:
-            denom *= mu_i - mus[t]
-    sign = -1.0 if j % 2 == 0 else 1.0
-    return sign * numerator / denom
+    return _beta_row(grid.mus[:j])[i - 1]
+
+
+def order_bounds(points, c, d, omega, cap):
+    """Order-j bounds (q_j_min, b_j_max) over the j = len(points) intensities.
+
+    ``c[i]`` = p_i - p_dark - e^(-mu_i)(p_0 - p_dark) and ``d[i]`` = s_i p_i
+    - (p_dark + e^(-mu_i)(p_0 - p_dark))/2 are the observed inputs of the
+    points, ``omega`` is Omega_(j+1) over them and ``cap`` = 1 - p_dark the
+    box of every unknown.  Odd orders put the saturation term cap
+    mu_1..mu_j Omega_(j+1) on q, even orders on b.  The last point (with its
+    c, d and omega) may be a numpy trial signal; the bounds broadcast over it.
+    """
+    q = b = 0.0
+    for beta_i, c_i, d_i in zip(_beta_row(points), c, d, strict=True):
+        q += beta_i * c_i
+        b += beta_i * d_i
+    saturation = cap * math.prod(points) * omega
+    if len(points) % 2 == 1:
+        q -= saturation
+    else:
+        b += saturation
+    return q, b
 
 
 def _check_order(j: int, k: int) -> None:
     if not 1 <= j <= k:
         raise ValueError(f"order j={j} must satisfy 1 <= j <= k (k={k})")
+
+
+def _observed_inputs(stats: ObservedStats, grid: IntensityGrid, offset: int = 0):
+    """Per-intensity inputs (c, d) of :func:`order_bounds`; ``offset`` picks the basis of c."""
+    pd = stats.p_dark
+    vacuum = [math.exp(-mu) * (stats.p[0] - pd) for mu in grid.mus]
+    c = [stats.p[offset + i] - pd - v for i, v in enumerate(vacuum, start=1)]
+    d = [s_i * p_i - 0.5 * (pd + v) for s_i, p_i, v in zip(stats.s, stats.p[1:], vacuum)]
+    return c, d
+
+
+def _order_j(j: int, stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable, offset=0):
+    _check_order(j, grid.k)
+    c, d = _observed_inputs(stats, grid, offset)
+    omega = table.omega_for_order(j)
+    return order_bounds(grid.mus[:j], c[:j], d[:j], omega, 1.0 - stats.p_dark)
 
 
 def q_j_min(
@@ -158,44 +212,36 @@ def q_j_min(
     -(1 - p_dark) mu_1..mu_j Omega_(j+1) because the optimizing box corner
     differs with the sign pattern of the beta coefficients.
     """
-    _check_order(j, grid.k)
-    pd = stats.p_dark
-    p0 = stats.p[0]
-    offset = stats.k if plus_basis else 0
-    total = 0.0
-    for i in range(1, j + 1):
-        p_i = stats.p[offset + i]
-        total += beta(j, i, grid) * (p_i - pd - math.exp(-grid.mus[i - 1]) * (p0 - pd))
-    if j % 2 == 1:
-        total -= (1.0 - pd) * math.prod(grid.mus[:j]) * table.omega_for_order(j)
-    return total
+    return _order_j(j, stats, grid, table, stats.k if plus_basis else 0)[0]
 
 
 def b_j_max(j: int, stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) -> float:
     """Order-j upper bound on the single-photon error product b^1 = q^1 r^1."""
-    _check_order(j, grid.k)
-    pd = stats.p_dark
-    p0 = stats.p[0]
-    total = 0.0
-    for i in range(1, j + 1):
-        sp_i = stats.s[i - 1] * stats.p[i]
-        total += beta(j, i, grid) * (
-            sp_i - 0.5 * (pd + math.exp(-grid.mus[i - 1]) * (p0 - pd))
-        )
-    if j % 2 == 0:
-        total += (1.0 - pd) * math.prod(grid.mus[:j]) * table.omega_for_order(j)
-    return total
+    return _order_j(j, stats, grid, table)[1]
+
+
+def ma_q1_lower(mus, p0, p):
+    """Three-intensity ratio lower bound on q^1, without dark-count correction.
+
+    ``mus`` = (mu_1, mu_2, mu_3) with mu_1 + mu_2 < mu_3 and mu_1 + mu_2 < 1,
+    ``p`` their counting rates and ``p0`` the vacuum rate.  mu_3 (with p_3)
+    may be a numpy trial signal, over which the bound broadcasts.
+    """
+    (mu1, mu2, mu3), (p1, p2, p3) = mus, p
+    numer = mu3 * (
+        p2 * math.exp(mu2)
+        - p1 * math.exp(mu1)
+        - (mu2**2 - mu1**2) / mu3**2 * (p3 * _exp(mu3) - p0)
+    )
+    return numer / (mu2 * mu3 - mu3 * mu1 - mu2**2 + mu1**2)
 
 
 def _legacy_bounds(stats: ObservedStats, grid: IntensityGrid) -> LegacyBounds:
     mus = grid.mus
-    k = grid.k
     p0 = stats.p[0]
-    wang_q2 = wang_b1 = ma_q = ma_b = None
-    if k >= 1:
-        mu1 = mus[0]
-        wang_b1 = (stats.s[0] * stats.p[1] * math.exp(mu1) - 0.5 * p0) / mu1
-    if k >= 2:
+    wang_q2 = ma_q = ma_b = None
+    wang_b1 = (stats.s[0] * stats.p[1] * math.exp(mus[0]) - 0.5 * p0) / mus[0]
+    if grid.k >= 2:
         mu1, mu2 = mus[0], mus[1]
         p1, p2 = stats.p[1], stats.p[2]
         wang_q2 = (
@@ -205,16 +251,8 @@ def _legacy_bounds(stats: ObservedStats, grid: IntensityGrid) -> LegacyBounds:
         ma_b = (
             stats.s[1] * p2 * math.exp(mu2) - stats.s[0] * p1 * math.exp(mu1)
         ) / (mu2 - mu1)
-    if k >= 3:
-        mu1, mu2, mu3 = mus[0], mus[1], mus[2]
-        if mu1 + mu2 < mu3 and mu1 + mu2 < 1.0:
-            p1, p2, p3 = stats.p[1], stats.p[2], stats.p[3]
-            numer = mu3 * (
-                p2 * math.exp(mu2)
-                - p1 * math.exp(mu1)
-                - (mu2**2 - mu1**2) / mu3**2 * (p3 * math.exp(mu3) - p0)
-            )
-            ma_q = numer / (mu2 * mu3 - mu3 * mu1 - mu2**2 + mu1**2)
+    if grid.k >= 3 and mus[0] + mus[1] < mus[2] and mus[0] + mus[1] < 1.0:
+        ma_q = ma_q1_lower(mus[:3], p0, stats.p[1:4])
     return LegacyBounds(wang_q2_min=wang_q2, wang_b1_max=wang_b1, ma_q13_l=ma_q, ma_b12_u=ma_b)
 
 
@@ -228,9 +266,16 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
     if stats.k != grid.k:
         raise ValueError("stats and grid disagree on the number of intensities")
     k = grid.k
-    q_x = tuple(q_j_min(j, stats, grid, table) for j in range(1, k + 1))
-    q_plus = tuple(q_j_min(j, stats, grid, table, plus_basis=True) for j in range(1, k + 1))
-    b_all = tuple(b_j_max(j, stats, grid, table) for j in range(1, k + 1))
+    cap = 1.0 - stats.p_dark
+    c_x, d = _observed_inputs(stats, grid)
+    c_plus, _ = _observed_inputs(stats, grid, k)
+    q_x, q_plus, b_all = [], [], []
+    for j in range(1, k + 1):
+        points, omega = grid.mus[:j], table.omega_for_order(j)
+        q_j, b_j = order_bounds(points, c_x[:j], d[:j], omega, cap)
+        q_x.append(q_j)
+        b_all.append(b_j)
+        q_plus.append(order_bounds(points, c_plus[:j], d[:j], omega, cap)[0])
 
     candidates = q_x + q_plus
     q_source = int(np.argmax(candidates)) + 1
@@ -238,11 +283,10 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
     b_source = int(np.argmin(b_all)) + 1
     b_raw = b_all[b_source - 1]
 
-    cap = 1.0 - stats.p_dark
     return BoundResult(
-        q_j_min=q_x,
-        q_kj_min=q_plus,
-        b_j_max=b_all,
+        q_j_min=tuple(q_x),
+        q_kj_min=tuple(q_plus),
+        b_j_max=tuple(b_all),
         q1_min=min(max(q_raw, 0.0), cap),
         b1_max=min(max(b_raw, 0.0), cap),
         q1_min_raw=q_raw,
@@ -254,8 +298,17 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
     )
 
 
-def _solve_lp(c, a_eq, b_eq, variable_bounds) -> float:
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=variable_bounds, method="highs")
+def _solve_lp(a_eq, b_eq, objective: int, sign: float, cap: float, boxed=None) -> float:
+    """min of sign * x[objective] over a_eq x = b_eq by HiGHS.
+
+    Every unknown lies in [0, cap], or only x[boxed] when ``boxed`` is given
+    and the others are free.
+    """
+    n = a_eq.shape[1]
+    c = np.zeros(n)
+    c[objective] = sign
+    box = [(0.0, cap) if boxed in (None, i) else (None, None) for i in range(n)]
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=box, method="highs")
     if res.status == 2:
         raise InfeasibleStatsError(f"constraint system infeasible: {res.message}")
     if not res.success:
@@ -263,49 +316,16 @@ def _solve_lp(c, a_eq, b_eq, variable_bounds) -> float:
     return float(res.fun)
 
 
-def _coefficient_blocks(grid: IntensityGrid, table: ExpansionTable):
-    """(y, z, x) blocks of the constraint matrix from tabulated omegas."""
-    k = grid.k
-    mus = np.asarray(grid.mus)
-    y = np.exp(-mus)
-    z = mus * y
-    x = np.zeros((k, k))
-    for i in range(1, k + 1):
-        for j in range(1, i + 1):
-            prod = 1.0
-            for t in range(1, j):
-                prod *= mus[i - 1] - mus[t - 1]
-            x[i - 1, j - 1] = mus[i - 1] ** 2 * prod * y[i - 1] * table.omegas[j - 1]
-    return y, z, x
-
-
 def _q_system(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable):
-    k = grid.k
-    y, z, x = _coefficient_blocks(grid, table)
-    p_matrix = np.zeros((2 * k + 1, 2 * k + 2))
-    p_matrix[0, 0] = 1.0
-    for block, col in ((slice(1, k + 1), 2), (slice(k + 1, 2 * k + 1), k + 2)):
-        p_matrix[block, 0] = y
-        p_matrix[block, 1] = z
-        p_matrix[block, col : col + k] = x
     rhs = np.asarray(stats.p) - stats.p_dark
-    return p_matrix, rhs
+    return constraint_matrix(grid.mus, table.omegas).p, rhs
 
 
 def _b_system(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable):
-    k = grid.k
-    _, z, x = _coefficient_blocks(grid, table)
-    coeff = np.column_stack([z, x])  # unknowns b^1..b^(k+1)
-    pd = stats.p_dark
-    p0 = stats.p[0]
-    rhs = np.array(
-        [
-            stats.s[i - 1] * stats.p[i]
-            - 0.5 * (math.exp(-grid.mus[i - 1]) * (p0 - pd) + pd)
-            for i in range(1, k + 1)
-        ]
-    )
-    return coeff, rhs
+    # the rhs s_i p_i - (p_dark + e^(-mu_i)(p_0 - p_dark))/2 is the d of order_bounds
+    matrix = constraint_matrix(grid.mus, table.omegas)
+    _, rhs = _observed_inputs(stats, grid)
+    return np.column_stack([matrix.z, matrix.x]), np.array(rhs)  # unknowns b^1..b^(k+1)
 
 
 def lp_oracle_q1_min(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) -> float:
@@ -317,21 +337,13 @@ def lp_oracle_q1_min(stats: ObservedStats, grid: IntensityGrid, table: Expansion
     dark floor.
     """
     a_eq, rhs = _q_system(stats, grid, table)
-    n = a_eq.shape[1]
-    c = np.zeros(n)
-    c[1] = 1.0
-    box = [(0.0, 1.0 - stats.p_dark)] * n
-    return _solve_lp(c, a_eq, rhs, box)
+    return _solve_lp(a_eq, rhs, objective=1, sign=1.0, cap=1.0 - stats.p_dark)
 
 
 def lp_oracle_b1_max(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) -> float:
     """Brute-force maximum of b^1 over the boxed error-rate system."""
     a_eq, rhs = _b_system(stats, grid, table)
-    n = a_eq.shape[1]
-    c = np.zeros(n)
-    c[0] = -1.0
-    box = [(0.0, 1.0 - stats.p_dark)] * n
-    return -_solve_lp(c, a_eq, rhs, box)
+    return -_solve_lp(a_eq, rhs, objective=0, sign=-1.0, cap=1.0 - stats.p_dark)
 
 
 def lp_oracle_q_j_min(
@@ -348,13 +360,8 @@ def lp_oracle_q_j_min(
     """
     _check_order(j, grid.k)
     a_eq, rhs = _q_system(stats, grid, table)
-    n = a_eq.shape[1]
-    c = np.zeros(n)
-    c[1] = 1.0
-    box: list[tuple[Optional[float], Optional[float]]] = [(None, None)] * n
     column = 1 + j + (stats.k if plus_basis else 0)
-    box[column] = (0.0, 1.0 - stats.p_dark)
-    return _solve_lp(c, a_eq, rhs, box)
+    return _solve_lp(a_eq, rhs, objective=1, sign=1.0, cap=1.0 - stats.p_dark, boxed=column)
 
 
 def lp_oracle_b_j_max(
@@ -363,9 +370,4 @@ def lp_oracle_b_j_max(
     """LP value of the order-j relaxed error program: only b^(1+j) is boxed."""
     _check_order(j, grid.k)
     a_eq, rhs = _b_system(stats, grid, table)
-    n = a_eq.shape[1]
-    c = np.zeros(n)
-    c[0] = -1.0
-    box: list[tuple[Optional[float], Optional[float]]] = [(None, None)] * n
-    box[j] = (0.0, 1.0 - stats.p_dark)
-    return -_solve_lp(c, a_eq, rhs, box)
+    return -_solve_lp(a_eq, rhs, objective=0, sign=-1.0, cap=1.0 - stats.p_dark, boxed=j)

@@ -26,11 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import ObservedStats, beta
-from .divided_diff import MonteCarloEstimate, uniform_simplex_samples
+from .bounds import ObservedStats, _check_order, beta
+from .divided_diff import DEFAULT_SERIES_TOL, MonteCarloEstimate, h_series, uniform_simplex_samples
 from .expansion import IntensityGrid
-
-DEFAULT_EPS_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -52,8 +50,8 @@ class ChannelParams:
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
-        if self.a0 < 0.0 or self.a1 < 0.0:
-            raise ValueError("loss coefficients must be non-negative")
+        if not (0.0 <= self.a0 < math.inf and 0.0 <= self.a1 < math.inf):
+            raise ValueError("loss coefficients must be finite and non-negative")
         if not 0.0 <= self.pD <= self.p0 <= 1.0:
             raise ValueError("rates must satisfy 0 <= pD <= p0 <= 1")
         if not 0.0 <= self.s <= 0.5:
@@ -118,49 +116,29 @@ def _one_minus_decay_pow(alpha: float, n: int) -> float:
 
 
 def epsilon(
-    j: int, alpha: float, grid: IntensityGrid, tol: float = DEFAULT_EPS_TOL
+    j: int, alpha: float, grid: IntensityGrid, tol: float = DEFAULT_SERIES_TOL
 ) -> float:
     """Series evaluation of eps_j(alpha) over the first j intensities.
 
     Sums mu_1..mu_j * (1 - (1-alpha)^n) h_(n-1-j)(mu) / n! for n > j until
-    the majorant tail drops below ``tol``.  All terms are non-negative, so
+    the majorant tail drops below ``tol`` (``divided_diff.h_series`` with
+    weight 1 - (1-alpha)^n).  All terms are non-negative, so
     the sum is cancellation free; the companion beta form
     (:func:`epsilon_beta_form`) and a Monte-Carlo simplex form
     (:func:`epsilon_simplex_mc`) serve as independent cross-checks.
     """
-    if not 1 <= j <= grid.k:
-        raise ValueError(f"order j={j} must satisfy 1 <= j <= k (k={grid.k})")
+    _check_order(j, grid.k)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if alpha == 0.0:
         return 0.0
     mus = grid.mus[:j]
-    mu_prod = math.prod(mus)
-    mu_top = mus[-1]
-    hh = [1.0] * (j + 1)  # h_d(mu_1..mu_l) at the current degree d
-    total = 0.0
-    n = j + 1
-    factorial = float(math.factorial(n))
-    while True:
-        total += _one_minus_decay_pow(alpha, n) * hh[j] / factorial
-        bound = math.comb(n - 1, j - 1) * mu_top ** (n - j) / (factorial * (n + 1))
-        if bound < 0.5 * tol and n > j + 3:
-            break
-        if n > 400:
-            raise RuntimeError("epsilon series failed to converge")
-        n += 1
-        factorial *= n
-        new = [0.0] * (j + 1)
-        for l in range(1, j + 1):
-            new[l] = new[l - 1] + mus[l - 1] * hh[l]
-        hh = new
-    return mu_prod * total
+    return math.prod(mus) * h_series(mus, lambda n: _one_minus_decay_pow(alpha, n), tol)
 
 
 def epsilon_beta_form(j: int, alpha: float, grid: IntensityGrid) -> float:
     """Finite-sum form (-1)^(j-1) (sum_i beta(j,i)(1 - e^(-alpha mu_i)) - alpha)."""
-    if not 1 <= j <= grid.k:
-        raise ValueError(f"order j={j} must satisfy 1 <= j <= k (k={grid.k})")
+    _check_order(j, grid.k)
     total = 0.0
     for i in range(1, j + 1):
         total += beta(j, i, grid) * (-math.expm1(-alpha * grid.mus[i - 1]))
@@ -183,8 +161,7 @@ def epsilon_simplex_mc(
 
     at y = sum a_i mu_i with a uniform on the (j-1)-simplex.
     """
-    if not 1 <= j <= grid.k:
-        raise ValueError(f"order j={j} must satisfy 1 <= j <= k (k={grid.k})")
+    _check_order(j, grid.k)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     mus = np.asarray(grid.mus[:j])
     weights = uniform_simplex_samples(j, samples, rng)
@@ -210,7 +187,7 @@ def closed_form_bounds(
     alpha: float,
     grid: IntensityGrid,
     params: ChannelParams,
-    tol: float = DEFAULT_EPS_TOL,
+    tol: float = DEFAULT_SERIES_TOL,
 ) -> tuple[float, float]:
     """(q_j_min, b_j_max) evaluated on model statistics, in closed form.
 

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 DEFAULT_MIN_GAP = 1e-9
+DEFAULT_SERIES_TOL = 1e-14
 
 
 class DegeneratePointsError(ValueError):
@@ -136,6 +138,19 @@ def divided_difference_recurrence(f: FunctionLike, pts: PointSet) -> float:
     return table[0]
 
 
+def _h_degrees(xs: Sequence):
+    """Yield h_0(xs), h_1(xs), h_2(xs), ...; the last variable may be an array."""
+    m = len(xs)
+    hh = [1.0] * (m + 1)  # hh[l] = h_d(x_1..x_l) at the current degree d
+    while True:
+        yield hh[m]
+        # h_d(x_1..x_l) = h_d(x_1..x_{l-1}) + x_l * h_{d-1}(x_1..x_l)
+        new = [0.0] * (m + 1)
+        for l in range(1, m + 1):
+            new[l] = new[l - 1] + xs[l - 1] * hh[l]
+        hh = new
+
+
 def complete_homogeneous(degree: int, xs: Sequence[float]):
     """Complete homogeneous symmetric sum h_degree(xs).
 
@@ -145,15 +160,39 @@ def complete_homogeneous(degree: int, xs: Sequence[float]):
     """
     if degree < 0:
         return 0.0
-    # h_d(x_1..x_l) = h_d(x_1..x_{l-1}) + x_l * h_{d-1}(x_1..x_l)
-    m = len(xs)
-    prev = [1.0] * (m + 1)
-    for d in range(1, degree + 1):
-        cur = [0.0] * (m + 1)
-        for l in range(1, m + 1):
-            cur[l] = cur[l - 1] + xs[l - 1] * prev[l]
-        prev = cur
-    return prev[m]
+    return next(islice(_h_degrees(xs), degree, None))
+
+
+def h_series(
+    points: Sequence,
+    weight: Optional[Callable[[int], float]] = None,
+    tol: float = DEFAULT_SERIES_TOL,
+):
+    """sum_{n>m} w(n) h_(n-1-m)(x_1..x_m) / n! over m points, to tail < tol.
+
+    With w = 1 (no ``weight``) this is the expansion normalizer Omega_(m+1);
+    w(n) = 1 - (1-alpha)^n gives the bound residual eps_m / (x_1...x_m).
+    All terms are non-negative, so the sum is free of cancellation; the tail
+    is bounded through h_d <= C(d+m-1, m-1) x_top^d and the decay of 1/n!.
+    The last point may be a numpy array, over which the result broadcasts.
+    """
+    m = len(points)
+    last = float(np.max(points[-1])) if isinstance(points[-1], np.ndarray) else points[-1]
+    top = max((*points[:-1], last))
+    total = 0.0
+    n = m + 1
+    factorial = float(math.factorial(n))
+    for h in _h_degrees(points):
+        total += (h if weight is None else weight(n) * h) / factorial
+        # majorant for the next term; the series decays at least geometrically
+        # with ratio ~ m*x_top/n once n is past m*x_top
+        bound = math.comb(n - 1, m - 1) * top ** (n - m) / (factorial * (n + 1))
+        if bound < 0.5 * tol and n > m + 3:
+            return total
+        if n > 400:  # factorial decay guarantees we never get here for sane points
+            raise RuntimeError("complete-homogeneous series failed to converge")
+        n += 1
+        factorial *= n
 
 
 def power_divided_difference(exponent: int, pts: PointSet) -> float:

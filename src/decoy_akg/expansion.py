@@ -24,10 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divided_diff import PointSet, divided_difference_recurrence
+from .divided_diff import DEFAULT_SERIES_TOL, PointSet, divided_difference_recurrence, h_series
 
 DEFAULT_N_MAX = 64
-DEFAULT_SERIES_TOL = 1e-14
 DEFAULT_MIN_SPACING = 0.1
 
 
@@ -78,9 +77,11 @@ class IntensityGrid:
         return self.mus[self.signal_index - 1]
 
 
-def _check_basis_index(i: int, k: int) -> None:
+def _check_basis_index(i: int, k: int, n: float = math.inf) -> None:
     if not 2 <= i <= k + 1:
         raise ValueError(f"basis index i={i} must satisfy 2 <= i <= k+1 (k={k})")
+    if n < i:
+        raise ValueError(f"rho_{i} has support only on photon numbers n >= {i}")
 
 
 def gamma_coefficient(i: int, n: int, grid: IntensityGrid) -> float:
@@ -91,9 +92,7 @@ def gamma_coefficient(i: int, n: int, grid: IntensityGrid) -> float:
     of reciprocal products when intensities cluster.  Support starts at
     n = i, so n < i is rejected.
     """
-    _check_basis_index(i, grid.k)
-    if n < i:
-        raise ValueError(f"rho_{i} has support only on photon numbers n >= {i}")
+    _check_basis_index(i, grid.k, n)
     pts = PointSet(grid.mus[: i - 1])
     if n == 2:
         # x^0 divided difference over a single point (only reachable at i=2)
@@ -103,9 +102,7 @@ def gamma_coefficient(i: int, n: int, grid: IntensityGrid) -> float:
 
 def gamma_coefficient_direct(i: int, n: int, grid: IntensityGrid) -> float:
     """Literal reciprocal-product sum for gamma(i, n); cross-check use only."""
-    _check_basis_index(i, grid.k)
-    if n < i:
-        raise ValueError(f"rho_{i} has support only on photon numbers n >= {i}")
+    _check_basis_index(i, grid.k, n)
     mus = grid.mus[: i - 1]
     total = 0.0
     for j, mu_j in enumerate(mus):
@@ -121,38 +118,14 @@ def omega(i: int, grid: IntensityGrid, tol: float = DEFAULT_SERIES_TOL) -> float
     """Normalizer Omega_i = sum_{n>=i} gamma(i, n)/n!, summed to tail < tol.
 
     The summand gamma(i, n) equals the complete homogeneous symmetric sum
-    h_(n-i)(mu_1..mu_(i-1)) (the power-function closed form), which is a sum
-    of positive terms and therefore free of cancellation.  The tail is
-    bounded through h_d <= C(d+i-2, i-2) * mu_top^d and the factorial decay
-    of 1/n!.
+    h_(n-i)(mu_1..mu_(i-1)) (the power-function closed form), so Omega_i is
+    the positive-term series :func:`~decoy_akg.divided_diff.h_series` over
+    the first i-1 intensities.
     """
     _check_basis_index(i, grid.k)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    mus = grid.mus[: i - 1]
-    m = len(mus)
-    mu_top = mus[-1]
-    # Streaming h-polynomial update: hh[l] = h_d(mu_1..mu_l) for the current d.
-    hh = [1.0] * (m + 1)
-    total = 0.0
-    factorial = float(math.factorial(i))
-    n = i
-    while True:
-        total += hh[m] / factorial
-        # majorant for the next term; the series decays at least geometrically
-        # with ratio ~ m*mu_top/n once n is past m*mu_top
-        bound = math.comb(n - 1, m - 1) * mu_top ** (n + 1 - i) / (factorial * (n + 1))
-        if bound < 0.5 * tol and n > i + 2:
-            break
-        if n > 400:  # factorial decay guarantees we never get here for sane grids
-            raise RuntimeError("Omega series failed to converge")
-        n += 1
-        factorial *= n
-        new = [0.0] * (m + 1)
-        for l in range(1, m + 1):
-            new[l] = new[l - 1] + mus[l - 1] * hh[l]
-        hh = new
-    return total
+    return h_series(grid.mus[: i - 1], tol=tol)
 
 
 def _exp_tail(x: float, first_order: int) -> float:
@@ -281,65 +254,28 @@ class DecoyMatrices(NamedTuple):
     constraint: ConstraintMatrix
 
 
-def build_matrices(grid: IntensityGrid, tol: float = DEFAULT_SERIES_TOL) -> DecoyMatrices:
-    """Structural matrices of the expansion and their closed-form inverses.
-
-    * ``a``: lower-triangular with a[i, l] = prod_{t<l}(mu_(i+1) - mu_t),
-    * ``b``: its inverse, b[l, i] = 1/prod_{t<=l, t!=i}(mu_(i+1) - mu_t),
-    * ``c``: ``a`` with its last column replaced by a leading 1/mu column,
-    * ``c_inverse``: closed-form inverse of ``c`` built from the rows of
-      ``b`` and signed products of trailing intensities,
-    * ``constraint``: the full counting-rate coefficient matrix.
-
-    ``b @ a`` and ``c_inverse @ c`` are identities up to rounding; tests pin
-    the deviation below 1e-10.
-    """
-    mus = grid.mus
-    k = grid.k
-
+def _difference_products(mus) -> np.ndarray:
+    """Lower-triangular a[i, l] = prod_{t<l}(mu_(i+1) - mu_t), 1-based t and l."""
+    k = len(mus)
     a = np.zeros((k, k))
-    for i in range(1, k + 1):
-        for l in range(1, i + 1):
-            prod = 1.0
-            for t in range(1, l):
-                prod *= mus[i - 1] - mus[t - 1]
-            a[i - 1, l - 1] = prod
+    for i in range(k):
+        prod = 1.0
+        for l in range(i + 1):
+            a[i, l] = prod
+            prod *= mus[i] - mus[l]
+    return a
 
-    b = np.zeros((k, k))
-    for l in range(1, k + 1):
-        for i in range(1, l + 1):
-            denom = 1.0
-            for t in range(1, l + 1):
-                if t != i:
-                    denom *= mus[i - 1] - mus[t - 1]
-            b[l - 1, i - 1] = 1.0 / denom
 
-    c = np.zeros((k, k))
-    for i in range(1, k + 1):
-        c[i - 1, 0] = 1.0 / mus[i - 1]
-        for l in range(2, min(i + 1, k) + 1):
-            prod = 1.0
-            for t in range(1, l - 1):
-                prod *= mus[i - 1] - mus[t - 1]
-            c[i - 1, l - 1] = prod
+def constraint_matrix(mus, omegas) -> ConstraintMatrix:
+    """Counting-rate coefficient matrix over increasing intensities ``mus``.
 
-    c_inv = np.zeros((k, k))
-    for i in range(1, k + 1):
-        row = np.zeros(k) if i == 1 else b[i - 2].copy()
-        tail_product = math.prod(mus[i - 1 :])
-        sign = -1.0 if (k + i) % 2 else 1.0
-        c_inv[i - 1] = row + sign * tail_product * b[k - 1]
-
-    omegas = tuple(omega(i, grid, tol) for i in range(2, k + 2))
+    ``omegas[j-1]`` is Omega_(j+1) over the first j intensities.
+    """
+    k = len(mus)
     y = np.exp(-np.asarray(mus))
     z = np.asarray(mus) * y
-    x = np.zeros((k, k))
-    for i in range(1, k + 1):
-        for j in range(1, i + 1):
-            prod = 1.0
-            for t in range(1, j):
-                prod *= mus[i - 1] - mus[t - 1]
-            x[i - 1, j - 1] = mus[i - 1] ** 2 * prod * y[i - 1] * omegas[j - 1]
+    squares = np.array([mu**2 for mu in mus])  # Python's pow; numpy's square can differ by an ulp
+    x = squares[:, None] * _difference_products(mus) * y[:, None] * np.asarray(omegas)
 
     p = np.zeros((2 * k + 1, 2 * k + 2))
     p[0, 0] = 1.0
@@ -355,6 +291,44 @@ def build_matrices(grid: IntensityGrid, tol: float = DEFAULT_SERIES_TOL) -> Deco
     p_prime[1:, 0] = y
     p_prime[1:, 1] = z
     p_prime[1:, 2:] = x
+    return ConstraintMatrix(p=p, p_prime=p_prime, y=y, z=z, x=x)
 
-    constraint = ConstraintMatrix(p=p, p_prime=p_prime, y=y, z=z, x=x)
+
+def build_matrices(grid: IntensityGrid, tol: float = DEFAULT_SERIES_TOL) -> DecoyMatrices:
+    """Structural matrices of the expansion and their closed-form inverses.
+
+    * ``a``: lower-triangular with a[i, l] = prod_{t<l}(mu_(i+1) - mu_t),
+    * ``b``: its inverse, b[l, i] = 1/prod_{t<=l, t!=i}(mu_(i+1) - mu_t),
+    * ``c``: ``a`` with its last column replaced by a leading 1/mu column,
+    * ``c_inverse``: closed-form inverse of ``c`` built from the rows of
+      ``b`` and signed products of trailing intensities,
+    * ``constraint``: the full counting-rate coefficient matrix.
+
+    ``b @ a`` and ``c_inverse @ c`` are identities up to rounding; tests pin
+    the deviation below 1e-10.
+    """
+    mus = grid.mus
+    k = grid.k
+    a = _difference_products(mus)
+
+    b = np.zeros((k, k))
+    for l in range(1, k + 1):
+        for i in range(1, l + 1):
+            denom = 1.0
+            for t in range(1, l + 1):
+                if t != i:
+                    denom *= mus[i - 1] - mus[t - 1]
+            b[l - 1, i - 1] = 1.0 / denom
+
+    c = np.column_stack([1.0 / np.asarray(mus), a[:, :-1]])
+
+    c_inv = np.zeros((k, k))
+    for i in range(1, k + 1):
+        row = np.zeros(k) if i == 1 else b[i - 2].copy()
+        tail_product = math.prod(mus[i - 1 :])
+        sign = -1.0 if (k + i) % 2 else 1.0
+        c_inv[i - 1] = row + sign * tail_product * b[k - 1]
+
+    omegas = tuple(omega(i, grid, tol) for i in range(2, k + 2))
+    constraint = constraint_matrix(mus, omegas)
     return DecoyMatrices(a=a, b=b, c=c, c_inverse=c_inv, constraint=constraint)

@@ -47,12 +47,12 @@ def binary_entropy_bar(x):
     """Binary entropy saturated at its maximum: h(x) for x <= 1/2, else 1.
 
     Accepts scalars or arrays in [0, 1]; continuous at 1/2.  Values outside
-    [0, 1] are rejected (an error ratio above 1 must be clamped by the
-    caller, as the bound formulas may overshoot on noisy input).
+    [0, 1] and NaN are rejected (the caller must clamp an error ratio above
+    1, as the bound formulas may overshoot on noisy input).
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("binary_entropy_bar requires arguments in [0, 1]")
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValueError("binary_entropy_bar requires finite arguments in [0, 1]")
     inner = np.where((arr > 0.0) & (arr < 1.0), arr, 0.5)
     entropy = -inner * np.log2(inner) - (1.0 - inner) * np.log2(1.0 - inner)
     entropy = np.where((arr == 0.0) | (arr == 1.0), 0.0, entropy)
@@ -65,10 +65,12 @@ def single_photon_credit(q1, b1):
 
     A non-positive yield bound contributes nothing; an error ratio at or
     above 1/2 saturates the entropy and likewise zeroes the term.
-    Array-friendly in both arguments.
+    Array-friendly in both arguments; non-finite input raises ValueError.
     """
     q = np.asarray(q1, dtype=float)
     b = np.asarray(b1, dtype=float)
+    if not np.isfinite(q + b).all():
+        raise ValueError("single_photon_credit requires finite q1 and b1")
     safe_q = np.where(q > 0.0, q, 1.0)
     ratio = np.minimum(np.clip(b, 0.0, None) / safe_q, 1.0)
     credit = np.where(q > 0.0, q * (1.0 - binary_entropy_bar(ratio)), 0.0)
@@ -206,13 +208,13 @@ def find_zero_distance(
     l_max: float = 240.0,
     coarse_step: float = 1.0,
     tol_km: float = 0.01,
-) -> float:
+) -> Optional[float]:
     """Largest distance with a positive envelope value, to ``tol_km``.
 
     Scans [l_min, l_max] at ``coarse_step``, then bisects the last
     positive-to-nonpositive bracket.  Returns 0.0 when the envelope is never
-    positive; returns l_max when it never drops (caller should widen the
-    range).
+    positive and None when it is still positive at the end of the scan
+    (beyond range: the caller should widen it).
     """
     grid = np.arange(l_min, l_max + 0.5 * coarse_step, coarse_step)
     values = [envelope(float(l)) for l in grid]
@@ -221,7 +223,7 @@ def find_zero_distance(
         return 0.0
     last_pos = max(i for i, flag in enumerate(positive) if flag)
     if last_pos == len(grid) - 1:
-        return float(grid[-1])
+        return None
     lo, hi = float(grid[last_pos]), float(grid[last_pos + 1])
     while hi - lo > tol_km:
         mid = 0.5 * (lo + hi)

@@ -27,13 +27,14 @@ kilometres.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
+from .bounds import ma_q1_lower, order_bounds
 from .channel import STANDARD_FIBER, ChannelParams, alpha_of_distance
+from .divided_diff import h_series
 from .keyrate import (
     DEFAULT_COARSE_STEP,
     DEFAULT_MU_CAP,
@@ -50,6 +51,7 @@ MIN_DECOY_WIDTH = 0.1
 # source_j codes for estimators that are not an aggregation order
 SOURCE_EXACT = 0  # universal scenario: parameters known, nothing estimated
 SOURCE_MA = -1  # three-intensity ratio estimator
+_TINY = np.finfo(float).tiny
 
 _PRESET_DECOYS = {
     "k2": (0.1,),
@@ -196,195 +198,93 @@ class SweepResult:
     achievable_km: Optional[float] = None
 
 
-class _PrefixBounds:
-    """Distance-independent pieces of the order-j bounds over fixed decoys.
-
-    For each order j over the fixed decoy prefix: the inversion row
-    beta(j, 1..j), the product mu_1..mu_j Omega_(j+1) and e^(-mu_i).  The
-    estimation dark rate is zero by convention (module docstring), so the
-    per-distance inputs reduce to c_i = p_i - e^(-mu_i) p0 and
-    d_i = s_i p_i - e^(-mu_i) p0 / 2.
-    """
-
-    def __init__(self, decoys: tuple[float, ...]):
-        self.decoys = decoys
-        self.exp_neg = np.exp(-np.asarray(decoys)) if decoys else np.array([])
-        self.beta_rows: list[np.ndarray] = []
-        self.sat_terms: list[float] = []
-        for j in range(1, len(decoys) + 1):
-            pts = decoys[:j]
-            sign = -1.0 if j % 2 == 0 else 1.0
-            prod = math.prod(pts)
-            row = np.empty(j)
-            for i in range(1, j + 1):
-                denom = pts[i - 1] ** 2
-                for t in range(j):
-                    if t != i - 1:
-                        denom *= pts[i - 1] - pts[t]
-                row[i - 1] = sign * prod * math.exp(pts[i - 1]) / denom
-            self.beta_rows.append(row)
-            self.sat_terms.append(prod * _omega_over(pts))
-
-
-def _omega_over(points, extra=None, tol: float = 1e-14):
-    """Omega_(j+1) for the j points (points..., extra); extra may be an array.
-
-    Positive-term series sum_{n>j} h_(n-1-j)(points)/n! with the streaming
-    homogeneous-sum update; broadcasts over ``extra``.
-    """
-    scalars = tuple(points)
-    xs: list = list(scalars)
-    if extra is not None:
-        xs.append(extra)
-    j = len(xs)
-    mu_top = max(scalars) if scalars else 0.0
-    if extra is not None:
-        mu_top = max(mu_top, float(np.max(extra)))
-    shape = np.shape(extra) if extra is not None else ()
-    ones = np.ones(shape) if shape else 1.0
-    hh = [ones] * (j + 1)
-    hh[0] = 1.0
-    total = np.zeros(shape) if shape else 0.0
-    n = j + 1
-    factorial = float(math.factorial(n))
-    while True:
-        total = total + hh[j] / factorial
-        bound = math.comb(n - 1, j - 1) * mu_top ** (n - j) / (factorial * (n + 1))
-        if bound < 0.5 * tol and n > j + 3:
-            break
-        if n > 400:
-            raise RuntimeError("Omega series failed to converge")
-        n += 1
-        factorial *= n
-        new = [0.0] * (j + 1)
-        for l in range(1, j + 1):
-            new[l] = new[l - 1] + xs[l - 1] * hh[l]
-        hh = new
-    return total
-
-
 class _ScenarioEngine:
-    """Per-scenario evaluator with distance-independent caches."""
+    """Per-scenario evaluator: per-distance model inputs and the estimator choice.
+
+    The estimation dark rate is zero by convention (module docstring), so the
+    inputs of the library's order bounds reduce to c_i = p_i - e^(-mu_i) p0
+    and d_i = s_i p_i - e^(-mu_i) p0 / 2 on the model statistics.
+    """
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         self.params = spec.resolved_channel()
         self.decoys = spec.decoy_mus
-        self.prefix = _PrefixBounds(self.decoys)
         self.kind = spec.estimator_kind
         self.p0 = self.params.p0
         self.s = self.params.s
         self.pD = self.params.pD
+        self.decoy_array = np.asarray(self.decoys, dtype=float)
+        self.decoy_vacuum = self.p0 * (1.0 - np.exp(-self.decoy_array))
+        self.prefix_omegas = [h_series(self.decoys[:j]) for j in range(1, len(self.decoys) + 1)]
 
     # -- per-distance state ------------------------------------------------
 
     def _distance_state(self, length_km: float) -> dict:
         alpha = alpha_of_distance(length_km, self.params)
-        decoys = np.asarray(self.decoys)
-        signal_part = -np.expm1(-alpha * decoys) if decoys.size else np.array([])
+        signal_part = -np.expm1(-alpha * self.decoy_array)
         # estimation inputs with the dark-inclusive convention (p_dark = 0)
-        c = signal_part + self.p0 * (1.0 - self.prefix.exp_neg)
-        d = self.s * signal_part + 0.5 * self.p0 * (1.0 - self.prefix.exp_neg)
+        c = (signal_part + self.decoy_vacuum).tolist()
+        d = (self.s * signal_part + 0.5 * self.decoy_vacuum).tolist()
         state = {"alpha": alpha, "c": c, "d": d}
-        if self.kind in ("aggregate", "wang", "ma"):
-            q_prefix = []
-            b_prefix = []
-            for j in range(1, len(self.decoys) + 1):
-                row = self.prefix.beta_rows[j - 1]
-                q_j = float(row @ c[:j])
-                b_j = float(row @ d[:j])
-                if j % 2 == 1:
-                    q_j -= self.prefix.sat_terms[j - 1]
-                else:
-                    b_j += self.prefix.sat_terms[j - 1]
-                q_prefix.append(q_j)
-                b_prefix.append(b_j)
-            state["q_prefix"] = q_prefix
-            state["b_prefix"] = b_prefix
+        if self.kind != "universal":
+            orders = [
+                order_bounds(self.decoys[:j], c[:j], d[:j], omega, 1.0)
+                for j, omega in enumerate(self.prefix_omegas, start=1)
+            ]
+            state["q_prefix"], state["b_prefix"] = zip(*orders)
         if self.kind == "ma":
-            p1 = signal_part[0] + self.p0
-            p2 = signal_part[1] + self.p0
-            state["ma_p1"] = p1
-            state["ma_p2"] = p2
+            state["ma_p"] = (signal_part + self.p0).tolist()
         return state
 
     # -- estimator evaluation ----------------------------------------------
 
     def _order_k_bounds(self, state: dict, mu):
         """Order-k bounds with the trial signal as the k-th intensity."""
-        decoys = self.decoys
-        k = len(decoys) + 1
-        alpha = state["alpha"]
-        sign = -1.0 if k % 2 == 0 else 1.0
-        prod_decoys = math.prod(decoys)
-        c_sig = -np.expm1(-alpha * mu) + self.p0 * (1.0 - np.exp(-mu))
-        d_sig = self.s * (-np.expm1(-alpha * mu)) + 0.5 * self.p0 * (1.0 - np.exp(-mu))
-        q_k = 0.0
-        b_k = 0.0
-        for i, mu_i in enumerate(decoys):
-            denom = mu_i**2
-            for t, mu_t in enumerate(decoys):
-                if t != i:
-                    denom *= mu_i - mu_t
-            beta_i = sign * prod_decoys * mu * math.exp(mu_i) / (denom * (mu_i - mu))
-            q_k = q_k + beta_i * state["c"][i]
-            b_k = b_k + beta_i * state["d"][i]
-        denom_sig = mu**2
-        for mu_t in decoys:
-            denom_sig = denom_sig * (mu - mu_t)
-        beta_sig = sign * prod_decoys * mu * np.exp(mu) / denom_sig
-        q_k = q_k + beta_sig * c_sig
-        b_k = b_k + beta_sig * d_sig
-        saturation = prod_decoys * mu * _omega_over(decoys, mu)
-        if k % 2 == 1:
-            q_k = q_k - saturation
-        else:
-            b_k = b_k + saturation
-        return q_k, b_k
+        signal = -np.expm1(-state["alpha"] * mu)
+        vacuum = self.p0 * (1.0 - np.exp(-mu))
+        points = self.decoys + (mu,)
+        return order_bounds(
+            points,
+            state["c"] + [signal + vacuum],
+            state["d"] + [self.s * signal + 0.5 * vacuum],
+            h_series(points),
+            1.0,
+        )
 
     def _bounds(self, state: dict, mu, diagnostics: bool = False):
         """(q1, b1[, source indices]) for trial signal mu (scalar or array)."""
-        kind = self.kind
+        if isinstance(mu, float):
+            # a numpy trial signal, which the library exponentiates with np.exp
+            mu = np.float64(mu)
         alpha = state["alpha"]
-        if kind == "universal":
-            q1 = alpha + self.p0
-            b1 = self.s * alpha + 0.5 * self.p0
-            q1 = q1 + 0.0 * mu  # broadcast to mu's shape
-            b1 = b1 + 0.0 * mu
+        zero = 0.0 * mu  # broadcasts mu-independent bounds to mu's shape
+        if self.kind == "universal":
+            q1 = alpha + self.p0 + zero
+            b1 = self.s * alpha + 0.5 * self.p0 + zero
+            sources = (SOURCE_EXACT, SOURCE_EXACT)
+        elif self.kind == "wang":
+            q1 = state["q_prefix"][1] + zero
+            b1 = state["b_prefix"][0] + zero
+            sources = (2, 1)
+        elif self.kind == "ma":
+            p3 = -np.expm1(-alpha * mu) + self.p0
+            q1 = ma_q1_lower(self.decoys + (mu,), self.p0, (*state["ma_p"], p3))
+            b1 = state["b_prefix"][0] + zero
+            sources = (SOURCE_MA, 1)
+        else:
+            # aggregation over orders 1..k with the signal as k-th intensity
+            q_k, b_k = self._order_k_bounds(state, mu)
+            q_all = [v + zero for v in state["q_prefix"]] + [q_k]
+            b_all = [v + zero for v in state["b_prefix"]] + [b_k]
+            q1 = np.maximum.reduce(q_all)
+            b1 = np.minimum.reduce(b_all)
             if diagnostics:
-                return q1, b1, SOURCE_EXACT, SOURCE_EXACT
-            return q1, b1
-        if kind == "wang":
-            q1 = state["q_prefix"][1] + 0.0 * mu
-            b1 = state["b_prefix"][0] + 0.0 * mu
-            if diagnostics:
-                return q1, b1, 2, 1
-            return q1, b1
-        if kind == "ma":
-            m1, m2 = self.decoys
-            p1, p2, p0 = state["ma_p1"], state["ma_p2"], self.p0
-            p3 = -np.expm1(-alpha * mu) + p0
-            numer = mu * (
-                p2 * math.exp(m2)
-                - p1 * math.exp(m1)
-                - (m2**2 - m1**2) / mu**2 * (p3 * np.exp(mu) - p0)
-            )
-            q1 = numer / (m2 * mu - mu * m1 - m2**2 + m1**2)
-            b1 = state["b_prefix"][0] + 0.0 * mu
-            if diagnostics:
-                return q1, b1, SOURCE_MA, 1
-            return q1, b1
-        # aggregation over orders 1..k with the signal as k-th intensity
-        q_k, b_k = self._order_k_bounds(state, mu)
-        q_all = [v + 0.0 * mu for v in state["q_prefix"]] + [q_k]
-        b_all = [v + 0.0 * mu for v in state["b_prefix"]] + [b_k]
-        q1 = np.maximum.reduce(q_all)
-        b1 = np.minimum.reduce(b_all)
-        if diagnostics:
-            q_src = int(np.argmax([float(v) for v in q_all])) + 1
-            b_src = int(np.argmin([float(v) for v in b_all])) + 1
-            return q1, b1, q_src, b_src
-        return q1, b1
+                sources = (
+                    int(np.argmax([float(v) for v in q_all])) + 1,
+                    int(np.argmin([float(v) for v in b_all])) + 1,
+                )
+        return (q1, b1, *sources) if diagnostics else (q1, b1)
 
     # -- rate evaluation -----------------------------------------------------
 
@@ -392,7 +292,8 @@ class _ScenarioEngine:
         alpha = state["alpha"]
         signal = -np.expm1(-alpha * mu)
         p_sig = signal + self.p0
-        s_sig = (self.s * signal + 0.5 * self.p0) / p_sig
+        # with p0 = 0 and an underflowed transmission s(mu) is 0/0; its weight p_sig is 0
+        s_sig = (self.s * signal + 0.5 * self.p0) / np.maximum(p_sig, _TINY)
         credit = single_photon_credit(np.clip(q1, 0.0, 1.0), np.clip(b1, 0.0, 1.0))
         if self.spec.direction == "forward":
             additive = np.exp(-mu) * self.p0
@@ -485,8 +386,12 @@ def achievable_distance(
     l_max: float = 240.0,
     coarse_step: float = 1.0,
     tol_km: float = 0.01,
-) -> float:
-    """Largest distance with positive optimized rate (1 km scan + bisection)."""
+) -> Optional[float]:
+    """Largest distance with positive optimized rate (1 km scan + bisection).
+
+    Like ``run_scenario``'s ``achievable_km``: 0.0 when the rate is never
+    positive and None when it is still positive at ``l_max`` (beyond range).
+    """
     engine = _ScenarioEngine(spec)
     return find_zero_distance(
         engine.envelope, l_min=l_min, l_max=l_max, coarse_step=coarse_step, tol_km=tol_km

@@ -108,3 +108,23 @@ def test_figures_command_writes_datasets(tmp_path):
         assert len(table) >= 6
     profile = (tmp_path / "optimal_intensity_reverse_pd-equals-p0.csv").read_text().splitlines()
     assert profile[0] == "scenario,L_km,optimal_mu"
+
+
+def test_non_finite_loss_in_params_file_is_config_error(tmp_path):
+    for value in ("nan", "inf"):
+        params_file = tmp_path / f"{value}.cfg"
+        params_file.write_text(f"a1 = {value}\n")
+        args = ["run", "--scenario", "k2", "--l-max", "1", "--params-file", params_file]
+        assert _run(args + ["--out", tmp_path]) == EXIT_CONFIG
+
+
+def test_channel_without_clicks_gives_zero_rates(tmp_path):
+    # p0 = 0 and a transmission that underflows to 0: no clicks at all
+    params_file = tmp_path / "dark.cfg"
+    params_file.write_text("p0 = 0\na0 = 4000\n")
+    names = "k2,k3-ma,k4,universal"
+    args = ["run", "--scenario", names, "--l-max", "1", "--params-file", params_file, "--out", tmp_path]
+    assert _run(args) == EXIT_OK
+    rows = (tmp_path / "combined.csv").read_text().splitlines()[1:]
+    assert len(rows) == 8
+    assert all(row.split(",")[3] == "0" for row in rows)

@@ -45,6 +45,23 @@ def test_single_photon_credit_conventions():
     assert credit == pytest.approx(1e-6 * (1.0 - binary_entropy_bar(0.03)), rel=1e-12)
 
 
+def test_entropy_rejects_non_finite_input():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            binary_entropy_bar(bad)
+    with pytest.raises(ValueError):
+        binary_entropy_bar(np.array([0.1, math.nan]))
+
+
+def test_single_photon_credit_rejects_non_finite_input():
+    bad = ((math.nan, 0.01), (math.inf, 0.01), (-math.inf, 0.01), (1e-6, math.nan), (1e-6, math.inf))
+    for q1, b1 in bad:
+        with pytest.raises(ValueError):
+            single_photon_credit(q1, b1)
+    with pytest.raises(ValueError):
+        single_photon_credit(np.array([1e-6, math.nan]), np.array([1e-8, 1e-8]))
+
+
 def _inputs(**overrides):
     base = dict(
         mu_signal=0.5,
@@ -177,7 +194,7 @@ def test_optimizer_returns_best_even_when_negative():
 def test_zero_distance_bisection():
     assert find_zero_distance(lambda L: 100.0 - L, 0.0, 240.0) == pytest.approx(100.0, abs=0.01)
     assert find_zero_distance(lambda L: -1.0, 0.0, 50.0) == 0.0
-    assert find_zero_distance(lambda L: 1.0, 0.0, 50.0) == 50.0
+    assert find_zero_distance(lambda L: 1.0, 0.0, 50.0) is None
 
 
 def test_derivative_check_report():

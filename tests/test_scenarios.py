@@ -5,9 +5,12 @@ from decoy_akg import (
     ConfigurationError,
     ExpansionTable,
     IntensityGrid,
+    achievable_distance,
     aggregate,
     alpha_of_distance,
+    b_j_max,
     model_stats,
+    q_j_min,
     run_scenario,
     scenario,
 )
@@ -43,12 +46,22 @@ def test_preset_decoys_and_bounds_kinds():
     assert scenario("custom", decoys=(0.1, 0.3)).estimator_kind == "aggregate"
 
 
-def test_engine_matches_library_bounds_path():
+@pytest.mark.parametrize(
+    "spec",
+    [
+        scenario("k2", direction="forward", dark_mode="pd-equals-p0"),
+        scenario("k3-ours", direction="forward", dark_mode="pd-equals-p0"),
+        scenario("k4", direction="forward", dark_mode="pd-equals-p0"),
+        scenario("custom", dark_mode="pd-equals-p0", decoys=(0.1, 0.2, 0.35, 0.5)),
+    ],
+    ids=lambda spec: spec.name,
+)
+def test_engine_matches_library_bounds_path(spec):
     # the engine's cached/vectorized estimators must equal the public
-    # aggregate() on the same grid under the dark-inclusive convention
-    spec = scenario("k3-ours", direction="forward", dark_mode="pd-equals-p0")
+    # aggregate() on the same grid under the dark-inclusive convention,
+    # for the trial-signal order and for every decoy prefix order
     engine = _ScenarioEngine(spec)
-    length, mu = 120.0, 0.47
+    length, mu = 120.0, spec.signal_lower + 0.17
     state = engine._distance_state(length)
     q1, b1, q_src, b_src = engine._bounds(state, mu, diagnostics=True)
 
@@ -56,11 +69,30 @@ def test_engine_matches_library_bounds_path():
     grid = IntensityGrid(spec.decoy_mus + (mu,), min_spacing=0.05)
     table = ExpansionTable.build(grid)
     alpha = alpha_of_distance(length, estimation)
-    agg = aggregate(model_stats(grid, alpha, estimation), grid, table)
+    stats = model_stats(grid, alpha, estimation)
+    agg = aggregate(stats, grid, table)
     assert float(q1) == pytest.approx(agg.q1_min_raw, rel=1e-11)
     assert float(b1) == pytest.approx(agg.b1_max_raw, rel=1e-11)
     assert q_src == agg.q1_source_j
     assert b_src == agg.b1_source_j
+    for j in range(1, len(spec.decoy_mus) + 1):
+        assert state["q_prefix"][j - 1] == pytest.approx(q_j_min(j, stats, grid, table), rel=1e-11)
+        assert state["b_prefix"][j - 1] == pytest.approx(b_j_max(j, stats, grid, table), rel=1e-11)
+
+
+def test_engine_ratio_estimator_matches_legacy_form():
+    # the k3-ma engine and the library's legacy Ma estimator are one formula
+    spec = scenario("k3-ma")
+    engine = _ScenarioEngine(spec)
+    length, mu = 120.0, 0.47
+    q1, _ = engine._bounds(engine._distance_state(length), mu)
+
+    estimation = STANDARD_FIBER.with_dark_rate(0.0)
+    grid = IntensityGrid((0.1, 0.2, mu))
+    alpha = alpha_of_distance(length, estimation)
+    stats = model_stats(grid, alpha, estimation)
+    legacy = aggregate(stats, grid, ExpansionTable.build(grid)).legacy
+    assert float(q1) == pytest.approx(legacy.ma_q13_l, rel=1e-11)
 
 
 def test_engine_vector_path_equals_scalar_path():
@@ -115,6 +147,12 @@ def test_run_scenario_range_edges():
     # never positive across the range
     far = run_scenario(spec, (235.0, 238.0, 1.0))
     assert far.achievable_km == 0.0
+
+
+def test_beyond_range_is_none_in_both_apis():
+    spec = scenario("k2")
+    assert run_scenario(spec, (0.0, 100.0, 1.0)).achievable_km is None
+    assert achievable_distance(spec, 0.0, 100.0) is None
 
 
 def test_universal_optimum_stays_below_one():
