@@ -27,8 +27,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import ObservedStats, _check_order, beta
-from .divided_diff import DEFAULT_SERIES_TOL, MonteCarloEstimate, h_series, uniform_simplex_samples
+from .divided_diff import MonteCarloEstimate, h_series, uniform_simplex_samples
 from .expansion import IntensityGrid
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,13 @@ def counting_rate(mu, alpha: float, params: ChannelParams):
 
 
 def error_rate(mu, alpha: float, params: ChannelParams):
-    """Model error rate s(mu); dark/vacuum counts err half the time."""
+    """Model error rate s(mu); dark/vacuum counts err half the time.
+
+    With p0 = 0 and a transmission that underflows, p(mu) is 0 and s(mu)
+    would be 0/0; the floored denominator makes it 0 (its weight p(mu) is 0).
+    """
     signal = -np.expm1(-alpha * np.asarray(mu, dtype=float))
-    return (params.s * signal + 0.5 * params.p0) / (signal + params.p0)
+    return (params.s * signal + 0.5 * params.p0) / np.maximum(signal + params.p0, _TINY)
 
 
 def model_stats(grid: IntensityGrid, alpha: float, params: ChannelParams) -> ObservedStats:
@@ -115,15 +121,13 @@ def _one_minus_decay_pow(alpha: float, n: int) -> float:
     return -math.expm1(n * math.log1p(-alpha))
 
 
-def epsilon(
-    j: int, alpha: float, grid: IntensityGrid, tol: float = DEFAULT_SERIES_TOL
-) -> float:
+def epsilon(j: int, alpha: float, grid: IntensityGrid) -> float:
     """Series evaluation of eps_j(alpha) over the first j intensities.
 
     Sums mu_1..mu_j * (1 - (1-alpha)^n) h_(n-1-j)(mu) / n! for n > j until
-    the majorant tail drops below ``tol`` (``divided_diff.h_series`` with
-    weight 1 - (1-alpha)^n).  All terms are non-negative, so
-    the sum is cancellation free; the companion beta form
+    the majorant tail drops below ``DEFAULT_SERIES_TOL``
+    (``divided_diff.h_series`` with weight 1 - (1-alpha)^n).  All terms are
+    non-negative, so the sum is cancellation free; the companion beta form
     (:func:`epsilon_beta_form`) and a Monte-Carlo simplex form
     (:func:`epsilon_simplex_mc`) serve as independent cross-checks.
     """
@@ -133,7 +137,7 @@ def epsilon(
     if alpha == 0.0:
         return 0.0
     mus = grid.mus[:j]
-    return math.prod(mus) * h_series(mus, lambda n: _one_minus_decay_pow(alpha, n), tol)
+    return math.prod(mus) * h_series(mus, lambda n: _one_minus_decay_pow(alpha, n))
 
 
 def epsilon_beta_form(j: int, alpha: float, grid: IntensityGrid) -> float:
@@ -183,11 +187,7 @@ def epsilon_simplex_mc(
 
 
 def closed_form_bounds(
-    j: int,
-    alpha: float,
-    grid: IntensityGrid,
-    params: ChannelParams,
-    tol: float = DEFAULT_SERIES_TOL,
+    j: int, alpha: float, grid: IntensityGrid, params: ChannelParams
 ) -> tuple[float, float]:
     """(q_j_min, b_j_max) evaluated on model statistics, in closed form.
 
@@ -199,8 +199,8 @@ def closed_form_bounds(
         even j: q = alpha + (p0-pD) - eps_a - (p0-pD) eps_1
                 b = s alpha + (p0-pD)/2 - s eps_a + (1 - (p0+pD)/2) eps_1
     """
-    eps_a = epsilon(j, alpha, grid, tol)
-    eps_1 = epsilon(j, 1.0, grid, tol)
+    eps_a = epsilon(j, alpha, grid)
+    eps_1 = epsilon(j, 1.0, grid)
     p0, pd, s = params.p0, params.pD, params.s
     dark_gap = p0 - pd
     if j % 2 == 1:

@@ -205,7 +205,10 @@ def _cmd_run(args) -> int:
     channel = load_params_file(args.params_file) if args.params_file else STANDARD_FIBER
     decoys = None
     if args.decoys is not None:
-        decoys = [float(v) for v in args.decoys.split(",") if v.strip()]
+        try:
+            decoys = [float(v) for v in args.decoys.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ConfigurationError(f"--decoys: {exc}") from exc
     specs = []
     for name in (n.strip() for n in args.scenario.split(",")):
         if not name:
@@ -271,7 +274,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleStatsError, RuntimeError, FloatingPointError) as exc:
+    except (InfeasibleStatsError, RuntimeError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

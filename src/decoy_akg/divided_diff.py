@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -72,38 +72,15 @@ class PointSet:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class RealFunction:
-    """A deterministic real-valued map, optionally with derivative access.
-
-    ``derivative(order)`` should return a callable evaluating the given
-    derivative order; it is only needed by oracle-style tests.
-    """
-
-    evaluator: Callable[[float], float]
-    derivative: Optional[Callable[[int], Callable[[float], float]]] = None
-
-    def __call__(self, x: float) -> float:
-        return self.evaluator(x)
-
-
-FunctionLike = Union[RealFunction, Callable[[float], float]]
-
-
-def _as_callable(f: FunctionLike) -> Callable[[float], float]:
-    return f.evaluator if isinstance(f, RealFunction) else f
-
-
-def _values(f: FunctionLike, pts: PointSet) -> list[float]:
-    fn = _as_callable(f)
-    vals = [float(fn(x)) for x in pts.points]
+def _values(f: Callable[[float], float], pts: PointSet) -> list[float]:
+    vals = [float(f(x)) for x in pts.points]
     for x, v in zip(pts.points, vals):
         if not math.isfinite(v):
             raise EvaluationError(f"function value at x={x} is not finite: {v}")
     return vals
 
 
-def divided_difference(f: FunctionLike, pts: PointSet) -> float:
+def divided_difference(f: Callable[[float], float], pts: PointSet) -> float:
     """Symmetric-sum divided difference sum_i f(x_i)/prod_{j!=i}(x_i - x_j).
 
     For a single point this is f(x_1).  Prefer
@@ -124,7 +101,7 @@ def divided_difference(f: FunctionLike, pts: PointSet) -> float:
     return total
 
 
-def divided_difference_recurrence(f: FunctionLike, pts: PointSet) -> float:
+def divided_difference_recurrence(f: Callable[[float], float], pts: PointSet) -> float:
     """Newton-table evaluation via the recurrence
 
     D_f(x_1..x_{n+1}) = (D_f(x_2..x_{n+1}) - D_f(x_1..x_n)) / (x_{n+1} - x_1).
@@ -163,17 +140,14 @@ def complete_homogeneous(degree: int, xs: Sequence[float]):
     return next(islice(_h_degrees(xs), degree, None))
 
 
-def h_series(
-    points: Sequence,
-    weight: Optional[Callable[[int], float]] = None,
-    tol: float = DEFAULT_SERIES_TOL,
-):
-    """sum_{n>m} w(n) h_(n-1-m)(x_1..x_m) / n! over m points, to tail < tol.
+def h_series(points: Sequence, weight: Optional[Callable[[int], float]] = None):
+    """sum_{n>m} w(n) h_(n-1-m)(x_1..x_m) / n! over m points.
 
     With w = 1 (no ``weight``) this is the expansion normalizer Omega_(m+1);
     w(n) = 1 - (1-alpha)^n gives the bound residual eps_m / (x_1...x_m).
-    All terms are non-negative, so the sum is free of cancellation; the tail
-    is bounded through h_d <= C(d+m-1, m-1) x_top^d and the decay of 1/n!.
+    All terms are non-negative, so the sum is free of cancellation; it stops
+    once the tail is below DEFAULT_SERIES_TOL, bounded through
+    h_d <= C(d+m-1, m-1) x_top^d and the decay of 1/n!.
     The last point may be a numpy array, over which the result broadcasts.
     """
     m = len(points)
@@ -187,7 +161,7 @@ def h_series(
         # majorant for the next term; the series decays at least geometrically
         # with ratio ~ m*x_top/n once n is past m*x_top
         bound = math.comb(n - 1, m - 1) * top ** (n - m) / (factorial * (n + 1))
-        if bound < 0.5 * tol and n > m + 3:
+        if bound < 0.5 * DEFAULT_SERIES_TOL and n > m + 3:
             return total
         if n > 400:  # factorial decay guarantees we never get here for sane points
             raise RuntimeError("complete-homogeneous series failed to converge")
@@ -234,7 +208,7 @@ def uniform_simplex_samples(
 
 
 def simplex_mean_value_oracle(
-    f_nth_derivative: FunctionLike,
+    f_nth_derivative: Callable,
     pts: PointSet,
     samples: int,
     seed: int | np.random.Generator | None = 0,
@@ -253,13 +227,12 @@ def simplex_mean_value_oracle(
     n = len(xs) - 1
     weights = uniform_simplex_samples(len(xs), samples, rng)
     args = weights @ xs
-    fn = _as_callable(f_nth_derivative)
     try:
-        vals = np.asarray(fn(args), dtype=float)
+        vals = np.asarray(f_nth_derivative(args), dtype=float)
         if vals.shape != args.shape:
             raise TypeError
     except TypeError:
-        vals = np.array([float(fn(a)) for a in args])
+        vals = np.array([float(f_nth_derivative(a)) for a in args])
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("derivative evaluations produced non-finite values")
     scale = 1.0 / math.factorial(n)

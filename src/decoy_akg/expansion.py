@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divided_diff import DEFAULT_SERIES_TOL, PointSet, divided_difference_recurrence, h_series
+from .divided_diff import PointSet, divided_difference_recurrence, h_series
 
 DEFAULT_N_MAX = 64
 DEFAULT_MIN_SPACING = 0.1
@@ -34,28 +34,19 @@ DEFAULT_MIN_SPACING = 0.1
 class IntensityGrid:
     """Strictly increasing pulse intensities (mean photon numbers).
 
-    ``signal_index`` is 1-based and defaults to the largest intensity, which
-    is the one producing raw key bits.  ``min_spacing`` is the smallest
-    allowed width mu_(i+1) - mu_i; estimates from nearly equal intensities
-    are fragile, so a floor is enforced at construction.
+    The largest intensity is the signal, the one producing raw key bits.
+    ``min_spacing`` is the smallest allowed width mu_(i+1) - mu_i; estimates
+    from nearly equal intensities are fragile, so a floor is enforced at
+    construction.
     """
 
     mus: tuple[float, ...]
-    signal_index: int = 0
     min_spacing: float = DEFAULT_MIN_SPACING
 
-    def __init__(
-        self,
-        mus,
-        signal_index: int | None = None,
-        min_spacing: float = DEFAULT_MIN_SPACING,
-    ):
+    def __init__(self, mus, min_spacing: float = DEFAULT_MIN_SPACING):
         values = tuple(float(m) for m in mus)
         object.__setattr__(self, "mus", values)
         object.__setattr__(self, "min_spacing", float(min_spacing))
-        object.__setattr__(
-            self, "signal_index", len(values) if signal_index is None else int(signal_index)
-        )
         if not values:
             raise ValueError("at least one intensity is required")
         if values[0] <= 0.0:
@@ -65,8 +56,6 @@ class IntensityGrid:
                 raise ValueError(
                     f"intensities {lo} and {hi} violate the minimum spacing {self.min_spacing}"
                 )
-        if not 1 <= self.signal_index <= len(values):
-            raise ValueError("signal_index out of range")
 
     @property
     def k(self) -> int:
@@ -74,7 +63,7 @@ class IntensityGrid:
 
     @property
     def signal(self) -> float:
-        return self.mus[self.signal_index - 1]
+        return self.mus[-1]
 
 
 def _check_basis_index(i: int, k: int, n: float = math.inf) -> None:
@@ -114,8 +103,8 @@ def gamma_coefficient_direct(i: int, n: int, grid: IntensityGrid) -> float:
     return total
 
 
-def omega(i: int, grid: IntensityGrid, tol: float = DEFAULT_SERIES_TOL) -> float:
-    """Normalizer Omega_i = sum_{n>=i} gamma(i, n)/n!, summed to tail < tol.
+def omega(i: int, grid: IntensityGrid) -> float:
+    """Normalizer Omega_i = sum_{n>=i} gamma(i, n)/n!.
 
     The summand gamma(i, n) equals the complete homogeneous symmetric sum
     h_(n-i)(mu_1..mu_(i-1)) (the power-function closed form), so Omega_i is
@@ -123,9 +112,7 @@ def omega(i: int, grid: IntensityGrid, tol: float = DEFAULT_SERIES_TOL) -> float
     the first i-1 intensities.
     """
     _check_basis_index(i, grid.k)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    return h_series(grid.mus[: i - 1], tol=tol)
+    return h_series(grid.mus[: i - 1])
 
 
 def _exp_tail(x: float, first_order: int) -> float:
@@ -170,13 +157,8 @@ class ExpansionTable:
     truncation_tail: float = 0.0
 
     @classmethod
-    def build(
-        cls,
-        grid: IntensityGrid,
-        n_max: int = DEFAULT_N_MAX,
-        tol: float = DEFAULT_SERIES_TOL,
-    ) -> "ExpansionTable":
-        omegas = tuple(omega(i, grid, tol) for i in range(2, grid.k + 2))
+    def build(cls, grid: IntensityGrid, n_max: int = DEFAULT_N_MAX) -> "ExpansionTable":
+        omegas = tuple(omega(i, grid) for i in range(2, grid.k + 2))
         gammas: dict[tuple[int, int], float] = {}
         for i in range(2, grid.k + 2):
             for n in range(i, n_max + 1):
@@ -233,17 +215,22 @@ class ConstraintMatrix:
     ``p`` has 2k+1 rows (row 0: vacuum pulse; rows 1..k: one basis; rows
     k+1..2k: the conjugate basis) and 2k+2 columns ordered (vacuum,
     single-photon, k basis states per basis).  ``p_prime`` is the (k+1) x
-    (k+2) single-basis variant.  Blocks: y_i = e^(-mu_i), z_i = mu_i
-    e^(-mu_i), and the lower-triangular x with
+    (k+2) single-basis variant, a view of the top-left block of ``p``.
+    Blocks: y_i = e^(-mu_i), z_i = mu_i e^(-mu_i), and the lower-triangular
+    x with
 
         x[i, j] = mu_i^2 prod_{t<j}(mu_i - mu_t) e^(-mu_i) Omega_(j+1),  j <= i.
     """
 
     p: np.ndarray
-    p_prime: np.ndarray
     y: np.ndarray
     z: np.ndarray
     x: np.ndarray
+
+    @property
+    def p_prime(self) -> np.ndarray:
+        k = len(self.y)
+        return self.p[: k + 1, : k + 2]
 
 
 class DecoyMatrices(NamedTuple):
@@ -285,16 +272,10 @@ def constraint_matrix(mus, omegas) -> ConstraintMatrix:
     p[k + 1 :, 0] = y
     p[k + 1 :, 1] = z
     p[k + 1 :, k + 2 :] = x
-
-    p_prime = np.zeros((k + 1, k + 2))
-    p_prime[0, 0] = 1.0
-    p_prime[1:, 0] = y
-    p_prime[1:, 1] = z
-    p_prime[1:, 2:] = x
-    return ConstraintMatrix(p=p, p_prime=p_prime, y=y, z=z, x=x)
+    return ConstraintMatrix(p=p, y=y, z=z, x=x)
 
 
-def build_matrices(grid: IntensityGrid, tol: float = DEFAULT_SERIES_TOL) -> DecoyMatrices:
+def build_matrices(grid: IntensityGrid) -> DecoyMatrices:
     """Structural matrices of the expansion and their closed-form inverses.
 
     * ``a``: lower-triangular with a[i, l] = prod_{t<l}(mu_(i+1) - mu_t),
@@ -329,6 +310,6 @@ def build_matrices(grid: IntensityGrid, tol: float = DEFAULT_SERIES_TOL) -> Deco
         sign = -1.0 if (k + i) % 2 else 1.0
         c_inv[i - 1] = row + sign * tail_product * b[k - 1]
 
-    omegas = tuple(omega(i, grid, tol) for i in range(2, k + 2))
+    omegas = tuple(omega(i, grid) for i in range(2, k + 2))
     constraint = constraint_matrix(mus, omegas)
     return DecoyMatrices(a=a, b=b, c=c, c_inverse=c_inv, constraint=constraint)

@@ -53,11 +53,11 @@ def binary_entropy_bar(x):
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("binary_entropy_bar requires finite arguments in [0, 1]")
-    inner = np.where((arr > 0.0) & (arr < 1.0), arr, 0.5)
+    # h(1/2) = 1 exactly, which is also the saturated value above 1/2
+    inner = np.where((arr > 0.0) & (arr < 0.5), arr, 0.5)
     entropy = -inner * np.log2(inner) - (1.0 - inner) * np.log2(1.0 - inner)
-    entropy = np.where((arr == 0.0) | (arr == 1.0), 0.0, entropy)
-    result = np.where(arr > 0.5, 1.0, entropy)
-    return float(result) if np.isscalar(x) or np.ndim(x) == 0 else result
+    result = np.where(arr == 0.0, 0.0, entropy)
+    return float(result) if np.ndim(x) == 0 else result
 
 
 def single_photon_credit(q1, b1):
@@ -72,7 +72,7 @@ def single_photon_credit(q1, b1):
     if not np.isfinite(q + b).all():
         raise ValueError("single_photon_credit requires finite q1 and b1")
     safe_q = np.where(q > 0.0, q, 1.0)
-    ratio = np.minimum(np.clip(b, 0.0, None) / safe_q, 1.0)
+    ratio = np.minimum(np.maximum(b, 0.0) / safe_q, 1.0)
     credit = np.where(q > 0.0, q * (1.0 - binary_entropy_bar(ratio)), 0.0)
     if np.ndim(q1) == 0 and np.ndim(b1) == 0:
         return float(credit)
@@ -84,7 +84,8 @@ class RateInputs:
     """Everything the per-pulse rate formulas consume.
 
     q0 is the vacuum counting rate with dark counts excluded (estimated as
-    p0 - pD); p_signal/s_signal are the signal pulse's own rates.
+    p0 - pD); p_signal/s_signal are the signal pulse's own rates.  Any field
+    may be a numpy array, e.g. one entry per trial signal intensity.
     """
 
     mu_signal: float
@@ -96,26 +97,24 @@ class RateInputs:
     pD: float = 0.0
 
 
-def akg_rate(
-    inputs: RateInputs,
-    direction: Direction = "forward",
-    coding_penalty: Callable = binary_entropy_bar,
-) -> float:
+def akg_rate(inputs: RateInputs, direction: Direction = "forward"):
     """Signed key rate (bits per pulse); negative values mean no key.
 
-    ``coding_penalty`` is the error-correction cost eta; the default is the
-    Shannon-limit choice eta = hbar.
+    Error correction is charged at the Shannon limit, eta = hbar.  The
+    fields of ``inputs`` may be numpy arrays that broadcast together; the
+    rate is a float for scalar inputs and an array otherwise.
     """
     _check_direction(direction)
     mu = inputs.mu_signal
-    attenuated = mu * math.exp(-mu)
+    decay = np.exp(-mu)
     credit = single_photon_credit(inputs.q1, inputs.b1)
-    penalty = inputs.p_signal * coding_penalty(inputs.s_signal)
+    penalty = inputs.p_signal * binary_entropy_bar(inputs.s_signal)
     if direction == "forward":
-        vacuum_term = math.exp(-mu) * (inputs.q0 + inputs.pD)
+        vacuum_term = decay * (inputs.q0 + inputs.pD)
     else:
         vacuum_term = inputs.pD
-    return 0.5 * (attenuated * credit + vacuum_term - penalty)
+    rate = 0.5 * (mu * decay * credit + vacuum_term - penalty)
+    return float(rate) if np.ndim(rate) == 0 else rate
 
 
 def universal_upper(

@@ -27,22 +27,25 @@ kilometres.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .bounds import ma_q1_lower, order_bounds
-from .channel import STANDARD_FIBER, ChannelParams, alpha_of_distance
+from .channel import STANDARD_FIBER, ChannelParams, alpha_of_distance, counting_rate, error_rate
 from .divided_diff import h_series
 from .keyrate import (
-    DEFAULT_COARSE_STEP,
     DEFAULT_MU_CAP,
-    binary_entropy_bar,
+    RateInputs,
+    akg_rate,
     find_zero_distance,
     optimize_signal_intensity,
-    single_photon_credit,
 )
+# unused: perfbench/spans.py wraps both names here and raises MissingEntryPoint without them
+from .keyrate import binary_entropy_bar, single_photon_credit  # noqa: F401
 
 SCENARIO_NAMES = ("k2", "k3-ma", "k3-wang", "k3-ours", "k4", "universal", "custom")
 DARK_MODES = ("pd-zero", "pd-equals-p0", "explicit")
@@ -51,7 +54,6 @@ MIN_DECOY_WIDTH = 0.1
 # source_j codes for estimators that are not an aggregation order
 SOURCE_EXACT = 0  # universal scenario: parameters known, nothing estimated
 SOURCE_MA = -1  # three-intensity ratio estimator
-_TINY = np.finfo(float).tiny
 
 _PRESET_DECOYS = {
     "k2": (0.1,),
@@ -78,8 +80,6 @@ class ScenarioSpec:
     decoy_mus: tuple[float, ...] = ()
     signal_lower: float = 0.0
     dark_rate: Optional[float] = None  # only for dark_mode == "explicit"
-    mu_cap: float = DEFAULT_MU_CAP
-    coarse_step: float = DEFAULT_COARSE_STEP
 
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
@@ -98,8 +98,8 @@ class ScenarioSpec:
                 "at least one decoy intensity (plus the implicit vacuum) is required"
             )
         mus = self.decoy_mus
-        if any(m <= 0 for m in mus):
-            raise ConfigurationError("decoy intensities must be positive")
+        if not all(0.0 < m < math.inf for m in mus):
+            raise ConfigurationError("decoy intensities must be positive and finite")
         for lo, hi in zip(mus, mus[1:]):
             if hi - lo < MIN_DECOY_WIDTH - 1e-12:
                 raise ConfigurationError(
@@ -111,10 +111,10 @@ class ScenarioSpec:
                 f"signal intensity search must start at least {MIN_DECOY_WIDTH} above the "
                 f"largest decoy ({mus[-1]}); got lower bound {self.signal_lower}"
             )
-        if self.signal_lower <= 0.0:
-            raise ConfigurationError("signal_lower must be positive")
-        if self.mu_cap <= self.signal_lower:
-            raise ConfigurationError("mu_cap must exceed signal_lower")
+        if not 0.0 < self.signal_lower < DEFAULT_MU_CAP:
+            raise ConfigurationError(
+                f"signal_lower must lie in (0, {DEFAULT_MU_CAP}), the intensity search range"
+            )
         if self.name == "k3-ma":
             m1, m2 = self.decoy_mus
             if not (m1 + m2 <= self.signal_lower and m1 + m2 < 1.0):
@@ -288,41 +288,29 @@ class _ScenarioEngine:
 
     # -- rate evaluation -----------------------------------------------------
 
-    def _rate(self, state: dict, mu, q1, b1):
+    def rate(self, state: dict, mu):
+        """Signed key rate at trial signal mu (scalar or array) via ``akg_rate``."""
+        q1, b1 = self._bounds(state, mu)
         alpha = state["alpha"]
-        signal = -np.expm1(-alpha * mu)
-        p_sig = signal + self.p0
-        # with p0 = 0 and an underflowed transmission s(mu) is 0/0; its weight p_sig is 0
-        s_sig = (self.s * signal + 0.5 * self.p0) / np.maximum(p_sig, _TINY)
-        credit = single_photon_credit(np.clip(q1, 0.0, 1.0), np.clip(b1, 0.0, 1.0))
-        if self.spec.direction == "forward":
-            additive = np.exp(-mu) * self.p0
-        else:
-            additive = self.pD
-        return 0.5 * (mu * np.exp(-mu) * credit + additive - p_sig * binary_entropy_bar(s_sig))
+        inputs = RateInputs(
+            mu_signal=mu,
+            q1=np.clip(q1, 0.0, 1.0),
+            b1=np.clip(b1, 0.0, 1.0),
+            q0=self.p0 - self.pD,
+            p_signal=counting_rate(mu, alpha, self.params),
+            s_signal=error_rate(mu, alpha, self.params),
+            pD=self.pD,
+        )
+        return akg_rate(inputs, self.spec.direction)
 
     def rate_at(self, length_km: float, mu: float) -> float:
-        state = self._distance_state(length_km)
-        q1, b1 = self._bounds(state, mu)
-        return float(self._rate(state, mu, q1, b1))
+        return self.rate(self._distance_state(length_km), mu)
 
     def optimized(self, length_km: float) -> SweepRow:
         state = self._distance_state(length_km)
-
-        def scalar_rate(mu: float) -> float:
-            q1, b1 = self._bounds(state, mu)
-            return float(self._rate(state, mu, q1, b1))
-
-        def vector_rate(mus: np.ndarray) -> np.ndarray:
-            q1, b1 = self._bounds(state, mus)
-            return self._rate(state, mus, q1, b1)
-
+        rate_fn = partial(self.rate, state)
         mu_opt, rate_opt = optimize_signal_intensity(
-            scalar_rate,
-            self.spec.signal_lower,
-            mu_cap=self.spec.mu_cap,
-            coarse_step=self.spec.coarse_step,
-            vector_fn=vector_rate,
+            rate_fn, self.spec.signal_lower, vector_fn=rate_fn
         )
         q1, b1, q_src, b_src = self._bounds(state, mu_opt, diagnostics=True)
         return SweepRow(
@@ -353,6 +341,10 @@ def run_scenario(
     short) and 0.0 when it is never positive.
     """
     l_min, l_max, step = (float(v) for v in l_range)
+    if not all(math.isfinite(v) for v in (l_min, l_max, step)):
+        raise ConfigurationError("distance range and step must be finite")
+    if l_min < 0.0:
+        raise ConfigurationError("distances must be non-negative")
     if step <= 0.0:
         raise ConfigurationError("distance step must be positive")
     if l_max < l_min:

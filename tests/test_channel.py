@@ -53,6 +53,16 @@ def test_vacuum_and_signal_limits():
     assert error_rate(2000.0, 0.9, clean) == pytest.approx(0.03, rel=1e-9)
 
 
+def test_error_rate_without_clicks_is_zero():
+    # p0 = 0 and a transmission that underflows to 0: s(mu) would be 0/0
+    dark = ChannelParams(theta=0.1, a0=4000.0, a1=0.17, p0=0.0, pD=0.0, s=0.03)
+    alpha = alpha_of_distance(0.0, dark)
+    assert alpha == 0.0
+    assert error_rate(0.5, alpha, dark) == 0.0
+    rates = error_rate(np.array([0.3, 0.5]), alpha, dark)
+    assert np.all(np.isfinite(rates)) and np.all(rates == 0.0)
+
+
 def test_model_stats_layout():
     grid = IntensityGrid((0.1, 0.2, 0.5))
     alpha = 6.3e-4

@@ -1,4 +1,7 @@
-from decoy_akg.cli import CSV_HEADER, EXIT_CONFIG, EXIT_OK, load_params_file, main
+import pytest
+
+from decoy_akg import cli
+from decoy_akg.cli import CSV_HEADER, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, load_params_file, main
 
 
 def _run(args):
@@ -128,3 +131,30 @@ def test_channel_without_clicks_gives_zero_rates(tmp_path):
     rows = (tmp_path / "combined.csv").read_text().splitlines()[1:]
     assert len(rows) == 8
     assert all(row.split(",")[3] == "0" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", "k2", "--l-min", "-5", "--l-max", "1"],
+        ["figures", "--l-min", "-3", "--l-max", "0"],
+        ["run", "--scenario", "k2", "--l-step", "nan"],
+        ["run", "--scenario", "k2", "--l-max", "inf"],
+        ["run", "--scenario", "custom", "--decoys", "0.1,abc"],
+        ["run", "--scenario", "k2", "--signal-lower", "nan"],
+        ["run", "--scenario", "custom", "--decoys", "0.1,nan", "--signal-lower", "0.5"],
+    ],
+)
+def test_bad_range_or_decoys_is_config_error(tmp_path, capsys, argv):
+    assert _run(argv + ["--out", tmp_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+
+
+def test_value_error_in_sweep_is_numeric_failure(tmp_path, capsys, monkeypatch):
+    def failing_sweep(spec, l_range):
+        raise ValueError("unexpected")
+
+    monkeypatch.setattr(cli, "run_scenario", failing_sweep)
+    assert _run(["run", "--scenario", "k2", "--l-max", "1", "--out", tmp_path]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numerical failure: unexpected\n"

@@ -10,7 +10,6 @@ from decoy_akg import (
     DegeneratePointsError,
     EvaluationError,
     PointSet,
-    RealFunction,
     divided_difference,
     divided_difference_recurrence,
     power_divided_difference,
@@ -165,9 +164,3 @@ def test_oracle_matches_cubic_second_derivative():
     assert target == pytest.approx(6.0, rel=1e-14)
     assert abs(est.estimate - target) <= 3.0 * max(est.standard_error, 1e-12)
 
-
-def test_real_function_wrapper_roundtrip():
-    f = RealFunction(evaluator=math.exp, derivative=lambda order: math.exp)
-    pts = PointSet([0.0, 0.5])
-    assert divided_difference(f, pts) == divided_difference(math.exp, pts)
-    assert f(0.0) == 1.0

@@ -95,6 +95,25 @@ def test_direction_gap_identity():
         akg_rate(_inputs(), "sideways")
 
 
+def test_array_inputs_match_scalar_rates():
+    fields = dict(
+        mu_signal=np.array([0.3, 0.5, 0.9]),
+        q1=np.array([4e-6, 0.0, 2e-6]),
+        b1=np.array([1.5e-7, 1e-8, 1.5e-6]),
+        q0=np.array([4e-7, 4e-7, 0.0]),
+        p_signal=np.array([1.4e-6, 2.4e-6, 3.9e-6]),
+        s_signal=np.array([0.1, 0.05, 0.6]),
+        pD=np.array([0.0, 2e-7, 4e-7]),
+    )
+    for direction in ("forward", "reverse"):
+        rates = akg_rate(RateInputs(**fields), direction)
+        assert rates.shape == (3,)
+        for i in range(3):
+            scalar = akg_rate(RateInputs(**{k: float(v[i]) for k, v in fields.items()}), direction)
+            assert isinstance(scalar, float)
+            assert rates[i] == pytest.approx(scalar, rel=1e-14)  # vector exp may differ by an ulp
+
+
 def test_clean_channel_reduction():
     # with p0 = pD = 0 both directions reduce to
     # (mu e^-mu alpha (1 - h(s)) - (1 - e^(-alpha mu)) h(s)) / 2

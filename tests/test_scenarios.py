@@ -13,8 +13,10 @@ from decoy_akg import (
     q_j_min,
     run_scenario,
     scenario,
+    universal_upper,
 )
 from decoy_akg.channel import STANDARD_FIBER
+from decoy_akg.keyrate import DEFAULT_MU_CAP
 from decoy_akg.scenarios import _ScenarioEngine
 
 
@@ -31,6 +33,11 @@ def test_spec_validation():
         scenario("k2", dark_mode="explicit")  # missing dark rate
     with pytest.raises(ConfigurationError):
         scenario("nope")
+    for signal_lower in (DEFAULT_MU_CAP, DEFAULT_MU_CAP + 0.5, float("nan")):
+        with pytest.raises(ConfigurationError):
+            scenario("k2", signal_lower=signal_lower)
+    with pytest.raises(ConfigurationError):
+        scenario("custom", decoys=(0.1, float("nan")), signal_lower=0.5)
     spec = scenario("k2", dark_mode="explicit", dark_rate=1e-7)
     assert spec.dark_rate_effective == 1e-7
     assert scenario("k4", dark_mode="pd-equals-p0").dark_rate_effective == pytest.approx(4e-7)
@@ -102,12 +109,26 @@ def test_engine_vector_path_equals_scalar_path():
         state = engine._distance_state(150.0)
         mus = np.linspace(spec.signal_lower + 0.05, 1.5, 7)
         q_vec, b_vec = engine._bounds(state, mus)
-        rate_vec = engine._rate(state, mus, q_vec, b_vec)
+        rate_vec = engine.rate(state, mus)
         for idx, mu in enumerate(mus):
             q_s, b_s = engine._bounds(state, float(mu))
             assert float(np.asarray(q_vec)[idx]) == pytest.approx(float(q_s), rel=1e-13)
             assert float(np.asarray(b_vec)[idx]) == pytest.approx(float(b_s), rel=1e-13)
-            assert rate_vec[idx] == pytest.approx(engine.rate_at(150.0, float(mu)), rel=1e-12)
+            assert rate_vec[idx] == pytest.approx(engine.rate(state, float(mu)), rel=1e-12)
+
+
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+@pytest.mark.parametrize("dark_mode", ["pd-zero", "pd-equals-p0", "explicit"])
+def test_universal_engine_rate_is_library_universal_upper(direction, dark_mode):
+    dark_rate = 1e-7 if dark_mode == "explicit" else None
+    spec = scenario("universal", direction=direction, dark_mode=dark_mode, dark_rate=dark_rate)
+    engine = _ScenarioEngine(spec)
+    params = spec.resolved_channel()
+    for length in (0.0, 120.0, 210.0):
+        alpha = alpha_of_distance(length, params)
+        for mu in (0.2, 0.55, 1.3):
+            expected = universal_upper(mu, alpha, params, direction, estimation_dark_rate=0.0)
+            assert engine.rate_at(length, mu) == pytest.approx(expected, rel=1e-14)
 
 
 def test_decoy_estimates_never_beat_perfect_knowledge():
