@@ -38,7 +38,6 @@ def main() -> None:
         name: run_scenario(
             scenario(name, direction="reverse", dark_mode="pd-equals-p0"),
             (0.0, args.l_max, args.step),
-            refine_distance=False,
         )
         for name in names
     }

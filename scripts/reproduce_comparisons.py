@@ -10,7 +10,7 @@ Usage: python scripts/reproduce_comparisons.py [--l-max 240] [--quick]
 import argparse
 import time
 
-from decoy_akg import achievable_distance, scenario
+from decoy_akg import run_scenario, scenario
 
 TABLES = (
     (
@@ -56,7 +56,7 @@ def main() -> None:
         start = time.perf_counter()
         for name, reference in references.items():
             spec = scenario(name, direction=direction, dark_mode=dark_mode)
-            distance = achievable_distance(spec, l_min=l_min, l_max=args.l_max)
+            distance = run_scenario(spec, (l_min, args.l_max, 1.0)).achievable_km
             if distance is None:
                 print(f"{name:<12} {'beyond range':>12} {reference:>13.1f} {'':>10}")
             else:

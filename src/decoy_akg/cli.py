@@ -51,8 +51,12 @@ def load_params_file(path: Path) -> ChannelParams:
     Recognized keys: theta, a0, a1, p0, pD, s.  Missing keys keep the
     standard-fiber defaults; '#' starts a comment.
     """
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from exc
     values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -160,6 +164,12 @@ def _emit_intensity_profile(results: Iterable[SweepResult], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _print_reach(label: str, result: SweepResult) -> None:
+    reach = result.achievable_km
+    reach_text = "beyond range" if reach is None else f"{reach:.2f} km"
+    print(f"{label}: achievable distance {reach_text}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decoy-akg",
@@ -226,14 +236,10 @@ def _cmd_run(args) -> int:
         )
     if not specs:
         raise ConfigurationError("no scenario names given")
-    if args.l_max < args.l_min:
-        raise ConfigurationError("--l-max must not be below --l-min")
     results = [run_scenario(spec, (args.l_min, args.l_max, args.l_step)) for spec in specs]
     paths = emit(results, args.format, args.out)
     for result in results:
-        reach = result.achievable_km
-        reach_text = "beyond range" if reach is None else f"{reach:.2f} km"
-        print(f"{result.spec.name} ({result.spec.direction}): achievable distance {reach_text}")
+        _print_reach(f"{result.spec.name} ({result.spec.direction})", result)
     print(f"wrote {len(paths)} files to {args.out}")
     return EXIT_OK
 
@@ -258,9 +264,7 @@ def _cmd_figures(args) -> int:
         if direction == "reverse":
             _emit_intensity_profile(results, out / f"optimal_intensity_{tag}.csv")
         for result in results:
-            reach = result.achievable_km
-            reach_text = "beyond range" if reach is None else f"{reach:.2f} km"
-            print(f"[{tag}] {result.spec.name}: achievable distance {reach_text}")
+            _print_reach(f"[{tag}] {result.spec.name}", result)
     return EXIT_OK
 
 

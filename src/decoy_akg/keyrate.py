@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_MU_CAP = 2.0
 DEFAULT_COARSE_STEP = 0.01
 DEFAULT_MU_TOL = 1e-6
+DISTANCE_TOL_KM = 0.01
 
 Direction = str  # "forward" | "reverse"
 
@@ -203,28 +204,25 @@ def optimize_signal_intensity(
 
 def find_zero_distance(
     envelope: Callable[[float], float],
-    l_min: float = 0.0,
-    l_max: float = 240.0,
-    coarse_step: float = 1.0,
-    tol_km: float = 0.01,
+    lengths: Sequence[float],
+    values: Sequence[float],
 ) -> Optional[float]:
-    """Largest distance with a positive envelope value, to ``tol_km``.
+    """Largest distance with a positive envelope value, to ``DISTANCE_TOL_KM``.
 
-    Scans [l_min, l_max] at ``coarse_step``, then bisects the last
-    positive-to-nonpositive bracket.  Returns 0.0 when the envelope is never
-    positive and None when it is still positive at the end of the scan
-    (beyond range: the caller should widen it).
+    ``values`` are the envelope at the increasing ``lengths`` of a finished
+    scan.  Returns 0.0 when no value is positive and None when the last one
+    is (beyond range: the caller should widen the scan); otherwise bisects
+    the last positive-to-nonpositive bracket, calling ``envelope`` only
+    strictly inside it.
     """
-    grid = np.arange(l_min, l_max + 0.5 * coarse_step, coarse_step)
-    values = [envelope(float(l)) for l in grid]
-    positive = [v > 0.0 for v in values]
-    if not any(positive):
+    positive = [i for i, v in enumerate(values) if v > 0.0]
+    if not positive:
         return 0.0
-    last_pos = max(i for i, flag in enumerate(positive) if flag)
-    if last_pos == len(grid) - 1:
+    last_pos = positive[-1]
+    if last_pos == len(values) - 1:
         return None
-    lo, hi = float(grid[last_pos]), float(grid[last_pos + 1])
-    while hi - lo > tol_km:
+    lo, hi = float(lengths[last_pos]), float(lengths[last_pos + 1])
+    while hi - lo > DISTANCE_TOL_KM:
         mid = 0.5 * (lo + hi)
         if envelope(mid) > 0.0:
             lo = mid

@@ -324,21 +324,17 @@ class _ScenarioEngine:
             b1_source_j=b_src,
         )
 
-    def envelope(self, length_km: float) -> float:
-        return self.optimized(length_km).rate_signed
-
 
 def run_scenario(
-    spec: ScenarioSpec,
-    l_range: tuple[float, float, float] = (0.0, 250.0, 1.0),
-    refine_distance: bool = True,
+    spec: ScenarioSpec, l_range: tuple[float, float, float] = (0.0, 250.0, 1.0)
 ) -> SweepResult:
     """Sweep distances, optimizing the signal intensity at each point.
 
-    ``l_range`` is (min_km, max_km, step_km).  The achievable distance is
-    refined by bisection when the optimized rate changes sign inside the
-    range; it is None when the rate is still positive at max_km (range too
-    short) and 0.0 when it is never positive.
+    ``l_range`` is (min_km, max_km, step_km).  The rows are the scan that
+    ``find_zero_distance`` turns into the achievable distance: bisected
+    inside the last sign change of the optimized rate, None when the rate
+    is still positive at max_km (range too short) and 0.0 when it is never
+    positive.
     """
     l_min, l_max, step = (float(v) for v in l_range)
     if not all(math.isfinite(v) for v in (l_min, l_max, step)):
@@ -350,41 +346,8 @@ def run_scenario(
     if l_max < l_min:
         raise ConfigurationError("l_max must not be below l_min")
     engine = _ScenarioEngine(spec)
-    lengths = np.arange(l_min, l_max + 0.5 * step, step)
-    rows = tuple(engine.optimized(float(length)) for length in lengths)
-    achievable: Optional[float] = None
+    lengths = np.arange(l_min, l_max + 0.5 * step, step).tolist()
+    rows = tuple(engine.optimized(length) for length in lengths)
     signed = [row.rate_signed for row in rows]
-    if all(v <= 0.0 for v in signed):
-        achievable = 0.0
-    elif signed[-1] > 0.0:
-        achievable = None
-    else:
-        last_pos = max(i for i, v in enumerate(signed) if v > 0.0)
-        if refine_distance:
-            achievable = find_zero_distance(
-                engine.envelope,
-                l_min=float(lengths[last_pos]),
-                l_max=float(lengths[last_pos + 1]),
-                coarse_step=float(lengths[last_pos + 1] - lengths[last_pos]),
-            )
-        else:
-            achievable = float(lengths[last_pos])
+    achievable = find_zero_distance(lambda L: engine.optimized(L).rate_signed, lengths, signed)
     return SweepResult(spec=spec, rows=rows, achievable_km=achievable)
-
-
-def achievable_distance(
-    spec: ScenarioSpec,
-    l_min: float = 0.0,
-    l_max: float = 240.0,
-    coarse_step: float = 1.0,
-    tol_km: float = 0.01,
-) -> Optional[float]:
-    """Largest distance with positive optimized rate (1 km scan + bisection).
-
-    Like ``run_scenario``'s ``achievable_km``: 0.0 when the rate is never
-    positive and None when it is still positive at ``l_max`` (beyond range).
-    """
-    engine = _ScenarioEngine(spec)
-    return find_zero_distance(
-        engine.envelope, l_min=l_min, l_max=l_max, coarse_step=coarse_step, tol_km=tol_km
-    )

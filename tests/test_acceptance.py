@@ -14,7 +14,6 @@ import numpy as np
 from decoy_akg import (
     STANDARD_FIBER,
     IntensityGrid,
-    achievable_distance,
     aggregate,
     alpha_of_distance,
     build_matrices,
@@ -69,7 +68,7 @@ def _distance_table(direction: str, dark_mode: str, expected: dict) -> dict:
     got = {}
     for name in expected:
         spec = scenario(name, direction=direction, dark_mode=dark_mode)
-        got[name] = achievable_distance(spec, l_min=0.0, l_max=240.0)
+        got[name] = run_scenario(spec, (0.0, 240.0, 1.0)).achievable_km
     return got
 
 
@@ -240,7 +239,7 @@ def test_criterion_9_bound_selection_on_reference_channel():
     seen: dict[str, set] = {}
     ok = True
     for name, sources in expected.items():
-        result = run_scenario(scenario(name), (0.0, 220.0, 10.0), refine_distance=False)
+        result = run_scenario(scenario(name), (0.0, 220.0, 10.0))
         seen[name] = {(row.q1_source_j, row.b1_source_j) for row in result.rows}
         if seen[name] != {sources}:
             ok = False
@@ -257,7 +256,7 @@ def test_criterion_10_optimal_intensity_property():
     worst_mu = 0.0
     for direction, dark_mode in (("forward", "pd-zero"), ("reverse", "pd-equals-p0")):
         spec = scenario("universal", direction=direction, dark_mode=dark_mode)
-        result = run_scenario(spec, (0.0, 220.0, 20.0), refine_distance=False)
+        result = run_scenario(spec, (0.0, 220.0, 20.0))
         worst_mu = max(worst_mu, max(row.optimal_mu for row in result.rows))
     ok = report.all_nonpositive and worst_mu <= 1.0 + 1e-6
     _report(

@@ -81,6 +81,15 @@ def test_empty_range_is_config_error(tmp_path):
     assert not (tmp_path / "combined.csv").exists()
 
 
+def test_non_utf8_params_file_is_config_error(tmp_path, capsys):
+    params_file = tmp_path / "latin.cfg"
+    params_file.write_bytes(b"theta = 0.1\n\xff\xfe = 2\n")
+    args = ["run", "--scenario", "k2", "--l-max", "1", "--params-file", params_file]
+    assert _run(args + ["--out", tmp_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+
+
 def test_params_file_roundtrip(tmp_path):
     params_file = tmp_path / "channel.cfg"
     params_file.write_text(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoy_akg import (
     STANDARD_FIBER,
@@ -210,10 +212,51 @@ def test_optimizer_returns_best_even_when_negative():
         optimize_signal_intensity(lambda m: m, mu_lower=-0.1)
 
 
+def _scan(envelope, lengths):
+    return find_zero_distance(envelope, lengths, [envelope(L) for L in lengths])
+
+
 def test_zero_distance_bisection():
-    assert find_zero_distance(lambda L: 100.0 - L, 0.0, 240.0) == pytest.approx(100.0, abs=0.01)
-    assert find_zero_distance(lambda L: -1.0, 0.0, 50.0) == 0.0
-    assert find_zero_distance(lambda L: 1.0, 0.0, 50.0) is None
+    assert _scan(lambda L: 100.0 - L, np.arange(0.0, 241.0).tolist()) == pytest.approx(
+        100.0, abs=0.01
+    )
+    assert _scan(lambda L: -1.0, np.arange(0.0, 51.0).tolist()) == 0.0
+    assert _scan(lambda L: 1.0, np.arange(0.0, 51.0).tolist()) is None
+
+
+@st.composite
+def distance_scans(draw, max_points=12):
+    """Increasing scan lengths with envelope values of any sign, zeros included."""
+    n = draw(st.integers(min_value=1, max_value=max_points))
+    lengths = [draw(st.floats(min_value=0.0, max_value=200.0))]
+    gaps = st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=n - 1, max_size=n - 1)
+    for gap in draw(gaps):
+        lengths.append(lengths[-1] + gap)
+    values = st.one_of(st.just(0.0), st.floats(min_value=-1.0, max_value=1.0))
+    return lengths, draw(st.lists(values, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(distance_scans(), st.floats(min_value=0.1, max_value=10.0))
+def test_zero_distance_decides_from_the_scan(scan, frequency):
+    lengths, values = scan
+    calls = []
+
+    def envelope(length):
+        calls.append(length)
+        return math.sin(frequency * length)
+
+    result = find_zero_distance(envelope, lengths, values)
+    positive = [i for i, v in enumerate(values) if v > 0.0]
+    assert (result == 0.0) == (not positive)
+    assert (result is None) == (values[-1] > 0.0)
+    if result:
+        lo, hi = lengths[positive[-1]], lengths[positive[-1] + 1]
+        assert lo < result < hi
+        # only bisection points strictly inside the bracket, never a scan length
+        assert all(lo < length < hi for length in calls)
+    else:
+        assert calls == []
 
 
 def test_derivative_check_report():

@@ -5,7 +5,6 @@ from decoy_akg import (
     ConfigurationError,
     ExpansionTable,
     IntensityGrid,
-    achievable_distance,
     aggregate,
     alpha_of_distance,
     b_j_max,
@@ -173,7 +172,22 @@ def test_run_scenario_range_edges():
 def test_beyond_range_is_none_in_both_apis():
     spec = scenario("k2")
     assert run_scenario(spec, (0.0, 100.0, 1.0)).achievable_km is None
-    assert achievable_distance(spec, 0.0, 100.0) is None
+
+
+def test_sweep_bisects_its_own_scan(monkeypatch):
+    calls = []
+    optimized = _ScenarioEngine.optimized
+
+    def counted(self, length_km):
+        calls.append(length_km)
+        return optimized(self, length_km)
+
+    monkeypatch.setattr(_ScenarioEngine, "optimized", counted)
+    result = run_scenario(scenario("k2"), (218.0, 226.0, 1.0))
+    # 9 scan rows plus 7 bisection steps; no bracket end is optimized twice
+    assert len(calls) == 16
+    assert calls[:9] == [row.L_km for row in result.rows]
+    assert all(222.0 < length < 223.0 for length in calls[9:])
 
 
 def test_universal_optimum_stays_below_one():
