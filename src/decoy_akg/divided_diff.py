@@ -24,9 +24,10 @@ oracle for the formulas above.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -115,19 +116,6 @@ def divided_difference_recurrence(f: Callable[[float], float], pts: PointSet) ->
     return table[0]
 
 
-def _h_degrees(xs: Sequence):
-    """Yield h_0(xs), h_1(xs), h_2(xs), ...; the last variable may be an array."""
-    m = len(xs)
-    hh = [1.0] * (m + 1)  # hh[l] = h_d(x_1..x_l) at the current degree d
-    while True:
-        yield hh[m]
-        # h_d(x_1..x_l) = h_d(x_1..x_{l-1}) + x_l * h_{d-1}(x_1..x_l)
-        new = [0.0] * (m + 1)
-        for l in range(1, m + 1):
-            new[l] = new[l - 1] + xs[l - 1] * hh[l]
-        hh = new
-
-
 def complete_homogeneous(degree: int, xs: Sequence[float]):
     """Complete homogeneous symmetric sum h_degree(xs).
 
@@ -137,36 +125,92 @@ def complete_homogeneous(degree: int, xs: Sequence[float]):
     """
     if degree < 0:
         return 0.0
-    return next(islice(_h_degrees(xs), degree, None))
+    m = len(xs)
+    hh = [1.0] * (m + 1)  # hh[l] = h_d(x_1..x_l) at the current degree d
+    for _ in range(degree):
+        new = [0.0] * (m + 1)
+        for l in range(1, m + 1):
+            new[l] = new[l - 1] + xs[l - 1] * hh[l]
+        hh = new
+    return hh[m]
+
+
+@functools.cache
+def _top_limit(m: int, n: int, factorial: float) -> float:
+    """Least x_top at which the series over m points goes on after term n.
+
+    The series stops after term n once the majorant of term n + 1,
+    C(n-1, m-1) x_top^(n-m) / (n! (n+1)) with ``factorial`` = n!, is below
+    DEFAULT_SERIES_TOL / 2.  The majorant grows with x_top, so the stop is
+    ``x_top < limit``; the limit is bisected over the bit patterns of the
+    non-negative floats, which are ordered like the floats themselves.
+    """
+
+    def stops(bits: int) -> bool:
+        top = struct.unpack("<d", struct.pack("<q", bits))[0]
+        try:
+            majorant = math.comb(n - 1, m - 1) * top ** (n - m) / (factorial * (n + 1))
+        except OverflowError:
+            return False
+        return majorant < 0.5 * DEFAULT_SERIES_TOL
+
+    lo, hi = 0, 0x7FF0000000000000  # the bits of 0.0, which stops, and of inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if stops(mid) else (lo, mid)
+    return struct.unpack("<d", struct.pack("<q", hi))[0]
 
 
 def h_series(points: Sequence, weight: Optional[Callable[[int], float]] = None):
-    """sum_{n>m} w(n) h_(n-1-m)(x_1..x_m) / n! over m points.
+    """sum_{n>m} w(n) h_(n-1-m)(x_1..x_m) / n! over m positive points.
 
     With w = 1 (no ``weight``) this is the expansion normalizer Omega_(m+1);
     w(n) = 1 - (1-alpha)^n gives the bound residual eps_m / (x_1...x_m).
     All terms are non-negative, so the sum is free of cancellation; it stops
     once the tail is below DEFAULT_SERIES_TOL, bounded through
     h_d <= C(d+m-1, m-1) x_top^d and the decay of 1/n!.
-    The last point may be a numpy array, over which the result broadcasts.
+    The last point may be a numpy array, over which the result broadcasts;
+    each element sums exactly the terms that a call with that element
+    alone would sum.
     """
     m = len(points)
-    last = float(np.max(points[-1])) if isinstance(points[-1], np.ndarray) else points[-1]
-    top = max((*points[:-1], last))
-    total = 0.0
+    last = points[-1]
+    lanes = isinstance(last, np.ndarray)
+    if lanes:
+        top = np.maximum(max(points[:-1], default=-math.inf), last)
+        active = np.ones(top.shape, dtype=bool)
+        total = np.zeros(top.shape)
+    else:
+        top = max(points)
+        total = 0.0
+    hh = [1.0] * (m + 1)  # hh[l] = h_d(x_1..x_l) at the current degree d = n - 1 - m
     n = m + 1
     factorial = float(math.factorial(n))
-    for h in _h_degrees(points):
-        total += (h if weight is None else weight(n) * h) / factorial
-        # majorant for the next term; the series decays at least geometrically
-        # with ratio ~ m*x_top/n once n is past m*x_top
-        bound = math.comb(n - 1, m - 1) * top ** (n - m) / (factorial * (n + 1))
-        if bound < 0.5 * DEFAULT_SERIES_TOL and n > m + 3:
-            return total
+    while True:
+        h = hh[m]
+        term = (h if weight is None else weight(n) * h) / factorial
+        if lanes:
+            np.add(total, term, out=total, where=active)
+        else:
+            total += term
+        # the series decays at least geometrically with ratio ~ m*x_top/n once
+        # n is past m*x_top
+        if n > m + 3:
+            going_on = top >= _top_limit(m, n, factorial)
+            if lanes:
+                active &= going_on
+                going_on = active.any()
+            if not going_on:
+                return total
         if n > 400:  # factorial decay guarantees we never get here for sane points
             raise RuntimeError("complete-homogeneous series failed to converge")
         n += 1
         factorial *= n
+        # h_d(x_1..x_l) = h_d(x_1..x_{l-1}) + x_l * h_{d-1}(x_1..x_l)
+        new = [0.0] * (m + 1)
+        for l in range(1, m + 1):
+            new[l] = new[l - 1] + points[l - 1] * hh[l]
+        hh = new
 
 
 def power_divided_difference(exponent: int, pts: PointSet) -> float:

@@ -148,25 +148,72 @@ def universal_upper(
     return akg_rate(inputs, direction)
 
 
-def _golden_section_max(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
+def _golden_section_max(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float):
+    """Golden-section maxima of ``fn`` on every bracket [lo, hi] at once.
+
+    ``lo`` and ``hi`` are arrays of brackets, one per lane (0-d for one
+    lane), and ``fn`` maps trial points of that shape to the rates there.
+    Each lane narrows its own bracket while it is wider than ``tol``; a lane
+    that is done keeps its bracket while the others go on.
+    """
     invphi = GOLDEN_RATIO_CONJUGATE
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
+    active = b - a > tol
+    while np.any(active):
+        left = np.greater_equal(fc, fd)  # the maximum is in [a, d]
+        # a lane that is done keeps its bracket; its inner points no longer matter
+        a = np.where(active & ~left, c, a)
+        b = np.where(active & left, d, b)
+        width = b - a
+        step = invphi * width
+        x = np.where(left, b - step, a + step)
+        fx = fn(x)
+        # c stays on as the new d on the left, d as the new c on the right
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        active = width > tol
     mid = 0.5 * (a + b)
     return mid, fn(mid)
+
+
+def optimize_lanes(
+    rate_fn: Callable[[np.ndarray], np.ndarray],
+    grid_fn: Callable[[np.ndarray], np.ndarray],
+    mu_lower: float,
+    mu_cap: float = DEFAULT_MU_CAP,
+    coarse_step: float = DEFAULT_COARSE_STEP,
+    tol: float = DEFAULT_MU_TOL,
+):
+    """Maximize rates over signal intensities in (mu_lower, mu_cap], lane by lane.
+
+    ``grid_fn(grid)`` gives every lane's rates on the coarse grid (step
+    ``coarse_step``), shape (*lanes, grid.size); the golden section then
+    refines each lane's best bracket through ``rate_fn``, which maps one
+    trial signal per lane (shape ``lanes``) to the rates there.  Returns the
+    optimal signals and rates, shape ``lanes``.  The best point is returned
+    even when the rate is negative everywhere, which distance root finding
+    relies on.
+    """
+    if mu_lower <= 0.0:
+        raise ValueError("mu_lower must be positive")
+    if mu_cap <= mu_lower:
+        raise ValueError("mu_cap must exceed mu_lower")
+    grid = np.arange(mu_lower + coarse_step, mu_cap + 0.5 * coarse_step, coarse_step)
+    if grid.size == 0:
+        grid = np.array([0.5 * (mu_lower + mu_cap)])
+    values = np.asarray(grid_fn(grid))
+    best = np.argmax(values, axis=-1)
+    best_value = np.take_along_axis(values, np.expand_dims(best, -1), -1)[..., 0]
+    # bracket ends of each grid point: its neighbours, or the search range
+    lower_ends = np.concatenate(([max(mu_lower + 0.25 * tol, grid[0] - coarse_step)], grid[:-1]))
+    upper_ends = np.concatenate((grid[1:], [mu_cap]))
+    mu_opt, rate_opt = _golden_section_max(rate_fn, lower_ends[best], upper_ends[best], tol)
+    # the bracket interior can lose to the best grid point in flat regions
+    flat = best_value > rate_opt
+    return np.where(flat, grid[best], mu_opt), np.where(flat, best_value, rate_opt)
 
 
 def optimize_signal_intensity(
@@ -179,27 +226,17 @@ def optimize_signal_intensity(
 ) -> tuple[float, float]:
     """Maximize a rate over signal intensities in (mu_lower, mu_cap].
 
-    Coarse grid scan (step ``coarse_step``) followed by golden-section
-    refinement of the best bracket.  ``vector_fn``, when given, evaluates
-    the whole coarse grid in one call.  The best point is returned even when
-    the rate is negative everywhere, which distance root finding relies on.
+    One lane of :func:`optimize_lanes`: a coarse grid scan (step
+    ``coarse_step``) followed by golden-section refinement of the best
+    bracket, calling ``rate_fn`` with one float at a time.  ``vector_fn``,
+    when given, evaluates the whole coarse grid in one call.
     """
-    if mu_lower <= 0.0:
-        raise ValueError("mu_lower must be positive")
-    if mu_cap <= mu_lower:
-        raise ValueError("mu_cap must exceed mu_lower")
-    grid = np.arange(mu_lower + coarse_step, mu_cap + 0.5 * coarse_step, coarse_step)
-    if grid.size == 0:
-        grid = np.array([0.5 * (mu_lower + mu_cap)])
-    values = vector_fn(grid) if vector_fn is not None else np.array([rate_fn(m) for m in grid])
-    best = int(np.argmax(values))
-    lo = grid[best - 1] if best > 0 else max(mu_lower + 0.25 * tol, grid[0] - coarse_step)
-    hi = grid[best + 1] if best < grid.size - 1 else mu_cap
-    mu_opt, rate_opt = _golden_section_max(rate_fn, float(lo), float(hi), tol)
-    # the bracket interior can lose to the best grid point in flat regions
-    if values[best] > rate_opt:
-        return float(grid[best]), float(values[best])
-    return mu_opt, rate_opt
+    if vector_fn is None:
+        vector_fn = lambda grid: np.array([rate_fn(m) for m in grid])  # noqa: E731
+    mu_opt, rate_opt = optimize_lanes(
+        lambda mu: rate_fn(float(mu)), vector_fn, mu_lower, mu_cap, coarse_step, tol
+    )
+    return float(mu_opt), float(rate_opt)
 
 
 def find_zero_distance(

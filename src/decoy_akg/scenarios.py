@@ -42,6 +42,7 @@ from .keyrate import (
     RateInputs,
     akg_rate,
     find_zero_distance,
+    optimize_lanes,
     optimize_signal_intensity,
 )
 # unused: perfbench/spans.py wraps both names here and raises MissingEntryPoint without them
@@ -50,6 +51,11 @@ from .keyrate import binary_entropy_bar, single_photon_credit  # noqa: F401
 SCENARIO_NAMES = ("k2", "k3-ma", "k3-wang", "k3-ours", "k4", "universal", "custom")
 DARK_MODES = ("pd-zero", "pd-equals-p0", "explicit")
 MIN_DECOY_WIDTH = 0.1
+
+# most trial signals in one rate evaluation of a sweep, which bounds its
+# temporaries: the coarse grid is evaluated for as many distances as fit,
+# and the golden section optimizes at most this many distances at once
+_EVAL_ELEMENTS = 4096
 
 # source_j codes for estimators that are not an aggregation order
 SOURCE_EXACT = 0  # universal scenario: parameters known, nothing estimated
@@ -204,6 +210,10 @@ class _ScenarioEngine:
     The estimation dark rate is zero by convention (module docstring), so the
     inputs of the library's order bounds reduce to c_i = p_i - e^(-mu_i) p0
     and d_i = s_i p_i - e^(-mu_i) p0 / 2 on the model statistics.
+
+    A state holds these inputs at one distance or, as arrays with one lane
+    per distance, at many; a trial signal is a float, or an array that
+    broadcasts against the lanes.
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -220,22 +230,35 @@ class _ScenarioEngine:
 
     # -- per-distance state ------------------------------------------------
 
-    def _distance_state(self, length_km: float) -> dict:
-        alpha = alpha_of_distance(length_km, self.params)
-        signal_part = -np.expm1(-alpha * self.decoy_array)
+    def _distance_state(self, lengths) -> dict:
+        """Inputs at ``lengths``: one distance, or a 1-d array of lanes."""
+        shape = np.shape(lengths)
+        alpha = np.reshape(
+            [alpha_of_distance(float(length), self.params) for length in np.ravel(lengths)], shape
+        )
+        column = (-1,) + (1,) * len(shape)  # one row per decoy, the lanes across
+        signal_part = -np.expm1(-alpha * self.decoy_array.reshape(column))
+        vacuum = self.decoy_vacuum.reshape(column)
         # estimation inputs with the dark-inclusive convention (p_dark = 0)
-        c = (signal_part + self.decoy_vacuum).tolist()
-        d = (self.s * signal_part + 0.5 * self.decoy_vacuum).tolist()
+        c = signal_part + vacuum
+        d = self.s * signal_part + 0.5 * vacuum
         state = {"alpha": alpha, "c": c, "d": d}
         if self.kind != "universal":
             orders = [
                 order_bounds(self.decoys[:j], c[:j], d[:j], omega, 1.0)
                 for j, omega in enumerate(self.prefix_omegas, start=1)
             ]
-            state["q_prefix"], state["b_prefix"] = zip(*orders)
+            state["q_prefix"], state["b_prefix"] = (np.array(v) for v in zip(*orders))
         if self.kind == "ma":
-            state["ma_p"] = (signal_part + self.p0).tolist()
+            state["ma_p"] = signal_part + self.p0
+        if not shape:
+            # one distance: Python floats keep its scalar evaluations cheap
+            state = {key: value.tolist() for key, value in state.items()}
         return state
+
+    @staticmethod
+    def _lanes(state: dict, lanes: slice) -> dict:
+        return {key: value[..., lanes] for key, value in state.items()}
 
     # -- estimator evaluation ----------------------------------------------
 
@@ -246,8 +269,8 @@ class _ScenarioEngine:
         points = self.decoys + (mu,)
         return order_bounds(
             points,
-            state["c"] + [signal + vacuum],
-            state["d"] + [self.s * signal + 0.5 * vacuum],
+            [*state["c"], signal + vacuum],
+            [*state["d"], self.s * signal + 0.5 * vacuum],
             h_series(points),
             1.0,
         )
@@ -280,10 +303,7 @@ class _ScenarioEngine:
             q1 = np.maximum.reduce(q_all)
             b1 = np.minimum.reduce(b_all)
             if diagnostics:
-                sources = (
-                    int(np.argmax([float(v) for v in q_all])) + 1,
-                    int(np.argmin([float(v) for v in b_all])) + 1,
-                )
+                sources = (np.argmax(q_all, axis=0) + 1, np.argmin(b_all, axis=0) + 1)
         return (q1, b1, *sources) if diagnostics else (q1, b1)
 
     # -- rate evaluation -----------------------------------------------------
@@ -303,26 +323,50 @@ class _ScenarioEngine:
         )
         return akg_rate(inputs, self.spec.direction)
 
+    def _grid_rates(self, state: dict, grid: np.ndarray) -> np.ndarray:
+        """Rates of every lane on the coarse grid, shape (lanes, grid.size)."""
+        per_chunk = max(1, _EVAL_ELEMENTS // grid.size)
+        chunks = [
+            self.rate(self._lanes(state, slice(start, start + per_chunk)), grid[:, None])
+            for start in range(0, state["alpha"].size, per_chunk)
+        ]
+        return np.concatenate(chunks, axis=1).T
+
     def rate_at(self, length_km: float, mu: float) -> float:
         return self.rate(self._distance_state(length_km), mu)
 
+    def _rows(self, lengths, state: dict, mu, rate) -> list[SweepRow]:
+        """Rows at the optimal signals ``mu`` and rates, in the lanes' shape."""
+        q1, b1, q_src, b_src = self._bounds(state, mu, diagnostics=True)
+        columns = (
+            np.broadcast_to(v, np.shape(mu)).ravel().tolist()
+            for v in (mu, rate, np.clip(q1, 0.0, 1.0), np.clip(b1, 0.0, 1.0), q_src, b_src)
+        )
+        return [
+            SweepRow(length, m, max(r, 0.0), r, q, b, q_j, b_j)
+            for length, m, r, q, b, q_j, b_j in zip(lengths, *columns, strict=True)
+        ]
+
     def optimized(self, length_km: float) -> SweepRow:
+        """The row at one distance (one lane of ``optimize_signal_intensity``)."""
         state = self._distance_state(length_km)
         rate_fn = partial(self.rate, state)
         mu_opt, rate_opt = optimize_signal_intensity(
             rate_fn, self.spec.signal_lower, vector_fn=rate_fn
         )
-        q1, b1, q_src, b_src = self._bounds(state, mu_opt, diagnostics=True)
-        return SweepRow(
-            L_km=length_km,
-            optimal_mu=mu_opt,
-            rate=max(rate_opt, 0.0),
-            rate_signed=rate_opt,
-            q1_min=float(np.clip(q1, 0.0, 1.0)),
-            b1_max=float(np.clip(b1, 0.0, 1.0)),
-            q1_source_j=q_src,
-            b1_source_j=b_src,
-        )
+        return self._rows([length_km], state, mu_opt, rate_opt)[0]
+
+    def sweep(self, lengths: list[float]) -> list[SweepRow]:
+        """The rows at every distance, optimized at once with one lane each."""
+        rows = []
+        for start in range(0, len(lengths), _EVAL_ELEMENTS):
+            block = lengths[start : start + _EVAL_ELEMENTS]
+            state = self._distance_state(np.asarray(block))
+            mu, rate = optimize_lanes(
+                partial(self.rate, state), partial(self._grid_rates, state), self.spec.signal_lower
+            )
+            rows += self._rows(block, state, mu, rate)
+        return rows
 
 
 def run_scenario(
@@ -330,7 +374,8 @@ def run_scenario(
 ) -> SweepResult:
     """Sweep distances, optimizing the signal intensity at each point.
 
-    ``l_range`` is (min_km, max_km, step_km).  The rows are the scan that
+    ``l_range`` is (min_km, max_km, step_km).  All distances of the scan are
+    optimized together, as lanes of one array.  The rows are the scan that
     ``find_zero_distance`` turns into the achievable distance: bisected
     inside the last sign change of the optimized rate, None when the rate
     is still positive at max_km (range too short) and 0.0 when it is never
@@ -345,9 +390,12 @@ def run_scenario(
         raise ConfigurationError("distance step must be positive")
     if l_max < l_min:
         raise ConfigurationError("l_max must not be below l_min")
+    try:
+        lengths = np.arange(l_min, l_max + 0.5 * step, step).tolist()
+    except ValueError as exc:  # more distances than an array can index
+        raise ConfigurationError(f"distance scan is too long: {exc}") from exc
     engine = _ScenarioEngine(spec)
-    lengths = np.arange(l_min, l_max + 0.5 * step, step).tolist()
-    rows = tuple(engine.optimized(length) for length in lengths)
+    rows = tuple(engine.sweep(lengths))
     signed = [row.rate_signed for row in rows]
     achievable = find_zero_distance(lambda L: engine.optimized(L).rate_signed, lengths, signed)
     return SweepResult(spec=spec, rows=rows, achievable_km=achievable)

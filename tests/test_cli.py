@@ -1,6 +1,15 @@
+import contextlib
+import io
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoy_akg import cli
+from decoy_akg.scenarios import DARK_MODES, SCENARIO_NAMES
 from decoy_akg.cli import CSV_HEADER, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, load_params_file, main
 
 
@@ -149,6 +158,7 @@ def test_channel_without_clicks_gives_zero_rates(tmp_path):
         ["figures", "--l-min", "-3", "--l-max", "0"],
         ["run", "--scenario", "k2", "--l-step", "nan"],
         ["run", "--scenario", "k2", "--l-max", "inf"],
+        ["run", "--scenario", "k2", "--l-max", "1e300"],
         ["run", "--scenario", "custom", "--decoys", "0.1,abc"],
         ["run", "--scenario", "k2", "--signal-lower", "nan"],
         ["run", "--scenario", "custom", "--decoys", "0.1,nan", "--signal-lower", "0.5"],
@@ -167,3 +177,75 @@ def test_value_error_in_sweep_is_numeric_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", failing_sweep)
     assert _run(["run", "--scenario", "k2", "--l-max", "1", "--out", tmp_path]) == EXIT_NUMERIC
     assert capsys.readouterr().err == "numerical failure: unexpected\n"
+
+
+_ODD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 1e-300, 1e300])
+
+
+def _number(values):
+    return st.one_of(values, _ODD_FLOATS).map(repr) | st.sampled_from(["abc", "", "1e", "0x1p-3"])
+
+
+@st.composite
+def _distance_range(draw):
+    """A scan of at most 20 distances, or one bad value among l_min, l_max, l_step."""
+    l_min = draw(st.floats(0.0, 300.0))
+    step = draw(st.floats(0.5, 50.0))
+    values = [l_min, l_min + step * draw(st.integers(0, 19)), step]
+    if draw(st.booleans()):
+        index = draw(st.integers(0, 2))
+        values[index] = draw(_ODD_FLOATS | st.just(values[index] - 2.0 * step))
+    return [f"--{flag}={value!r}" for flag, value in zip(("l-min", "l-max", "l-step"), values)]
+
+
+_PARAM_LINE = st.tuples(
+    st.sampled_from(cli._PARAM_KEYS + ("theta ", "eta", "")),
+    _number(st.floats(0.0, 1.0)),
+).map(lambda kv: f"{kv[0]} = {kv[1]}")
+_PARAMS_FILE = st.one_of(
+    st.lists(_PARAM_LINE | st.sampled_from(["# comment", "p0", "==", ""]), max_size=4).map(
+        lambda lines: "\n".join(lines).encode()
+    ),
+    st.binary(max_size=40),
+)
+
+
+@st.composite
+def _run_argv(draw):
+    names = draw(st.lists(st.sampled_from(SCENARIO_NAMES + ("nope", " k2", "")), max_size=3))
+    argv = ["run", "--scenario", ",".join(names)]
+    argv += draw(_distance_range())
+    options = {
+        "--direction": st.sampled_from(["forward", "reverse", "sideways"]),
+        "--dark-mode": st.sampled_from(DARK_MODES + ("bogus",)),
+        "--dark-rate": _number(st.floats(0.0, 1e-6)),
+        "--decoys": st.lists(_number(st.floats(0.05, 2.5)), min_size=1, max_size=4).map(",".join),
+        "--signal-lower": _number(st.floats(0.05, 2.5)),
+        "--format": st.sampled_from(["csv", "gnuplot-data"]),
+    }
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    params = draw(st.none() | _PARAMS_FILE)
+    return argv, params
+
+
+@settings(max_examples=40, deadline=None)
+@given(_run_argv())
+def test_run_fuzz_exits_cleanly(case):
+    # any argv and params file: exit 0, 2 or 3 and no traceback
+    argv, params = case
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = argv + ["--out", str(Path(tmp) / "out")]
+        if params is not None:
+            path = Path(tmp) / "channel.txt"
+            path.write_bytes(params)
+            argv += ["--params-file", str(path)]
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

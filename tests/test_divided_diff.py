@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from decoy_akg import (
@@ -15,6 +15,7 @@ from decoy_akg import (
     power_divided_difference,
     simplex_mean_value_oracle,
 )
+from decoy_akg.divided_diff import DEFAULT_SERIES_TOL, _top_limit, h_series
 
 
 def test_single_point_is_function_value():
@@ -109,12 +110,22 @@ def point_sets(draw, max_points=6):
 
 
 @given(point_sets(), st.sampled_from(["exp", "sin", "poly"]))
+@example(PointSet([2.96875, 3.03125, 3.09375, 3.15625, 3.28125, 3.34375], min_gap=0.01), "exp")
 def test_direct_and_recurrence_agree(pts, fname):
     f = {"exp": math.exp, "sin": math.sin, "poly": lambda x: x**4 - 2.0 * x + 1.0}[fname]
     direct = divided_difference(f, pts)
     recur = divided_difference_recurrence(f, pts)
-    scale = max(1.0, abs(direct), abs(recur))
-    assert abs(direct - recur) <= 1e-10 * scale
+    # Both routes are linear in the same values f(x_i).  To first order each
+    # is off by at most 3(n-1) u S, with u the unit roundoff and S the sum of
+    # |f(x_i)| / prod_{j != i} |x_i - x_j|: a direct term takes 2n-2 roundings
+    # and the sum n-1, and every path up the Newton table 3 per level, all
+    # paths from f(x_i) with the sign of its coefficient.
+    xs = pts.points
+    n = len(xs)
+    conditioning = sum(
+        abs(f(x)) / math.prod(abs(x - y) for y in xs if y != x) for x in xs
+    )
+    assert abs(direct - recur) <= 6 * (n - 1) * 2.0**-53 * conditioning
 
 
 @given(point_sets(max_points=6), st.integers(min_value=0, max_value=12))
@@ -164,3 +175,36 @@ def test_oracle_matches_cubic_second_derivative():
     assert target == pytest.approx(6.0, rel=1e-14)
     assert abs(est.estimate - target) <= 3.0 * max(est.standard_error, 1e-12)
 
+
+
+@given(
+    st.lists(st.floats(0.05, 2.0), max_size=8),
+    st.lists(st.floats(0.05, 2.0), min_size=1, max_size=30),
+    st.sampled_from([None, 0.3, 0.9]),
+)
+def test_h_series_lanes_equal_scalar_calls(prefix, lanes, alpha):
+    # each element of an array last point sums the terms a scalar call would
+    weight = None if alpha is None else (lambda n: -math.expm1(n * math.log1p(-alpha)))
+    points = tuple(sorted(prefix))
+    values = h_series(points + (np.array(lanes),), weight)
+    assert values.shape == (len(lanes),)
+    for value, last in zip(values.tolist(), lanes):
+        assert value == h_series(points + (last,), weight)
+
+
+def test_h_series_stop_is_the_majorant_test():
+    # x_top < _top_limit(m, n, n!) exactly where the majorant of term n + 1
+    # is below half the tolerance
+    for m in range(1, 11):
+        factorial = float(math.factorial(m + 1))
+        for n in range(m + 2, m + 40):
+            factorial *= n
+            if n <= m + 3:
+                continue
+            limit = _top_limit(m, n, factorial)
+
+            def majorant(top):
+                return math.comb(n - 1, m - 1) * top ** (n - m) / (factorial * (n + 1))
+
+            assert majorant(limit) >= 0.5 * DEFAULT_SERIES_TOL
+            assert majorant(math.nextafter(limit, 0.0)) < 0.5 * DEFAULT_SERIES_TOL

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from decoy_akg import (
     ConfigurationError,
@@ -14,9 +18,10 @@ from decoy_akg import (
     scenario,
     universal_upper,
 )
-from decoy_akg.channel import STANDARD_FIBER
+from decoy_akg import scenarios
+from decoy_akg.channel import STANDARD_FIBER, ChannelParams
 from decoy_akg.keyrate import DEFAULT_MU_CAP
-from decoy_akg.scenarios import _ScenarioEngine
+from decoy_akg.scenarios import DARK_MODES, SCENARIO_NAMES, _ScenarioEngine
 
 
 def test_spec_validation():
@@ -175,19 +180,37 @@ def test_beyond_range_is_none_in_both_apis():
 
 
 def test_sweep_bisects_its_own_scan(monkeypatch):
-    calls = []
-    optimized = _ScenarioEngine.optimized
+    calls, sweeps = [], []
+    optimized, sweep = _ScenarioEngine.optimized, _ScenarioEngine.sweep
 
     def counted(self, length_km):
         calls.append(length_km)
         return optimized(self, length_km)
 
+    def lanes(self, lengths):
+        sweeps.append(list(lengths))
+        return sweep(self, lengths)
+
     monkeypatch.setattr(_ScenarioEngine, "optimized", counted)
+    monkeypatch.setattr(_ScenarioEngine, "sweep", lanes)
     result = run_scenario(scenario("k2"), (218.0, 226.0, 1.0))
-    # 9 scan rows plus 7 bisection steps; no bracket end is optimized twice
-    assert len(calls) == 16
-    assert calls[:9] == [row.L_km for row in result.rows]
-    assert all(222.0 < length < 223.0 for length in calls[9:])
+    # the 9 scan rows come from one lane sweep; the 7 bisection steps each
+    # optimize one distance strictly inside the last sign change
+    assert sweeps == [[row.L_km for row in result.rows]]
+    assert len(result.rows) == 9
+    assert len(calls) == 7
+    assert all(222.0 < length < 223.0 for length in calls)
+
+
+def test_chunked_sweep_equals_one_block(monkeypatch):
+    # the element cap only splits the work: one distance per grid chunk and
+    # four per golden-section block give the rows of a single block
+    spec = scenario("k4", direction="reverse", dark_mode="pd-equals-p0")
+    whole = run_scenario(spec, (100.0, 240.0, 10.0))
+    monkeypatch.setattr(scenarios, "_EVAL_ELEMENTS", 4)
+    chunked = run_scenario(spec, (100.0, 240.0, 10.0))
+    assert repr(chunked.rows) == repr(whole.rows)
+    assert chunked.achievable_km == whole.achievable_km
 
 
 def test_universal_optimum_stays_below_one():
@@ -218,3 +241,50 @@ def test_ma_scenario_uses_signal_rate():
     assert float(q_a) != pytest.approx(float(q_b), rel=1e-6)
     row = engine.optimized(100.0)
     assert row.q1_source_j == -1 and row.b1_source_j == 1
+
+
+@st.composite
+def lane_cases(draw):
+    """A scenario on a drawn channel and a short scan of distances."""
+    p0 = draw(st.sampled_from([0.0, 4e-7]) | st.floats(1e-8, 1e-3))
+    channel = ChannelParams(
+        theta=draw(st.floats(0.05, 1.0)),
+        # a0 = 4000 dB underflows the transmission to 0 at every distance
+        a0=draw(st.floats(0.0, 10.0) | st.just(4000.0)),
+        a1=draw(st.floats(0.1, 0.3)),
+        p0=p0,
+        pD=0.0,
+        s=draw(st.floats(0.0, 0.5)),
+    )
+    dark_mode = draw(st.sampled_from(DARK_MODES))
+    dark_rate = draw(st.floats(0.0, p0)) if dark_mode == "explicit" else None
+    name = draw(st.sampled_from(SCENARIO_NAMES))
+    decoys = None
+    if name == "custom":
+        k = draw(st.integers(1, 6))
+        gaps = draw(st.lists(st.floats(0.1, 0.3), min_size=k, max_size=k))
+        decoys = list(itertools.accumulate(gaps))
+        assume(decoys[-1] + 0.1 < DEFAULT_MU_CAP)
+    spec = scenario(
+        name,
+        direction=draw(st.sampled_from(["forward", "reverse"])),
+        dark_mode=dark_mode,
+        channel=channel,
+        decoys=decoys,
+        dark_rate=dark_rate,
+    )
+    l_min = draw(st.floats(0.0, 250.0))
+    step = draw(st.floats(0.5, 40.0))
+    return spec, (l_min, l_min + step * draw(st.integers(0, 3)), step)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lane_cases())
+def test_lane_rows_equal_one_distance_rows(case):
+    # every lane of the sweep does the float operations of a one-distance optimization
+    spec, l_range = case
+    engine = _ScenarioEngine(spec)
+    for row in run_scenario(spec, l_range).rows:
+        one = engine.optimized(row.L_km)
+        assert row == one
+        assert repr(row) == repr(one)
