@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .expansion import ExpansionTable, IntensityGrid, constraint_matrix
 
@@ -40,9 +39,9 @@ class ObservedStats:
     ``p`` has 2k+1 entries: p[0] is the vacuum-pulse counting rate, p[1..k]
     the rates of the k intensities in the key basis and p[k+1..2k] those in
     the conjugate basis.  ``s`` holds the k key-basis error rates.  All
-    rates are probabilities per pulse including dark counts.  Consistent
-    data satisfies p_i >= p_dark (the dark floor); violations are not
-    rejected here and instead surface as LP infeasibility or clamped bounds.
+    rates are probabilities per pulse including dark counts.  Every p_i
+    must reach the dark floor p_dark; a rate below it raises
+    :class:`InfeasibleStatsError`.
     """
 
     p: tuple[float, ...]
@@ -61,6 +60,10 @@ class ObservedStats:
             for v in values:
                 if not 0.0 <= v <= 1.0:
                     raise ValueError(f"{name} entries must lie in [0, 1]; got {v}")
+        if min(self.p) < self.p_dark:
+            raise InfeasibleStatsError(
+                f"counting rates must reach the dark floor p_dark={self.p_dark}; got {min(self.p)}"
+            )
 
     @property
     def k(self) -> int:
@@ -296,6 +299,16 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
         p_dark=stats.p_dark,
         legacy=_legacy_bounds(stats, grid),
     )
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first LP-oracle solve.
+
+    SciPy serves only the oracle, so importing the package does not load it.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _solve_lp(a_eq, b_eq, objective: int, sign: float, cap: float, boxed=None) -> float:

@@ -20,6 +20,7 @@ from decoy_akg import (
     model_stats,
     q_j_min,
 )
+from decoy_akg import bounds
 from decoy_akg.channel import STANDARD_FIBER
 from conftest import feasible_instance as _feasible_instance
 from conftest import random_grid
@@ -153,9 +154,29 @@ def test_lp_reports_infeasible_below_dark_floor(table_cache):
     grid = IntensityGrid((0.1, 0.2))
     table = table_cache(grid)
     p_dark = 1e-3
-    stats = ObservedStats.symmetric(1e-4, (1e-4, 1e-4), (0.1, 0.1), p_dark)  # p < p_dark
-    with pytest.raises(InfeasibleStatsError):
+    with pytest.raises(InfeasibleStatsError, match="dark floor"):
+        stats = ObservedStats.symmetric(1e-4, (1e-4, 1e-4), (0.1, 0.1), p_dark)  # p < p_dark
         lp_oracle_q1_min(stats, grid, table)
+    # above the floor, but mu_1 = 0.1 cannot click with probability 0.5
+    stats = ObservedStats.symmetric(1e-6, (0.5, 0.15), (0.1, 0.1))
+    with pytest.raises(InfeasibleStatsError, match="infeasible"):
+        lp_oracle_q1_min(stats, grid, table)
+
+
+def test_lp_oracle_solves_through_the_module_hook(monkeypatch):
+    rng = np.random.default_rng(29)
+    grid, table, stats, _, _ = _feasible_instance(rng, 3, p_dark=1e-4)
+    expected = lp_oracle_q1_min(stats, grid, table)
+    lazy_linprog = bounds.linprog
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return lazy_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "linprog", spy)
+    assert lp_oracle_q1_min(stats, grid, table) == expected
+    assert calls == ["highs"]
 
 
 def test_bounds_tighten_with_more_intensities():

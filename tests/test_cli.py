@@ -1,6 +1,8 @@
 import contextlib
 import io
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -44,6 +46,20 @@ def test_run_writes_schema_and_is_deterministic(tmp_path):
     # byte-identical re-run
     for name in ("k2_forward_pd-zero.csv", "combined.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_cli_start_does_not_load_scipy():
+    # SciPy serves only the LP oracle; importing the CLI must not pay for it
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import decoy_akg.cli; "
+        "decoy_akg.cli._build_parser(); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_multiple_scenarios_combined(tmp_path):
@@ -230,11 +246,16 @@ def _run_argv(draw):
     return argv, params
 
 
-@settings(max_examples=40, deadline=None)
-@given(_run_argv())
-def test_run_fuzz_exits_cleanly(case):
+@st.composite
+def _figures_argv(draw):
+    argv = ["figures"] + draw(_distance_range())
+    if draw(st.booleans()):
+        argv.append(f"--format={draw(st.sampled_from(['csv', 'gnuplot-data', 'json']))}")
+    return argv, draw(st.none() | _PARAMS_FILE)
+
+
+def _assert_exits_cleanly(argv, params):
     # any argv and params file: exit 0, 2 or 3 and no traceback
-    argv, params = case
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         argv = argv + ["--out", str(Path(tmp) / "out")]
@@ -249,3 +270,16 @@ def test_run_fuzz_exits_cleanly(case):
                 code = exc.code
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), (argv, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_run_argv())
+def test_run_fuzz_exits_cleanly(case):
+    _assert_exits_cleanly(*case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_figures_argv())
+def test_figures_fuzz_exits_cleanly(case):
+    # each drawn scan has at most 20 distances, so 16 sweeps of it stay cheap
+    _assert_exits_cleanly(*case)
