@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expansion import ExpansionTable, IntensityGrid, constraint_matrix
+from .expansion import ExpansionTable, IntensityGrid
 
 
 class InfeasibleStatsError(RuntimeError):
@@ -185,6 +185,14 @@ def _check_order(j: int, k: int) -> None:
         raise ValueError(f"order j={j} must satisfy 1 <= j <= k (k={k})")
 
 
+def _check_inputs(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) -> None:
+    """Stats, grid and table must describe the same intensities."""
+    if stats.k != grid.k:
+        raise ValueError("stats and grid disagree on the number of intensities")
+    if table.grid.mus != grid.mus:
+        raise ValueError(f"table built for intensities {table.grid.mus}, not {grid.mus}")
+
+
 def _observed_inputs(stats: ObservedStats, grid: IntensityGrid, offset: int = 0):
     """Per-intensity inputs (c, d) of :func:`order_bounds`; ``offset`` picks the basis of c."""
     pd = stats.p_dark
@@ -195,6 +203,7 @@ def _observed_inputs(stats: ObservedStats, grid: IntensityGrid, offset: int = 0)
 
 
 def _order_j(j: int, stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable, offset=0):
+    _check_inputs(stats, grid, table)
     _check_order(j, grid.k)
     c, d = _observed_inputs(stats, grid, offset)
     omega = table.omega_for_order(j)
@@ -266,8 +275,7 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
     system only constrains the key basis.  Reported values are clamped to
     the physical range [0, 1 - p_dark].
     """
-    if stats.k != grid.k:
-        raise ValueError("stats and grid disagree on the number of intensities")
+    _check_inputs(stats, grid, table)
     k = grid.k
     cap = 1.0 - stats.p_dark
     c_x, d = _observed_inputs(stats, grid)
@@ -330,13 +338,14 @@ def _solve_lp(a_eq, b_eq, objective: int, sign: float, cap: float, boxed=None) -
 
 
 def _q_system(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable):
-    rhs = np.asarray(stats.p) - stats.p_dark
-    return constraint_matrix(grid.mus, table.omegas).p, rhs
+    _check_inputs(stats, grid, table)
+    return table.constraint.p, np.asarray(stats.p) - stats.p_dark
 
 
 def _b_system(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable):
+    _check_inputs(stats, grid, table)
     # the rhs s_i p_i - (p_dark + e^(-mu_i)(p_0 - p_dark))/2 is the d of order_bounds
-    matrix = constraint_matrix(grid.mus, table.omegas)
+    matrix = table.constraint
     _, rhs = _observed_inputs(stats, grid)
     return np.column_stack([matrix.z, matrix.x]), np.array(rhs)  # unknowns b^1..b^(k+1)
 

@@ -40,6 +40,9 @@ CSV_HEADER = (
 
 _PARAM_KEYS = ("theta", "a0", "a1", "p0", "pD", "s")
 
+# output format: (column separator, file suffix)
+_FORMATS = {"csv": (",", ".csv"), "gnuplot-data": (" ", ".dat")}
+
 
 def _fmt(value: float) -> str:
     return format(value, ".12g")
@@ -92,17 +95,8 @@ def _describe(spec: ScenarioSpec) -> str:
 def _rows_lines(result: SweepResult, sep: str) -> list[str]:
     lines = []
     for row in result.rows:
-        fields = (
-            result.spec.name,
-            _fmt(row.L_km),
-            _fmt(row.optimal_mu),
-            _fmt(row.rate),
-            _fmt(row.rate_signed),
-            _fmt(row.q1_min),
-            _fmt(row.b1_max),
-            str(row.q1_source_j),
-            str(row.b1_source_j),
-        )
+        values = (row.L_km, row.optimal_mu, row.rate, row.rate_signed, row.q1_min, row.b1_max)
+        fields = (result.spec.name, *map(_fmt, values), str(row.q1_source_j), str(row.b1_source_j))
         lines.append(sep.join(fields))
     return lines
 
@@ -116,32 +110,23 @@ def emit(results: Sequence[SweepResult], fmt: str, out_dir: Path) -> list[Path]:
     """
     if not results:
         raise ConfigurationError("nothing to emit: no sweep results")
-    if fmt not in ("csv", "gnuplot-data"):
+    if fmt not in _FORMATS:
         raise ConfigurationError(f"unknown output format {fmt!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    sep = "," if fmt == "csv" else " "
-    suffix = ".csv" if fmt == "csv" else ".dat"
-    header = CSV_HEADER if fmt == "csv" else CSV_HEADER.replace(",", " ")
+    sep, suffix = _FORMATS[fmt]
+    header = CSV_HEADER.replace(",", sep)
     written = []
-
-    def scenario_file(result: SweepResult) -> list[str]:
-        lines = [f"# {_describe(result.spec)}", header]
-        lines.extend(_rows_lines(result, sep))
-        return lines
-
-    for result in results:
-        tag = f"{result.spec.name}_{result.spec.direction}_{result.spec.dark_mode}"
-        path = out_dir / f"{tag}{suffix}"
-        path.write_text("\n".join(scenario_file(result)) + "\n")
-        written.append(path)
-
     combined = [header if fmt == "csv" else f"# {header}"]
     for index, result in enumerate(results):
+        spec, rows = result.spec, _rows_lines(result, sep)
+        path = out_dir / f"{spec.name}_{spec.direction}_{spec.dark_mode}{suffix}"
+        path.write_text("\n".join([f"# {_describe(spec)}", header, *rows]) + "\n")
+        written.append(path)
         if fmt == "gnuplot-data":
             if index:
                 combined.append("")  # block separator
-            combined.append(f"# {_describe(result.spec)}")
-        combined.extend(_rows_lines(result, sep))
+            combined.append(f"# {_describe(spec)}")
+        combined.extend(rows)
     path = out_dir / f"combined{suffix}"
     path.write_text("\n".join(combined) + "\n")
     written.append(path)
@@ -189,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--l-min", type=float, default=0.0)
     run_p.add_argument("--l-max", type=float, default=250.0)
     run_p.add_argument("--l-step", type=float, default=1.0)
-    run_p.add_argument("--format", choices=("csv", "gnuplot-data"), default="csv")
+    run_p.add_argument("--format", choices=tuple(_FORMATS), default="csv")
     run_p.add_argument("--out", type=Path, default=Path("results"))
     run_p.add_argument("--params-file", type=Path, default=None)
     run_p.add_argument(
@@ -206,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--l-min", type=float, default=0.0)
     fig_p.add_argument("--l-max", type=float, default=250.0)
     fig_p.add_argument("--l-step", type=float, default=1.0)
-    fig_p.add_argument("--format", choices=("csv", "gnuplot-data"), default="csv")
+    fig_p.add_argument("--format", choices=tuple(_FORMATS), default="csv")
     fig_p.add_argument("--params-file", type=Path, default=None)
     return parser
 
@@ -219,23 +204,25 @@ def _cmd_run(args) -> int:
             decoys = [float(v) for v in args.decoys.split(",") if v.strip()]
         except ValueError as exc:
             raise ConfigurationError(f"--decoys: {exc}") from exc
-    specs = []
-    for name in (n.strip() for n in args.scenario.split(",")):
-        if not name:
-            continue
-        specs.append(
-            scenario(
-                name,
-                direction=args.direction,
-                dark_mode=args.dark_mode,
-                channel=channel,
-                decoys=decoys if name == "custom" else None,
-                signal_lower=args.signal_lower,
-                dark_rate=args.dark_rate,
-            )
-        )
-    if not specs:
+    names = [n for n in (n.strip() for n in args.scenario.split(",")) if n]
+    if not names:
         raise ConfigurationError("no scenario names given")
+    if len(set(names)) < len(names):
+        raise ConfigurationError("a scenario listed twice would overwrite its own files")
+    if decoys is not None and "custom" not in names:
+        raise ConfigurationError("--decoys applies only to the 'custom' scenario")
+    specs = [
+        scenario(
+            name,
+            direction=args.direction,
+            dark_mode=args.dark_mode,
+            channel=channel,
+            decoys=decoys if name == "custom" else None,
+            signal_lower=args.signal_lower,
+            dark_rate=args.dark_rate,
+        )
+        for name in names
+    ]
     results = [run_scenario(spec, (args.l_min, args.l_max, args.l_step)) for spec in specs]
     paths = emit(results, args.format, args.out)
     for result in results:

@@ -32,12 +32,12 @@ DEFAULT_MIN_SPACING = 0.1
 
 @dataclass(frozen=True)
 class IntensityGrid:
-    """Strictly increasing pulse intensities (mean photon numbers).
+    """Strictly increasing, positive and finite pulse intensities (mean photon numbers).
 
     The largest intensity is the signal, the one producing raw key bits.
-    ``min_spacing`` is the smallest allowed width mu_(i+1) - mu_i; estimates
-    from nearly equal intensities are fragile, so a floor is enforced at
-    construction.
+    ``min_spacing`` (positive and finite) is the smallest allowed width
+    mu_(i+1) - mu_i; estimates from nearly equal intensities are fragile, so
+    a floor is enforced at construction.
     """
 
     mus: tuple[float, ...]
@@ -47,10 +47,12 @@ class IntensityGrid:
         values = tuple(float(m) for m in mus)
         object.__setattr__(self, "mus", values)
         object.__setattr__(self, "min_spacing", float(min_spacing))
+        if not 0.0 < self.min_spacing < math.inf:
+            raise ValueError(f"min_spacing must be positive and finite; got {self.min_spacing}")
         if not values:
             raise ValueError("at least one intensity is required")
-        if values[0] <= 0.0:
-            raise ValueError("intensities must be positive")
+        if not all(0.0 < m < math.inf for m in values):
+            raise ValueError(f"intensities must be positive and finite; got {values}")
         for lo, hi in zip(values, values[1:]):
             if hi - lo < self.min_spacing - 1e-12:
                 raise ValueError(
@@ -145,14 +147,17 @@ def omega_closed_form(i: int, grid: IntensityGrid) -> float:
 class ExpansionTable:
     """Expansion coefficients for one intensity grid, truncated at n_max.
 
-    ``omegas[i-2]`` holds Omega_i for i = 2..k+1, and ``gammas[(i, n)]``
-    holds gamma(i, n) for i <= n <= n_max.  ``truncation_tail`` records the
-    crude bound e^(mu_k) mu_k^n_max / n_max! on any discarded Fock mass.
+    ``omegas[i-2]`` holds Omega_i for i = 2..k+1, ``gammas[(i, n)]`` holds
+    gamma(i, n) for i <= n <= n_max, and ``constraint`` is the grid's
+    counting-rate system, which the LP oracle reads.  ``truncation_tail``
+    records the crude bound e^(mu_k) mu_k^n_max / n_max! on any discarded
+    Fock mass.
     """
 
     grid: IntensityGrid
     omegas: tuple[float, ...]
     gammas: dict[tuple[int, int], float] = field(repr=False)
+    constraint: ConstraintMatrix = field(repr=False)
     n_max: int = DEFAULT_N_MAX
     truncation_tail: float = 0.0
 
@@ -165,7 +170,7 @@ class ExpansionTable:
                 gammas[(i, n)] = gamma_coefficient(i, n, grid)
         mu_top = grid.mus[-1]
         tail = math.exp(mu_top) * mu_top**n_max / math.factorial(n_max)
-        return cls(grid=grid, omegas=omegas, gammas=gammas, n_max=n_max, truncation_tail=tail)
+        return cls(grid, omegas, gammas, constraint_matrix(grid.mus, omegas), n_max, tail)
 
     def omega_for_order(self, j: int) -> float:
         """Omega_(j+1) over the first j intensities, as used by order-j bounds."""

@@ -184,13 +184,12 @@ def optimize_lanes(
     grid_fn: Callable[[np.ndarray], np.ndarray],
     mu_lower: float,
     mu_cap: float = DEFAULT_MU_CAP,
-    coarse_step: float = DEFAULT_COARSE_STEP,
     tol: float = DEFAULT_MU_TOL,
 ):
     """Maximize rates over signal intensities in (mu_lower, mu_cap], lane by lane.
 
     ``grid_fn(grid)`` gives every lane's rates on the coarse grid (step
-    ``coarse_step``), shape (*lanes, grid.size); the golden section then
+    ``DEFAULT_COARSE_STEP``), shape (*lanes, grid.size); the golden section then
     refines each lane's best bracket through ``rate_fn``, which maps one
     trial signal per lane (shape ``lanes``) to the rates there.  Returns the
     optimal signals and rates, shape ``lanes``.  The best point is returned
@@ -201,6 +200,7 @@ def optimize_lanes(
         raise ValueError("mu_lower must be positive")
     if mu_cap <= mu_lower:
         raise ValueError("mu_cap must exceed mu_lower")
+    coarse_step = DEFAULT_COARSE_STEP
     grid = np.arange(mu_lower + coarse_step, mu_cap + 0.5 * coarse_step, coarse_step)
     if grid.size == 0:
         grid = np.array([0.5 * (mu_lower + mu_cap)])
@@ -220,21 +220,20 @@ def optimize_signal_intensity(
     rate_fn: Callable[[float], float],
     mu_lower: float,
     mu_cap: float = DEFAULT_MU_CAP,
-    coarse_step: float = DEFAULT_COARSE_STEP,
     tol: float = DEFAULT_MU_TOL,
     vector_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> tuple[float, float]:
     """Maximize a rate over signal intensities in (mu_lower, mu_cap].
 
     One lane of :func:`optimize_lanes`: a coarse grid scan (step
-    ``coarse_step``) followed by golden-section refinement of the best
+    ``DEFAULT_COARSE_STEP``) followed by golden-section refinement of the best
     bracket, calling ``rate_fn`` with one float at a time.  ``vector_fn``,
     when given, evaluates the whole coarse grid in one call.
     """
     if vector_fn is None:
         vector_fn = lambda grid: np.array([rate_fn(m) for m in grid])  # noqa: E731
     mu_opt, rate_opt = optimize_lanes(
-        lambda mu: rate_fn(float(mu)), vector_fn, mu_lower, mu_cap, coarse_step, tol
+        lambda mu: rate_fn(float(mu)), vector_fn, mu_lower, mu_cap, tol
     )
     return float(mu_opt), float(rate_opt)
 

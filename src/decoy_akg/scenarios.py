@@ -37,6 +37,7 @@ import numpy as np
 from .bounds import ma_q1_lower, order_bounds
 from .channel import STANDARD_FIBER, ChannelParams, alpha_of_distance, counting_rate, error_rate
 from .divided_diff import h_series
+from .expansion import DEFAULT_MIN_SPACING, IntensityGrid
 from .keyrate import (
     DEFAULT_MU_CAP,
     RateInputs,
@@ -48,9 +49,18 @@ from .keyrate import (
 # unused: perfbench/spans.py wraps both names here and raises MissingEntryPoint without them
 from .keyrate import binary_entropy_bar, single_photon_credit  # noqa: F401
 
-SCENARIO_NAMES = ("k2", "k3-ma", "k3-wang", "k3-ours", "k4", "universal", "custom")
+# name: (preset decoys, or None for user-supplied ones; estimator kind)
+_SCENARIOS = {
+    "k2": ((0.1,), "aggregate"),
+    "k3-ma": ((0.1, 0.2), "ma"),
+    "k3-wang": ((0.1, 0.2), "wang"),
+    "k3-ours": ((0.1, 0.2), "aggregate"),
+    "k4": ((0.1, 0.2, 0.3), "aggregate"),
+    "universal": ((), "universal"),
+    "custom": (None, "aggregate"),
+}
+SCENARIO_NAMES = tuple(_SCENARIOS)
 DARK_MODES = ("pd-zero", "pd-equals-p0", "explicit")
-MIN_DECOY_WIDTH = 0.1
 
 # most trial signals in one rate evaluation of a sweep, which bounds its
 # temporaries: the coarse grid is evaluated for as many distances as fit,
@@ -60,15 +70,6 @@ _EVAL_ELEMENTS = 4096
 # source_j codes for estimators that are not an aggregation order
 SOURCE_EXACT = 0  # universal scenario: parameters known, nothing estimated
 SOURCE_MA = -1  # three-intensity ratio estimator
-
-_PRESET_DECOYS = {
-    "k2": (0.1,),
-    "k3-ma": (0.1, 0.2),
-    "k3-wang": (0.1, 0.2),
-    "k3-ours": (0.1, 0.2),
-    "k4": (0.1, 0.2, 0.3),
-    "universal": (),
-}
 
 
 class ConfigurationError(ValueError):
@@ -99,24 +100,19 @@ class ScenarioSpec:
                 raise ConfigurationError("dark_mode 'explicit' needs a dark_rate value")
             if not 0.0 <= self.dark_rate <= self.channel.p0:
                 raise ConfigurationError("explicit dark rate must lie in [0, p0]")
+        elif self.dark_rate is not None:
+            raise ConfigurationError("a dark_rate value needs dark_mode 'explicit'")
         if self.name != "universal" and not self.decoy_mus:
             raise ConfigurationError(
                 "at least one decoy intensity (plus the implicit vacuum) is required"
             )
-        mus = self.decoy_mus
-        if not all(0.0 < m < math.inf for m in mus):
-            raise ConfigurationError("decoy intensities must be positive and finite")
-        for lo, hi in zip(mus, mus[1:]):
-            if hi - lo < MIN_DECOY_WIDTH - 1e-12:
-                raise ConfigurationError(
-                    f"decoy intensities {lo} and {hi} are closer than the minimum width "
-                    f"{MIN_DECOY_WIDTH}; estimates from nearly equal intensities are unstable"
-                )
-        if mus and self.signal_lower < mus[-1] + MIN_DECOY_WIDTH - 1e-12:
+        try:
+            # the signal search starts one intensity spacing above the decoys
+            IntensityGrid((*self.decoy_mus, self.signal_lower))
+        except ValueError as exc:
             raise ConfigurationError(
-                f"signal intensity search must start at least {MIN_DECOY_WIDTH} above the "
-                f"largest decoy ({mus[-1]}); got lower bound {self.signal_lower}"
-            )
+                f"decoys {self.decoy_mus} with signal_lower {self.signal_lower}: {exc}"
+            ) from exc
         if not 0.0 < self.signal_lower < DEFAULT_MU_CAP:
             raise ConfigurationError(
                 f"signal_lower must lie in (0, {DEFAULT_MU_CAP}), the intensity search range"
@@ -131,13 +127,7 @@ class ScenarioSpec:
 
     @property
     def estimator_kind(self) -> str:
-        if self.name == "universal":
-            return "universal"
-        if self.name == "k3-wang":
-            return "wang"
-        if self.name == "k3-ma":
-            return "ma"
-        return "aggregate"
+        return _SCENARIOS[self.name][1]
 
     @property
     def dark_rate_effective(self) -> float:
@@ -161,19 +151,14 @@ def scenario(
     dark_rate: Optional[float] = None,
 ) -> ScenarioSpec:
     """Build a ScenarioSpec, filling in the preset decoys for named scenarios."""
-    if name == "custom":
+    decoy_mus = _SCENARIOS.get(name, ((), None))[0]  # ScenarioSpec rejects unknown names
+    if decoy_mus is None:
         if decoys is None:
             raise ConfigurationError("custom scenarios need explicit decoy intensities")
         decoy_mus = tuple(sorted(float(m) for m in decoys))
-    else:
-        if name not in _PRESET_DECOYS:
-            raise ConfigurationError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
-        decoy_mus = _PRESET_DECOYS[name]
     if signal_lower is None:
-        if name == "universal":
-            signal_lower = 0.01
-        else:
-            signal_lower = (decoy_mus[-1] if decoy_mus else 0.0) + MIN_DECOY_WIDTH
+        # one intensity spacing above the decoys; the universal bound has none
+        signal_lower = decoy_mus[-1] + DEFAULT_MIN_SPACING if decoy_mus else 0.01
     return ScenarioSpec(
         name=name,
         direction=direction,
@@ -251,9 +236,6 @@ class _ScenarioEngine:
             state["q_prefix"], state["b_prefix"] = (np.array(v) for v in zip(*orders))
         if self.kind == "ma":
             state["ma_p"] = signal_part + self.p0
-        if not shape:
-            # one distance: Python floats keep its scalar evaluations cheap
-            state = {key: value.tolist() for key, value in state.items()}
         return state
 
     @staticmethod

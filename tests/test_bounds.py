@@ -163,6 +163,29 @@ def test_lp_reports_infeasible_below_dark_floor(table_cache):
         lp_oracle_q1_min(stats, grid, table)
 
 
+def test_stats_grid_and_table_must_agree():
+    grid = IntensityGrid((0.1, 0.2, 0.35), min_spacing=0.05)
+    other = IntensityGrid((0.1, 0.2, 0.4), min_spacing=0.05)
+    stats = model_stats(grid, 1e-3, STANDARD_FIBER)
+    two = IntensityGrid((0.1, 0.2))
+    mismatches = [
+        (stats, grid, ExpansionTable.build(other)),  # a table of other intensities
+        (stats, two, ExpansionTable.build(two)),  # stats of three intensities on two
+    ]
+    for args in mismatches:
+        for call in (
+            lambda: aggregate(*args),
+            lambda: q_j_min(2, *args),
+            lambda: b_j_max(2, *args),
+            lambda: lp_oracle_q1_min(*args),
+            lambda: lp_oracle_b1_max(*args),
+            lambda: lp_oracle_q_j_min(2, *args),
+            lambda: lp_oracle_b_j_max(2, *args),
+        ):
+            with pytest.raises(ValueError, match="disagree|table built"):
+                call()
+
+
 def test_lp_oracle_solves_through_the_module_hook(monkeypatch):
     rng = np.random.default_rng(29)
     grid, table, stats, _, _ = _feasible_instance(rng, 3, p_dark=1e-4)

@@ -178,6 +178,11 @@ def test_channel_without_clicks_gives_zero_rates(tmp_path):
         ["run", "--scenario", "custom", "--decoys", "0.1,abc"],
         ["run", "--scenario", "k2", "--signal-lower", "nan"],
         ["run", "--scenario", "custom", "--decoys", "0.1,nan", "--signal-lower", "0.5"],
+        # inputs that would be silently ignored: a dark rate without the explicit
+        # mode, decoys without a custom scenario, a name whose file is written twice
+        ["run", "--scenario", "k2", "--dark-rate", "1e-7", "--l-max", "1"],
+        ["run", "--scenario", "k2,k4", "--decoys", "0.1,0.3", "--l-max", "1"],
+        ["run", "--scenario", "k2,k2", "--l-max", "1"],
     ],
 )
 def test_bad_range_or_decoys_is_config_error(tmp_path, capsys, argv):

@@ -30,6 +30,12 @@ def test_grid_validation():
         IntensityGrid((0.2, 0.1))  # not increasing
     with pytest.raises(ValueError):
         IntensityGrid((0.1, 0.15))  # default spacing is 0.1
+    for mus in ((0.1, math.nan), (0.1, math.inf), (math.nan,)):
+        with pytest.raises(ValueError, match="finite"):
+            IntensityGrid(mus)
+    for min_spacing in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="min_spacing"):
+            IntensityGrid((0.3, 0.2) if min_spacing == -1.0 else (0.1, 0.2), min_spacing)
     IntensityGrid((0.1, 0.15), min_spacing=0.05)  # relaxed spacing is fine
     grid = IntensityGrid((0.1, 0.2, 0.5))
     assert grid.k == 3 and grid.signal == 0.5
@@ -127,6 +133,7 @@ def test_expansion_table_build():
         assert table.gammas[(i, i)] == pytest.approx(gamma_coefficient(i, i, grid), rel=1e-12)
     assert table.omega_for_order(1) == table.omegas[0]
     assert 0.0 < table.truncation_tail < 1e-30
+    assert np.array_equal(table.constraint.p, build_matrices(grid).constraint.p)
 
 
 def test_reconstruction_trivial_terms():
