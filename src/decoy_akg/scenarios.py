@@ -91,6 +91,13 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
             raise ConfigurationError(f"unknown scenario {self.name!r}; choose from {SCENARIO_NAMES}")
+        preset = _SCENARIOS[self.name][0]
+        if preset is not None and self.decoy_mus != preset:
+            raise ConfigurationError(f"scenario {self.name!r} has decoys {preset}; use 'custom'")
+        if preset is None and not self.decoy_mus:
+            raise ConfigurationError(
+                "at least one decoy intensity (plus the implicit vacuum) is required"
+            )
         if self.direction not in ("forward", "reverse"):
             raise ConfigurationError("direction must be 'forward' or 'reverse'")
         if self.dark_mode not in DARK_MODES:
@@ -102,9 +109,10 @@ class ScenarioSpec:
                 raise ConfigurationError("explicit dark rate must lie in [0, p0]")
         elif self.dark_rate is not None:
             raise ConfigurationError("a dark_rate value needs dark_mode 'explicit'")
-        if self.name != "universal" and not self.decoy_mus:
+        if self.channel.pD != 0.0:
             raise ConfigurationError(
-                "at least one decoy intensity (plus the implicit vacuum) is required"
+                f"channel dark rate pD = {self.channel.pD} would be ignored; keep pD = 0 and "
+                "set the dark rate with dark_mode/dark_rate (--dark-mode, --dark-rate)"
             )
         try:
             # the signal search starts one intensity spacing above the decoys
@@ -117,13 +125,8 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"signal_lower must lie in (0, {DEFAULT_MU_CAP}), the intensity search range"
             )
-        if self.name == "k3-ma":
-            m1, m2 = self.decoy_mus
-            if not (m1 + m2 <= self.signal_lower and m1 + m2 < 1.0):
-                raise ConfigurationError(
-                    "the three-intensity ratio estimator needs mu1 + mu2 <= signal and "
-                    "mu1 + mu2 < 1"
-                )
+        if self.name == "k3-ma" and sum(self.decoy_mus) > self.signal_lower:
+            raise ConfigurationError("the ratio estimator needs mu1 + mu2 <= signal_lower")
 
     @property
     def estimator_kind(self) -> str:
@@ -210,83 +213,81 @@ class _ScenarioEngine:
         self.s = self.params.s
         self.pD = self.params.pD
         self.decoy_array = np.asarray(self.decoys, dtype=float)
-        self.decoy_vacuum = self.p0 * (1.0 - np.exp(-self.decoy_array))
         self.prefix_omegas = [h_series(self.decoys[:j]) for j in range(1, len(self.decoys) + 1)]
 
     # -- per-distance state ------------------------------------------------
 
+    def _inputs(self, alpha, mu):
+        """(1 - e^(-alpha mu), c, d) at intensities mu, dark-inclusive (p_dark = 0)."""
+        signal = -np.expm1(-alpha * mu)
+        vacuum = self.p0 * (1.0 - np.exp(-mu))
+        return signal, signal + vacuum, self.s * signal + 0.5 * vacuum
+
     def _distance_state(self, lengths) -> dict:
-        """Inputs at ``lengths``: one distance, or a 1-d array of lanes."""
+        """Inputs and signal-free bounds at ``lengths``: one distance, or a 1-d array of lanes.
+
+        ``q1``/``b1`` and their sources ``q_src``/``b_src`` lack only the trial
+        signal's part; Ma's q1 is all trial signal, so its state has none.
+        """
         shape = np.shape(lengths)
         alpha = np.reshape(
             [alpha_of_distance(float(length), self.params) for length in np.ravel(lengths)], shape
         )
         column = (-1,) + (1,) * len(shape)  # one row per decoy, the lanes across
-        signal_part = -np.expm1(-alpha * self.decoy_array.reshape(column))
-        vacuum = self.decoy_vacuum.reshape(column)
-        # estimation inputs with the dark-inclusive convention (p_dark = 0)
-        c = signal_part + vacuum
-        d = self.s * signal_part + 0.5 * vacuum
+        signal, c, d = self._inputs(alpha, self.decoy_array.reshape(column))
         state = {"alpha": alpha, "c": c, "d": d}
-        if self.kind != "universal":
-            orders = [
-                order_bounds(self.decoys[:j], c[:j], d[:j], omega, 1.0)
-                for j, omega in enumerate(self.prefix_omegas, start=1)
-            ]
-            state["q_prefix"], state["b_prefix"] = (np.array(v) for v in zip(*orders))
-        if self.kind == "ma":
-            state["ma_p"] = signal_part + self.p0
+        if self.kind == "universal":
+            q1, b1 = alpha + self.p0, self.s * alpha + 0.5 * self.p0
+            state.update(q1=q1, b1=b1, q_src=SOURCE_EXACT, b_src=SOURCE_EXACT)
+            return state
+        orders = [
+            order_bounds(self.decoys[:j], c[:j], d[:j], omega, 1.0)
+            for j, omega in enumerate(self.prefix_omegas, start=1)
+        ]
+        q_prefix, b_prefix = (np.array(v) for v in zip(*orders))
+        state.update(q_prefix=q_prefix, b_prefix=b_prefix, b1=b_prefix[0], b_src=1)
+        if self.kind == "wang":
+            state.update(q1=q_prefix[1], q_src=2)
+        elif self.kind == "ma":
+            state.update(q_src=SOURCE_MA, ma_p=signal + self.p0)
+        else:
+            state.update(q1=np.max(q_prefix, axis=0), q_src=np.argmax(q_prefix, axis=0) + 1)
+            state.update(b1=np.min(b_prefix, axis=0), b_src=np.argmin(b_prefix, axis=0) + 1)
         return state
 
     @staticmethod
     def _lanes(state: dict, lanes: slice) -> dict:
-        return {key: value[..., lanes] for key, value in state.items()}
+        # a source code shared by every lane stays one number
+        return {key: value[..., lanes] if np.ndim(value) else value for key, value in state.items()}
 
     # -- estimator evaluation ----------------------------------------------
 
     def _order_k_bounds(self, state: dict, mu):
         """Order-k bounds with the trial signal as the k-th intensity."""
-        signal = -np.expm1(-state["alpha"] * mu)
-        vacuum = self.p0 * (1.0 - np.exp(-mu))
+        _, c, d = self._inputs(state["alpha"], mu)
         points = self.decoys + (mu,)
-        return order_bounds(
-            points,
-            [*state["c"], signal + vacuum],
-            [*state["d"], self.s * signal + 0.5 * vacuum],
-            h_series(points),
-            1.0,
-        )
+        return order_bounds(points, [*state["c"], c], [*state["d"], d], h_series(points), 1.0)
 
     def _bounds(self, state: dict, mu, diagnostics: bool = False):
-        """(q1, b1[, source indices]) for trial signal mu (scalar or array)."""
+        """(q1, b1[, source indices]) for trial signal mu (scalar or array).
+
+        Adds Ma's q1 or an aggregation's order-k pair to the state's bounds;
+        a prefix order wins a tie.
+        """
         if isinstance(mu, float):
             # a numpy trial signal, which the library exponentiates with np.exp
             mu = np.float64(mu)
-        alpha = state["alpha"]
-        zero = 0.0 * mu  # broadcasts mu-independent bounds to mu's shape
-        if self.kind == "universal":
-            q1 = alpha + self.p0 + zero
-            b1 = self.s * alpha + 0.5 * self.p0 + zero
-            sources = (SOURCE_EXACT, SOURCE_EXACT)
-        elif self.kind == "wang":
-            q1 = state["q_prefix"][1] + zero
-            b1 = state["b_prefix"][0] + zero
-            sources = (2, 1)
-        elif self.kind == "ma":
-            p3 = -np.expm1(-alpha * mu) + self.p0
+        q1, b1, q_src, b_src = (state.get(key) for key in ("q1", "b1", "q_src", "b_src"))
+        if self.kind == "ma":
+            p3 = counting_rate(mu, state["alpha"], self.params)
             q1 = ma_q1_lower(self.decoys + (mu,), self.p0, (*state["ma_p"], p3))
-            b1 = state["b_prefix"][0] + zero
-            sources = (SOURCE_MA, 1)
-        else:
-            # aggregation over orders 1..k with the signal as k-th intensity
+        elif self.kind == "aggregate":
             q_k, b_k = self._order_k_bounds(state, mu)
-            q_all = [v + zero for v in state["q_prefix"]] + [q_k]
-            b_all = [v + zero for v in state["b_prefix"]] + [b_k]
-            q1 = np.maximum.reduce(q_all)
-            b1 = np.minimum.reduce(b_all)
             if diagnostics:
-                sources = (np.argmax(q_all, axis=0) + 1, np.argmin(b_all, axis=0) + 1)
-        return (q1, b1, *sources) if diagnostics else (q1, b1)
+                k = len(self.decoys) + 1
+                q_src, b_src = np.where(q_k > q1, k, q_src), np.where(b_k < b1, k, b_src)
+            q1, b1 = np.maximum(q1, q_k), np.minimum(b1, b_k)
+        return (q1, b1, q_src, b_src) if diagnostics else (q1, b1)
 
     # -- rate evaluation -----------------------------------------------------
 
@@ -313,9 +314,6 @@ class _ScenarioEngine:
             for start in range(0, state["alpha"].size, per_chunk)
         ]
         return np.concatenate(chunks, axis=1).T
-
-    def rate_at(self, length_km: float, mu: float) -> float:
-        return self.rate(self._distance_state(length_km), mu)
 
     def _rows(self, lengths, state: dict, mu, rate) -> list[SweepRow]:
         """Rows at the optimal signals ``mu`` and rates, in the lanes' shape."""

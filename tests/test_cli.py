@@ -135,6 +135,17 @@ def test_params_file_roundtrip(tmp_path):
     assert _run(["run", "--scenario", "k2", "--params-file", bad, "--out", tmp_path]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", [["run", "--scenario", "k2"], ["figures"]])
+def test_params_file_dark_rate_is_config_error(tmp_path, capsys, command):
+    # the dark rate comes from --dark-mode/--dark-rate; a pD in the file would be ignored
+    params_file = tmp_path / "dark.cfg"
+    params_file.write_text("pD = 2e-7\n")
+    args = command + ["--l-max", "1", "--params-file", params_file, "--out", tmp_path / "out"]
+    assert _run(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--dark-mode" in err and "Traceback" not in err
+
+
 def test_figures_command_writes_datasets(tmp_path):
     args = ["figures", "--l-min", "200", "--l-max", "210", "--l-step", "5", "--out", tmp_path]
     assert _run(args) == EXIT_OK

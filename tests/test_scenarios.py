@@ -45,6 +45,16 @@ def test_spec_validation():
             scenario("k2", signal_lower=signal_lower)
     with pytest.raises(ConfigurationError):
         scenario("custom", decoys=(0.1, float("nan")), signal_lower=0.5)
+    # a preset's decoys are its table entry; other decoys are 'custom'
+    for name, decoys, signal_lower in (
+        ("k2", (0.1, 0.3), 0.5),
+        ("universal", (0.1,), 0.5),
+        ("k3-ma", (0.1,), 0.3),
+    ):
+        with pytest.raises(ConfigurationError):
+            scenarios.ScenarioSpec(name=name, decoy_mus=decoys, signal_lower=signal_lower)
+    with pytest.raises(ConfigurationError, match="--dark-mode"):
+        scenario("k2", channel=STANDARD_FIBER.with_dark_rate(1e-7))  # a dark rate no mode reads
     spec = scenario("k2", dark_mode="explicit", dark_rate=1e-7)
     assert spec.dark_rate_effective == 1e-7
     assert scenario("k4", dark_mode="pd-equals-p0").dark_rate_effective == pytest.approx(4e-7)
@@ -94,6 +104,52 @@ def test_engine_matches_library_bounds_path(spec):
         assert state["b_prefix"][j - 1] == pytest.approx(b_j_max(j, stats, grid, table), rel=1e-11)
 
 
+@pytest.mark.parametrize("name", ["k3-wang", "k3-ma", "universal"])
+def test_engine_distance_bounds_match_library(name):
+    # the bounds the state resolves once per distance are the library's:
+    # Wang's order-2 q and order-1 b, Ma's ratio q with the order-1 b, and
+    # the universal alpha + p0, s alpha + p0 / 2, each with its source codes
+    spec = scenario(name, dark_mode="pd-equals-p0")
+    engine = _ScenarioEngine(spec)
+    length, mu = 120.0, 0.47
+    q1, b1, q_src, b_src = engine._bounds(engine._distance_state(length), mu, diagnostics=True)
+
+    estimation = STANDARD_FIBER.with_dark_rate(0.0)
+    alpha = alpha_of_distance(length, estimation)
+    if name == "universal":
+        expected = (alpha + estimation.p0, estimation.s * alpha + 0.5 * estimation.p0, 0, 0)
+    else:
+        grid = IntensityGrid(spec.decoy_mus + (mu,))
+        table = ExpansionTable.build(grid)
+        stats = model_stats(grid, alpha, estimation)
+        b_1 = b_j_max(1, stats, grid, table)
+        if name == "k3-wang":
+            expected = (q_j_min(2, stats, grid, table), b_1, 2, 1)
+        else:
+            expected = (aggregate(stats, grid, table).legacy.ma_q13_l, b_1, -1, 1)
+    assert float(q1) == pytest.approx(expected[0], rel=1e-11)
+    assert float(b1) == pytest.approx(expected[1], rel=1e-11)
+    assert (q_src, b_src) == expected[2:]
+
+
+@pytest.mark.parametrize("lengths", [120.0, np.asarray([0.0, 120.0, 230.0])])
+def test_prefix_order_wins_a_tie(monkeypatch, lengths):
+    # a trial-signal order that only equals the best prefix order leaves the
+    # prefix's source codes in place, as argmax over all orders would
+    def best_prefix(self, state, mu):
+        return state["q1"], state["b1"]
+
+    monkeypatch.setattr(_ScenarioEngine, "_order_k_bounds", best_prefix)
+    engine = _ScenarioEngine(scenario("k4"))
+    state = engine._distance_state(lengths)
+    q1, b1, q_src, b_src = engine._bounds(state, 0.6, diagnostics=True)
+    assert np.array_equal(q1, np.max(state["q_prefix"], axis=0))
+    assert np.array_equal(b1, np.min(state["b_prefix"], axis=0))
+    assert np.array_equal(q_src, np.argmax(state["q_prefix"], axis=0) + 1)
+    assert np.array_equal(b_src, np.argmin(state["b_prefix"], axis=0) + 1)
+    assert np.all(q_src <= 3) and np.all(b_src <= 3)
+
+
 def test_engine_ratio_estimator_matches_legacy_form():
     # the k3-ma engine and the library's legacy Ma estimator are one formula
     spec = scenario("k3-ma")
@@ -115,12 +171,13 @@ def test_engine_vector_path_equals_scalar_path():
         engine = _ScenarioEngine(spec)
         state = engine._distance_state(150.0)
         mus = np.linspace(spec.signal_lower + 0.05, 1.5, 7)
-        q_vec, b_vec = engine._bounds(state, mus)
+        # bounds without a trial-signal part keep the distance's shape
+        q_vec, b_vec = (np.broadcast_to(v, mus.shape) for v in engine._bounds(state, mus))
         rate_vec = engine.rate(state, mus)
         for idx, mu in enumerate(mus):
             q_s, b_s = engine._bounds(state, float(mu))
-            assert float(np.asarray(q_vec)[idx]) == pytest.approx(float(q_s), rel=1e-13)
-            assert float(np.asarray(b_vec)[idx]) == pytest.approx(float(b_s), rel=1e-13)
+            assert float(q_vec[idx]) == pytest.approx(float(q_s), rel=1e-13)
+            assert float(b_vec[idx]) == pytest.approx(float(b_s), rel=1e-13)
             assert rate_vec[idx] == pytest.approx(engine.rate(state, float(mu)), rel=1e-12)
 
 
@@ -135,7 +192,8 @@ def test_universal_engine_rate_is_library_universal_upper(direction, dark_mode):
         alpha = alpha_of_distance(length, params)
         for mu in (0.2, 0.55, 1.3):
             expected = universal_upper(mu, alpha, params, direction, estimation_dark_rate=0.0)
-            assert engine.rate_at(length, mu) == pytest.approx(expected, rel=1e-14)
+            rate = engine.rate(engine._distance_state(length), mu)
+            assert rate == pytest.approx(expected, rel=1e-14)
 
 
 def test_decoy_estimates_never_beat_perfect_knowledge():
@@ -146,8 +204,8 @@ def test_decoy_estimates_never_beat_perfect_knowledge():
         engine = _ScenarioEngine(scenario(name))
         for length in (50.0, 150.0, 215.0):
             for mu in (0.4, 0.6, 1.0):
-                decoy = engine.rate_at(length, mu)
-                perfect = universal.rate_at(length, mu)
+                decoy = engine.rate(engine._distance_state(length), mu)
+                perfect = universal.rate(universal._distance_state(length), mu)
                 assert decoy <= perfect + 1e-12
 
 
