@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import ObservedStats, _check_order, beta
-from .divided_diff import MonteCarloEstimate, h_series, uniform_simplex_samples
+from .divided_diff import MonteCarloEstimate, PointSet, h_series, simplex_mean_value_oracle
 from .expansion import IntensityGrid
 
 _TINY = np.finfo(float).tiny
@@ -106,18 +106,18 @@ def per_photon_rates(n: int, alpha: float, params: ChannelParams) -> tuple[float
     """Detection and error probability of the n-photon Fock state.
 
     Synthetic-stats generator for tests: Poisson-mixing these over n
-    reproduces ``counting_rate``/``error_rate`` exactly.  Not used at
-    runtime.
+    reproduces ``counting_rate``/``error_rate`` exactly, including an error
+    rate of 0 where nothing clicks.  Not used at runtime.
     """
-    detect = 1.0 - (1.0 - alpha) ** n + params.p0
-    err = (params.s * (1.0 - (1.0 - alpha) ** n) + 0.5 * params.p0) / detect
-    return detect, err
+    signal = _one_minus_decay_pow(alpha, n)
+    detect = signal + params.p0
+    return detect, float((params.s * signal + 0.5 * params.p0) / max(detect, _TINY))
 
 
 def _one_minus_decay_pow(alpha: float, n: int) -> float:
     """1 - (1 - alpha)^n without cancellation for small alpha."""
     if alpha >= 1.0:
-        return 1.0
+        return 0.0 if n == 0 else 1.0
     return -math.expm1(n * math.log1p(-alpha))
 
 
@@ -163,27 +163,26 @@ def epsilon_simplex_mc(
 
         g(y) = sum_{n>=0} (1 - (1-alpha)^(n+j+1)) / ((n+j+1)(n+j) n!) * y^n
 
-    at y = sum a_i mu_i with a uniform on the (j-1)-simplex.
+    at y = sum a_i mu_i with a uniform on the (j-1)-simplex, through
+    :func:`~decoy_akg.divided_diff.simplex_mean_value_oracle`.
     """
     _check_order(j, grid.k)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    mus = np.asarray(grid.mus[:j])
-    weights = uniform_simplex_samples(j, samples, rng)
-    y = weights @ mus
-    values = np.zeros_like(y)
-    term = np.ones_like(y)  # y^n / n!
-    n = 0
-    while True:
-        coeff = _one_minus_decay_pow(alpha, n + j + 1) / ((n + j + 1) * (n + j))
-        values += coeff * term
-        n += 1
-        term *= y / n
-        if n > 4 and float(term.max()) / ((n + j + 1) * (n + j)) < 1e-18:
-            break
-    scale = math.prod(grid.mus[:j]) / math.factorial(j - 1)
-    estimate = scale * float(values.mean())
-    stderr = scale * float(values.std(ddof=1)) / math.sqrt(samples)
-    return MonteCarloEstimate(estimate, stderr)
+
+    def g(y: np.ndarray) -> np.ndarray:
+        values = np.zeros_like(y)
+        term = np.ones_like(y)  # y^n / n!
+        n = 0
+        while True:
+            coeff = _one_minus_decay_pow(alpha, n + j + 1) / ((n + j + 1) * (n + j))
+            values += coeff * term
+            n += 1
+            term *= y / n
+            if n > 4 and float(term.max()) / ((n + j + 1) * (n + j)) < 1e-18:
+                return values
+
+    mus = grid.mus[:j]
+    estimate, stderr = simplex_mean_value_oracle(g, PointSet(mus), samples, seed)
+    return MonteCarloEstimate(math.prod(mus) * estimate, math.prod(mus) * stderr)
 
 
 def closed_form_bounds(

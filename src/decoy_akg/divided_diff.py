@@ -46,7 +46,7 @@ class EvaluationError(ValueError):
 
 @dataclass(frozen=True)
 class PointSet:
-    """Strictly increasing abscissas with a minimum pairwise gap.
+    """Strictly increasing abscissas at least DEFAULT_MIN_GAP apart.
 
     Points may be passed in any order; they are stored sorted.  The divided
     difference is symmetric under permutations, so the ordering is purely a
@@ -55,22 +55,17 @@ class PointSet:
     """
 
     points: tuple[float, ...]
-    min_gap: float = DEFAULT_MIN_GAP
 
-    def __init__(self, points: Sequence[float], min_gap: float = DEFAULT_MIN_GAP):
+    def __init__(self, points: Sequence[float]):
         pts = tuple(sorted(float(x) for x in points))
         if not pts:
             raise DegeneratePointsError("at least one point is required")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "min_gap", float(min_gap))
         for lo, hi in zip(pts, pts[1:]):
-            if hi - lo < self.min_gap:
+            if hi - lo < DEFAULT_MIN_GAP:
                 raise DegeneratePointsError(
-                    f"points {lo} and {hi} are closer than the minimum gap {self.min_gap}"
+                    f"points {lo} and {hi} are closer than the minimum gap {DEFAULT_MIN_GAP}"
                 )
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def _values(f: Callable[[float], float], pts: PointSet) -> list[float]:
@@ -81,6 +76,11 @@ def _values(f: Callable[[float], float], pts: PointSet) -> list[float]:
     return vals
 
 
+def _vandermonde(xs: Sequence[float], i: int) -> float:
+    """prod_{j != i} (x_i - x_j), multiplied in the order of ``xs``."""
+    return math.prod(xs[i] - x for j, x in enumerate(xs) if j != i)
+
+
 def divided_difference(f: Callable[[float], float], pts: PointSet) -> float:
     """Symmetric-sum divided difference sum_i f(x_i)/prod_{j!=i}(x_i - x_j).
 
@@ -89,16 +89,9 @@ def divided_difference(f: Callable[[float], float], pts: PointSet) -> float:
     amplifies cancellation between its terms.
     """
     xs = pts.points
-    vals = _values(f, pts)
-    if len(xs) == 1:
-        return vals[0]
     total = 0.0
-    for i, xi in enumerate(xs):
-        denom = 1.0
-        for j, xj in enumerate(xs):
-            if j != i:
-                denom *= xi - xj
-        total += vals[i] / denom
+    for i, value in enumerate(_values(f, pts)):
+        total += value / _vandermonde(xs, i)
     return total
 
 
@@ -239,18 +232,6 @@ class MonteCarloEstimate(NamedTuple):
     standard_error: float
 
 
-def uniform_simplex_samples(
-    dim: int, samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Uniform draws from the standard simplex {a >= 0, sum a = 1} in R^dim.
-
-    Uses the exponential-spacings construction: normalized iid Exp(1)
-    variates are uniform on the simplex.
-    """
-    draws = rng.standard_exponential(size=(samples, dim))
-    return draws / draws.sum(axis=1, keepdims=True)
-
-
 def simplex_mean_value_oracle(
     f_nth_derivative: Callable,
     pts: PointSet,
@@ -259,7 +240,7 @@ def simplex_mean_value_oracle(
 ) -> MonteCarloEstimate:
     """Monte-Carlo estimate of (1/n!) * E[ f^(n)(sum_i a_i x_i) ], a ~ simplex.
 
-    n is len(pts) - 1 and f_nth_derivative must evaluate the n-th derivative.
+    n is len(pts.points) - 1 and f_nth_derivative must evaluate the n-th derivative.
     Returns the estimate together with its standard error; intended as an
     independent stochastic oracle for divided-difference values, not as a
     production evaluation route.
@@ -269,7 +250,9 @@ def simplex_mean_value_oracle(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     xs = np.asarray(pts.points)
     n = len(xs) - 1
-    weights = uniform_simplex_samples(len(xs), samples, rng)
+    # exponential spacings: normalized iid Exp(1) variates are uniform on the simplex
+    draws = rng.standard_exponential(size=(samples, len(xs)))
+    weights = draws / draws.sum(axis=1, keepdims=True)
     args = weights @ xs
     try:
         vals = np.asarray(f_nth_derivative(args), dtype=float)

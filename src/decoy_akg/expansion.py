@@ -24,7 +24,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divided_diff import PointSet, divided_difference_recurrence, h_series
+from .divided_diff import (
+    PointSet,
+    _vandermonde,
+    divided_difference,
+    divided_difference_recurrence,
+    h_series,
+)
 
 DEFAULT_N_MAX = 64
 DEFAULT_MIN_SPACING = 0.1
@@ -84,25 +90,13 @@ def gamma_coefficient(i: int, n: int, grid: IntensityGrid) -> float:
     n = i, so n < i is rejected.
     """
     _check_basis_index(i, grid.k, n)
-    pts = PointSet(grid.mus[: i - 1])
-    if n == 2:
-        # x^0 divided difference over a single point (only reachable at i=2)
-        return 1.0
-    return divided_difference_recurrence(lambda x: x ** (n - 2), pts)
+    return divided_difference_recurrence(lambda x: x ** (n - 2), PointSet(grid.mus[: i - 1]))
 
 
 def gamma_coefficient_direct(i: int, n: int, grid: IntensityGrid) -> float:
-    """Literal reciprocal-product sum for gamma(i, n); cross-check use only."""
+    """gamma(i, n) as the symmetric-sum divided difference of x^(n-2); cross-check use only."""
     _check_basis_index(i, grid.k, n)
-    mus = grid.mus[: i - 1]
-    total = 0.0
-    for j, mu_j in enumerate(mus):
-        denom = 1.0
-        for t, mu_t in enumerate(mus):
-            if t != j:
-                denom *= mu_j - mu_t
-        total += mu_j ** (n - 2) / denom
-    return total
+    return divided_difference(lambda x: x ** (n - 2), PointSet(grid.mus[: i - 1]))
 
 
 def omega(i: int, grid: IntensityGrid) -> float:
@@ -145,40 +139,35 @@ def omega_closed_form(i: int, grid: IntensityGrid) -> float:
 
 @dataclass(frozen=True)
 class ExpansionTable:
-    """Expansion coefficients for one intensity grid, truncated at n_max.
+    """Expansion coefficients for one intensity grid, truncated at DEFAULT_N_MAX.
 
     ``omegas[i-2]`` holds Omega_i for i = 2..k+1, ``gammas[(i, n)]`` holds
-    gamma(i, n) for i <= n <= n_max, and ``constraint`` is the grid's
+    gamma(i, n) for i <= n <= DEFAULT_N_MAX, and ``constraint`` is the grid's
     counting-rate system, which the LP oracle reads.  ``truncation_tail``
-    records the crude bound e^(mu_k) mu_k^n_max / n_max! on any discarded
-    Fock mass.
+    records the crude bound e^(mu_k) mu_k^N / N! (N = DEFAULT_N_MAX) on any
+    discarded Fock mass.
     """
 
     grid: IntensityGrid
     omegas: tuple[float, ...]
     gammas: dict[tuple[int, int], float] = field(repr=False)
     constraint: ConstraintMatrix = field(repr=False)
-    n_max: int = DEFAULT_N_MAX
     truncation_tail: float = 0.0
 
     @classmethod
-    def build(cls, grid: IntensityGrid, n_max: int = DEFAULT_N_MAX) -> "ExpansionTable":
+    def build(cls, grid: IntensityGrid) -> "ExpansionTable":
         omegas = tuple(omega(i, grid) for i in range(2, grid.k + 2))
         gammas: dict[tuple[int, int], float] = {}
         for i in range(2, grid.k + 2):
-            for n in range(i, n_max + 1):
+            for n in range(i, DEFAULT_N_MAX + 1):
                 gammas[(i, n)] = gamma_coefficient(i, n, grid)
         mu_top = grid.mus[-1]
-        tail = math.exp(mu_top) * mu_top**n_max / math.factorial(n_max)
-        return cls(grid, omegas, gammas, constraint_matrix(grid.mus, omegas), n_max, tail)
+        tail = math.exp(mu_top) * mu_top**DEFAULT_N_MAX / math.factorial(DEFAULT_N_MAX)
+        return cls(grid, omegas, gammas, constraint_matrix(grid.mus, omegas), tail)
 
     def omega_for_order(self, j: int) -> float:
         """Omega_(j+1) over the first j intensities, as used by order-j bounds."""
         return self.omegas[j - 1]
-
-
-def _gamma_or_zero(i: int, n: int, grid: IntensityGrid) -> float:
-    return 0.0 if n < i else gamma_coefficient(i, n, grid)
 
 
 def reconstruct_poisson(i: int, grid: IntensityGrid, n_max: int = DEFAULT_N_MAX) -> list[float]:
@@ -196,6 +185,7 @@ def reconstruct_poisson(i: int, grid: IntensityGrid, n_max: int = DEFAULT_N_MAX)
     if not 1 <= i <= grid.k:
         raise ValueError("intensity index out of range")
     mu_i = grid.mus[i - 1]
+    products = _difference_products(grid.mus)[i - 1].tolist()  # the constraint's products
     coeffs = []
     for n in range(n_max + 1):
         if n == 0:
@@ -204,11 +194,9 @@ def reconstruct_poisson(i: int, grid: IntensityGrid, n_max: int = DEFAULT_N_MAX)
             inner = mu_i
         else:
             inner = 0.0
-            for m in range(2, i + 2):
-                weight = mu_i**2
-                for t in range(m - 2):
-                    weight *= mu_i - grid.mus[t]
-                inner += weight * _gamma_or_zero(m, n, grid) / math.factorial(n)
+            for m in range(2, min(i + 1, n) + 1):  # gamma(m, n) = 0 for m > n
+                weight = mu_i**2 * products[m - 2]  # mu_i^2 prod_{t<=m-2}(mu_i - mu_t)
+                inner += weight * gamma_coefficient(m, n, grid) / math.factorial(n)
         coeffs.append(math.exp(-mu_i) * inner)
     return coeffs
 
@@ -299,12 +287,8 @@ def build_matrices(grid: IntensityGrid) -> DecoyMatrices:
 
     b = np.zeros((k, k))
     for l in range(1, k + 1):
-        for i in range(1, l + 1):
-            denom = 1.0
-            for t in range(1, l + 1):
-                if t != i:
-                    denom *= mus[i - 1] - mus[t - 1]
-            b[l - 1, i - 1] = 1.0 / denom
+        for i in range(l):
+            b[l - 1, i] = 1.0 / _vandermonde(mus[:l], i)
 
     c = np.column_stack([1.0 / np.asarray(mus), a[:, :-1]])
 

@@ -89,6 +89,10 @@ class ScenarioSpec:
     dark_rate: Optional[float] = None  # only for dark_mode == "explicit"
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "decoy_mus", tuple(float(m) for m in self.decoy_mus))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"decoy_mus must be numbers: {self.decoy_mus!r}") from exc
         if self.name not in SCENARIO_NAMES:
             raise ConfigurationError(f"unknown scenario {self.name!r}; choose from {SCENARIO_NAMES}")
         preset = _SCENARIOS[self.name][0]

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,17 +81,22 @@ def test_model_stats_layout():
 
 
 def test_per_photon_mixture_reproduces_pulse_rates():
-    params = STANDARD_FIBER
-    alpha, mu = 3.1e-3, 0.45
-    p_total = 0.0
-    err_total = 0.0
-    for n in range(0, 80):
-        weight = math.exp(-mu) * mu**n / math.factorial(n)
-        detect, err = per_photon_rates(n, alpha, params)
-        p_total += weight * detect
-        err_total += weight * detect * err
-    assert p_total == pytest.approx(float(counting_rate(mu, alpha, params)), rel=1e-12)
-    assert err_total / p_total == pytest.approx(float(error_rate(mu, alpha, params)), rel=1e-12)
+    # 1e-6 and 1e-12 are the transmissions of long fibers (about 2.6e-6 at 240 km)
+    mu = 0.45
+    for alpha, p0 in itertools.product((3.1e-3, 1e-6, 1e-12), (4e-7, 0.0)):
+        params = replace(STANDARD_FIBER, p0=p0)
+        p_total = 0.0
+        err_total = 0.0
+        for n in range(0, 80):
+            weight = math.exp(-mu) * mu**n / math.factorial(n)
+            detect, err = per_photon_rates(n, alpha, params)
+            p_total += weight * detect
+            err_total += weight * detect * err
+        expected_err = float(error_rate(mu, alpha, params))
+        assert p_total == pytest.approx(float(counting_rate(mu, alpha, params)), rel=1e-12)
+        assert err_total / p_total == pytest.approx(expected_err, rel=1e-12)
+        # 1 - (1 - alpha)^0 is 0 at alpha = 1 too; a state that never clicks errs at rate 0
+        assert per_photon_rates(0, 1.0, params) == (p0, 0.5 if p0 else 0.0)
 
 
 def test_epsilon_zero_alpha():

@@ -126,7 +126,7 @@ def test_omega_matches_gamma_series():
 
 def test_expansion_table_build():
     grid = IntensityGrid((0.1, 0.2, 0.3))
-    table = ExpansionTable.build(grid, n_max=40)
+    table = ExpansionTable.build(grid)
     assert len(table.omegas) == grid.k
     for i in range(2, grid.k + 2):
         assert table.omegas[i - 2] == pytest.approx(omega(i, grid), rel=1e-12)

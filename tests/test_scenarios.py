@@ -60,6 +60,20 @@ def test_spec_validation():
     assert scenario("k4", dark_mode="pd-equals-p0").dark_rate_effective == pytest.approx(4e-7)
 
 
+def test_spec_decoys_are_read_as_a_float_tuple():
+    spec = scenarios.ScenarioSpec(name="custom", decoy_mus=(0.1, 0.2), signal_lower=0.5)
+    rows = run_scenario(spec, (0.0, 100.0, 50.0)).rows
+    for decoys in ([0.1, 0.2], np.array([0.1, 0.2])):
+        same = scenarios.ScenarioSpec(name="custom", decoy_mus=decoys, signal_lower=0.5)
+        assert same.decoy_mus == (0.1, 0.2)
+        assert type(same.decoy_mus[0]) is float
+        assert run_scenario(same, (0.0, 100.0, 50.0)).rows == rows
+    assert scenarios.ScenarioSpec(name="k2", decoy_mus=[0.1], signal_lower=0.2).decoy_mus == (0.1,)
+    for bad in (0.1, "0.1", [0.1, None], np.array([[0.1, 0.2]])):
+        with pytest.raises(ConfigurationError, match="decoy_mus"):
+            scenarios.ScenarioSpec(name="custom", decoy_mus=bad, signal_lower=0.5)
+
+
 def test_preset_decoys_and_bounds_kinds():
     assert scenario("k2").decoy_mus == (0.1,)
     assert scenario("k3-ours").decoy_mus == (0.1, 0.2)
