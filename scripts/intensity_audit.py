@@ -13,10 +13,10 @@ import argparse
 
 from decoy_akg import (
     STANDARD_FIBER,
+    ScenarioSpec,
     alpha_of_distance,
     optimal_mu_derivative_check,
     run_scenario,
-    scenario,
 )
 
 
@@ -36,7 +36,7 @@ def main() -> None:
     names = ("k2", "k3-wang", "k3-ours", "k4", "universal")
     results = {
         name: run_scenario(
-            scenario(name, direction="reverse", dark_mode="pd-equals-p0"),
+            ScenarioSpec(name, direction="reverse", dark_mode="pd-equals-p0"),
             (0.0, args.l_max, args.step),
         )
         for name in names

@@ -10,7 +10,7 @@ Usage: python scripts/reproduce_comparisons.py [--l-max 240] [--quick]
 import argparse
 import time
 
-from decoy_akg import run_scenario, scenario
+from decoy_akg import ScenarioSpec, run_scenario
 
 TABLES = (
     (
@@ -55,7 +55,7 @@ def main() -> None:
         print(f"{'scenario':<12} {'computed km':>12} {'reference km':>13} {'deviation':>10}")
         start = time.perf_counter()
         for name, reference in references.items():
-            spec = scenario(name, direction=direction, dark_mode=dark_mode)
+            spec = ScenarioSpec(name, direction=direction, dark_mode=dark_mode)
             distance = run_scenario(spec, (l_min, args.l_max, 1.0)).achievable_km
             if distance is None:
                 print(f"{name:<12} {'beyond range':>12} {reference:>13.1f} {'':>10}")

@@ -22,7 +22,7 @@ model statistics collapse to closed forms in (alpha, p0, pD, s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class ChannelParams:
             raise ValueError("rates must satisfy 0 <= pD <= p0 <= 1")
         if not 0.0 <= self.s <= 0.5:
             raise ValueError("single-photon error rate must lie in [0, 1/2]")
-
-    def with_dark_rate(self, pD: float) -> "ChannelParams":
-        return replace(self, pD=pD)
 
 
 # Telecom-fiber reference set: lowest-loss commercial fiber at 0.17 dB/km,

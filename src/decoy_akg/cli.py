@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .bounds import InfeasibleStatsError
 from .channel import STANDARD_FIBER, ChannelParams
+from .keyrate import DIRECTIONS
 from .scenarios import (
     DARK_MODES,
     SCENARIO_NAMES,
@@ -26,7 +27,6 @@ from .scenarios import (
     ScenarioSpec,
     SweepResult,
     run_scenario,
-    scenario,
 )
 
 EXIT_OK = 0
@@ -38,7 +38,7 @@ CSV_HEADER = (
     "q1_min,b1_max,q1_min_source_j,b1_max_source_j"
 )
 
-_PARAM_KEYS = ("theta", "a0", "a1", "p0", "pD", "s")
+_PARAM_KEYS = tuple(f.name for f in fields(ChannelParams))
 
 # output format: (column separator, file suffix)
 _FORMATS = {"csv": (",", ".csv"), "gnuplot-data": (" ", ".dat")}
@@ -51,14 +51,14 @@ def _fmt(value: float) -> str:
 def load_params_file(path: Path) -> ChannelParams:
     """Read channel parameters from a ``key = value`` file.
 
-    Recognized keys: theta, a0, a1, p0, pD, s.  Missing keys keep the
-    standard-fiber defaults; '#' starts a comment.
+    Recognized keys: theta, a0, a1, p0, pD, s, each at most once.  Missing
+    keys keep the standard-fiber defaults; '#' starts a comment.
     """
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from exc
-    values = {}
+    values, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -71,6 +71,9 @@ def load_params_file(path: Path) -> ChannelParams:
             raise ConfigurationError(
                 f"{path}:{lineno}: unknown parameter {key!r}; known keys: {', '.join(_PARAM_KEYS)}"
             )
+        if key in set_on:
+            raise ConfigurationError(f"{path}:{lineno}: {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = float(value.strip())
         except ValueError as exc:
@@ -161,38 +164,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Decoy-intensity key-rate sweeps over fiber distance",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # the options of both commands
+    shared.add_argument("--out", type=Path, default=Path("results"))
+    shared.add_argument("--l-min", type=float, default=0.0)
+    shared.add_argument("--l-max", type=float, default=250.0)
+    shared.add_argument("--l-step", type=float, default=1.0)
+    shared.add_argument("--format", choices=tuple(_FORMATS), default="csv")
+    shared.add_argument("--params-file", type=Path, default=None)
 
-    run_p = sub.add_parser("run", help="sweep scenarios over a distance range")
+    run_p = sub.add_parser("run", parents=[shared], help="sweep scenarios over a distance range")
     run_p.add_argument(
         "--scenario",
         default="k3-ours",
         help=f"comma-separated scenario names from {SCENARIO_NAMES}",
     )
-    run_p.add_argument("--direction", choices=("forward", "reverse"), default="forward")
+    run_p.add_argument("--direction", choices=DIRECTIONS, default="forward")
     run_p.add_argument("--dark-mode", choices=DARK_MODES, default="pd-zero")
     run_p.add_argument("--dark-rate", type=float, default=None, help="for --dark-mode explicit")
-    run_p.add_argument("--l-min", type=float, default=0.0)
-    run_p.add_argument("--l-max", type=float, default=250.0)
-    run_p.add_argument("--l-step", type=float, default=1.0)
-    run_p.add_argument("--format", choices=tuple(_FORMATS), default="csv")
-    run_p.add_argument("--out", type=Path, default=Path("results"))
-    run_p.add_argument("--params-file", type=Path, default=None)
     run_p.add_argument(
         "--decoys", default=None, help="comma-separated decoy intensities (scenario=custom)"
     )
     run_p.add_argument(
         "--signal-lower", type=float, default=None, help="lower limit of the signal search"
     )
-
-    fig_p = sub.add_parser(
-        "figures", help="regenerate all comparison datasets and distance tables"
+    sub.add_parser(
+        "figures", parents=[shared], help="regenerate all comparison datasets and distance tables"
     )
-    fig_p.add_argument("--out", type=Path, default=Path("results"))
-    fig_p.add_argument("--l-min", type=float, default=0.0)
-    fig_p.add_argument("--l-max", type=float, default=250.0)
-    fig_p.add_argument("--l-step", type=float, default=1.0)
-    fig_p.add_argument("--format", choices=tuple(_FORMATS), default="csv")
-    fig_p.add_argument("--params-file", type=Path, default=None)
     return parser
 
 
@@ -212,12 +209,12 @@ def _cmd_run(args) -> int:
     if decoys is not None and "custom" not in names:
         raise ConfigurationError("--decoys applies only to the 'custom' scenario")
     specs = [
-        scenario(
+        ScenarioSpec(
             name,
             direction=args.direction,
             dark_mode=args.dark_mode,
             channel=channel,
-            decoys=decoys if name == "custom" else None,
+            decoy_mus=decoys if name == "custom" else None,
             signal_lower=args.signal_lower,
             dark_rate=args.dark_rate,
         )
@@ -243,7 +240,7 @@ def _cmd_figures(args) -> int:
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     for direction, dark_mode, names in _FIGURE_SETS:
-        specs = [scenario(n, direction=direction, dark_mode=dark_mode, channel=channel) for n in names]
+        specs = [ScenarioSpec(n, direction, dark_mode, channel) for n in names]
         results = [run_scenario(spec, (args.l_min, args.l_max, args.l_step)) for spec in specs]
         tag = f"{direction}_{dark_mode}"
         emit(results, args.format, out / f"rates_{tag}")

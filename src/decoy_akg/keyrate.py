@@ -16,8 +16,9 @@ reverse - forward = (pD - e^-mu (q0 + pD)) / 2.
 The universal upper bound substitutes the perfectly estimated channel
 parameters q1 = alpha + (p0 - pD), b1 = s alpha + (p0 - pD)/2; its optimal
 signal intensity never exceeds 1 (the derivative at mu = 1 is non-positive
-for any admissible parameter set), which justifies capping intensity
-searches slightly above 1.
+for any admissible parameter set).  The intensity searches stop at
+DEFAULT_MU_CAP = 2.0, above that proven optimum; the decoy estimators have
+no such proof.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ DEFAULT_COARSE_STEP = 0.01
 DEFAULT_MU_TOL = 1e-6
 DISTANCE_TOL_KM = 0.01
 
-Direction = str  # "forward" | "reverse"
+Direction = str  # one of DIRECTIONS
+DIRECTIONS = ("forward", "reverse")
 
 
 def _check_direction(direction: str) -> None:
-    if direction not in ("forward", "reverse"):
+    if direction not in DIRECTIONS:
         raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
 
 
@@ -299,7 +301,7 @@ def optimal_mu_derivative_check(
     ok = True
     for alpha in alpha_grid:
         derivs = []
-        for direction in ("forward", "reverse"):
+        for direction in DIRECTIONS:
             hi = universal_upper(1.0 + step, alpha, params, direction)
             lo = universal_upper(1.0 - step, alpha, params, direction)
             derivs.append((hi - lo) / (2.0 * step))

@@ -28,9 +28,9 @@ kilometres.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .divided_diff import h_series
 from .expansion import DEFAULT_MIN_SPACING, IntensityGrid
 from .keyrate import (
     DEFAULT_MU_CAP,
+    DIRECTIONS,
     RateInputs,
     akg_rate,
     find_zero_distance,
@@ -78,31 +79,47 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A runnable scenario: estimator, decoys, direction and dark handling."""
+    """A runnable scenario: estimator, decoys, direction and dark handling.
+
+    A preset name supplies its decoys, ``custom`` needs them given (stored sorted).
+    """
 
     name: str
     direction: str = "forward"
     dark_mode: str = "pd-zero"
     channel: ChannelParams = STANDARD_FIBER
-    decoy_mus: tuple[float, ...] = ()
-    signal_lower: float = 0.0
+    decoy_mus: Optional[tuple[float, ...]] = None  # None: the preset's decoys
+    signal_lower: Optional[float] = None  # None: one spacing above the decoys
     dark_rate: Optional[float] = None  # only for dark_mode == "explicit"
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "decoy_mus", tuple(float(m) for m in self.decoy_mus))
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"decoy_mus must be numbers: {self.decoy_mus!r}") from exc
+        for key in ("decoy_mus", "signal_lower", "dark_rate"):
+            value = getattr(self, key)
+            if value is None:
+                continue
+            try:
+                if key == "decoy_mus" and isinstance(value, str):  # "1" would iterate as digits
+                    raise TypeError("decoys are a sequence of numbers, not a string")
+                value = tuple(sorted(float(m) for m in value)) if key == "decoy_mus" else float(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{key} must be numeric, got {value!r}") from exc
+            object.__setattr__(self, key, value)
         if self.name not in SCENARIO_NAMES:
             raise ConfigurationError(f"unknown scenario {self.name!r}; choose from {SCENARIO_NAMES}")
         preset = _SCENARIOS[self.name][0]
+        if self.decoy_mus is None:
+            object.__setattr__(self, "decoy_mus", preset)
         if preset is not None and self.decoy_mus != preset:
             raise ConfigurationError(f"scenario {self.name!r} has decoys {preset}; use 'custom'")
         if preset is None and not self.decoy_mus:
             raise ConfigurationError(
-                "at least one decoy intensity (plus the implicit vacuum) is required"
+                "custom scenarios need at least one decoy intensity (plus the implicit vacuum)"
             )
-        if self.direction not in ("forward", "reverse"):
+        if self.signal_lower is None:
+            # the universal bound has no decoys to stay above
+            lower = self.decoy_mus[-1] + DEFAULT_MIN_SPACING if self.decoy_mus else 0.01
+            object.__setattr__(self, "signal_lower", lower)
+        if self.direction not in DIRECTIONS:
             raise ConfigurationError("direction must be 'forward' or 'reverse'")
         if self.dark_mode not in DARK_MODES:
             raise ConfigurationError(f"dark_mode must be one of {DARK_MODES}")
@@ -142,39 +159,10 @@ class ScenarioSpec:
             return 0.0
         if self.dark_mode == "pd-equals-p0":
             return self.channel.p0
-        return float(self.dark_rate)
+        return self.dark_rate
 
     def resolved_channel(self) -> ChannelParams:
-        return self.channel.with_dark_rate(self.dark_rate_effective)
-
-
-def scenario(
-    name: str,
-    direction: str = "forward",
-    dark_mode: str = "pd-zero",
-    channel: ChannelParams = STANDARD_FIBER,
-    decoys: Optional[Iterable[float]] = None,
-    signal_lower: Optional[float] = None,
-    dark_rate: Optional[float] = None,
-) -> ScenarioSpec:
-    """Build a ScenarioSpec, filling in the preset decoys for named scenarios."""
-    decoy_mus = _SCENARIOS.get(name, ((), None))[0]  # ScenarioSpec rejects unknown names
-    if decoy_mus is None:
-        if decoys is None:
-            raise ConfigurationError("custom scenarios need explicit decoy intensities")
-        decoy_mus = tuple(sorted(float(m) for m in decoys))
-    if signal_lower is None:
-        # one intensity spacing above the decoys; the universal bound has none
-        signal_lower = decoy_mus[-1] + DEFAULT_MIN_SPACING if decoy_mus else 0.01
-    return ScenarioSpec(
-        name=name,
-        direction=direction,
-        dark_mode=dark_mode,
-        channel=channel,
-        decoy_mus=decoy_mus,
-        signal_lower=float(signal_lower),
-        dark_rate=dark_rate,
-    )
+        return replace(self.channel, pD=self.dark_rate_effective)
 
 
 @dataclass(frozen=True)
@@ -376,7 +364,7 @@ def run_scenario(
         raise ConfigurationError("l_max must not be below l_min")
     try:
         lengths = np.arange(l_min, l_max + 0.5 * step, step).tolist()
-    except ValueError as exc:  # more distances than an array can index
+    except (ValueError, MemoryError) as exc:  # more distances than an array can hold
         raise ConfigurationError(f"distance scan is too long: {exc}") from exc
     engine = _ScenarioEngine(spec)
     rows = tuple(engine.sweep(lengths))

@@ -14,6 +14,7 @@ import numpy as np
 from decoy_akg import (
     STANDARD_FIBER,
     IntensityGrid,
+    ScenarioSpec,
     aggregate,
     alpha_of_distance,
     build_matrices,
@@ -28,7 +29,6 @@ from decoy_akg import (
     optimal_mu_derivative_check,
     reconstruct_poisson,
     run_scenario,
-    scenario,
 )
 from conftest import feasible_instance, random_grid
 
@@ -67,7 +67,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 def _distance_table(direction: str, dark_mode: str, expected: dict) -> dict:
     got = {}
     for name in expected:
-        spec = scenario(name, direction=direction, dark_mode=dark_mode)
+        spec = ScenarioSpec(name, direction=direction, dark_mode=dark_mode)
         got[name] = run_scenario(spec, (0.0, 240.0, 1.0)).achievable_km
     return got
 
@@ -239,7 +239,7 @@ def test_criterion_9_bound_selection_on_reference_channel():
     seen: dict[str, set] = {}
     ok = True
     for name, sources in expected.items():
-        result = run_scenario(scenario(name), (0.0, 220.0, 10.0))
+        result = run_scenario(ScenarioSpec(name), (0.0, 220.0, 10.0))
         seen[name] = {(row.q1_source_j, row.b1_source_j) for row in result.rows}
         if seen[name] != {sources}:
             ok = False
@@ -255,7 +255,7 @@ def test_criterion_10_optimal_intensity_property():
     report = optimal_mu_derivative_check(params, alphas, tolerance=1e-12)
     worst_mu = 0.0
     for direction, dark_mode in (("forward", "pd-zero"), ("reverse", "pd-equals-p0")):
-        spec = scenario("universal", direction=direction, dark_mode=dark_mode)
+        spec = ScenarioSpec("universal", direction=direction, dark_mode=dark_mode)
         result = run_scenario(spec, (0.0, 220.0, 20.0))
         worst_mu = max(worst_mu, max(row.optimal_mu for row in result.rows))
     ok = report.all_nonpositive and worst_mu <= 1.0 + 1e-6

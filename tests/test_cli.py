@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoy_akg import cli
-from decoy_akg.scenarios import DARK_MODES, SCENARIO_NAMES
+from decoy_akg.scenarios import DARK_MODES, SCENARIO_NAMES, ConfigurationError
 from decoy_akg.cli import CSV_HEADER, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, load_params_file, main
 
 
@@ -60,6 +61,28 @@ def test_cli_start_does_not_load_scipy():
         [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_scan_too_large_to_allocate_is_config_error(tmp_path):
+    # 2.5e8 distances need 2 GB; under a 1.5 GB address-space limit the scan
+    # fails to allocate, which must be a configuration error, not a traceback
+    pytest.importorskip("resource")  # POSIX only
+    code = (
+        "import resource, sys; sys.path.insert(0, sys.argv[1]); "
+        "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
+        "from decoy_akg import cli; "
+        "sys.exit(cli.main(['run', '--scenario', 'k2', '--l-step', '1e-6', '--out', sys.argv[2]]))"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert done.stderr.startswith("configuration error: distance scan is too long")
+    assert "Traceback" not in done.stderr
 
 
 def test_run_multiple_scenarios_combined(tmp_path):
@@ -133,6 +156,11 @@ def test_params_file_roundtrip(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("wavelength = 1550\n")
     assert _run(["run", "--scenario", "k2", "--params-file", bad, "--out", tmp_path]) == EXIT_CONFIG
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("a1 = 0.17\np0 = 1e-6\na1 = 0.2\n")
+    with pytest.raises(ConfigurationError, match="twice.cfg:3: 'a1' already set on line 1"):
+        load_params_file(twice)
+    assert _run(["run", "--scenario", "k2", "--params-file", twice, "--out", tmp_path]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("command", [["run", "--scenario", "k2"], ["figures"]])

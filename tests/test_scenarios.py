@@ -10,13 +10,13 @@ from decoy_akg import (
     ConfigurationError,
     ExpansionTable,
     IntensityGrid,
+    ScenarioSpec,
     aggregate,
     alpha_of_distance,
     b_j_max,
     model_stats,
     q_j_min,
     run_scenario,
-    scenario,
     universal_upper,
 )
 from decoy_akg import scenarios
@@ -27,70 +27,89 @@ from decoy_akg.scenarios import DARK_MODES, SCENARIO_NAMES, _ScenarioEngine
 
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
-        scenario("custom")  # no decoys given
+        ScenarioSpec("custom")  # no decoys given
     with pytest.raises(ConfigurationError):
-        scenario("custom", decoys=())
+        ScenarioSpec("custom", decoy_mus=())
     with pytest.raises(ConfigurationError):
-        scenario("custom", decoys=(0.1, 0.15))  # below the minimum width
+        ScenarioSpec("custom", decoy_mus=(0.1, 0.15))  # below the minimum width
     with pytest.raises(ConfigurationError):
-        scenario("custom", decoys=(0.1, 0.2), signal_lower=0.25)  # too close to decoys
+        ScenarioSpec("custom", decoy_mus=(0.1, 0.2), signal_lower=0.25)  # too close to decoys
     with pytest.raises(ConfigurationError):
-        scenario("k2", dark_mode="explicit")  # missing dark rate
+        ScenarioSpec("k2", dark_mode="explicit")  # missing dark rate
     with pytest.raises(ConfigurationError):
-        scenario("k2", dark_mode="pd-zero", dark_rate=1e-7)  # a dark rate the mode ignores
+        ScenarioSpec("k2", dark_mode="pd-zero", dark_rate=1e-7)  # a dark rate the mode ignores
     with pytest.raises(ConfigurationError):
-        scenario("nope")
+        ScenarioSpec("nope")
     for signal_lower in (DEFAULT_MU_CAP, DEFAULT_MU_CAP + 0.5, float("nan")):
         with pytest.raises(ConfigurationError):
-            scenario("k2", signal_lower=signal_lower)
+            ScenarioSpec("k2", signal_lower=signal_lower)
     with pytest.raises(ConfigurationError):
-        scenario("custom", decoys=(0.1, float("nan")), signal_lower=0.5)
+        ScenarioSpec("custom", decoy_mus=(0.1, float("nan")), signal_lower=0.5)
     # a preset's decoys are its table entry; other decoys are 'custom'
     for name, decoys, signal_lower in (
+        ("k2", (0.1, 0.3), None),
         ("k2", (0.1, 0.3), 0.5),
         ("universal", (0.1,), 0.5),
         ("k3-ma", (0.1,), 0.3),
     ):
-        with pytest.raises(ConfigurationError):
-            scenarios.ScenarioSpec(name=name, decoy_mus=decoys, signal_lower=signal_lower)
+        with pytest.raises(ConfigurationError, match="use 'custom'"):
+            ScenarioSpec(name, decoy_mus=decoys, signal_lower=signal_lower)
+    # every number is read before any other check
+    with pytest.raises(ConfigurationError, match="signal_lower must be numeric"):
+        ScenarioSpec("k2", signal_lower="x")
+    with pytest.raises(ConfigurationError, match="dark_rate must be numeric"):
+        ScenarioSpec("k2", dark_mode="explicit", dark_rate="x")
     with pytest.raises(ConfigurationError, match="--dark-mode"):
-        scenario("k2", channel=STANDARD_FIBER.with_dark_rate(1e-7))  # a dark rate no mode reads
-    spec = scenario("k2", dark_mode="explicit", dark_rate=1e-7)
+        ScenarioSpec("k2", channel=replace(STANDARD_FIBER, pD=1e-7))  # a dark rate no mode reads
+    spec = ScenarioSpec("k2", dark_mode="explicit", dark_rate=1e-7)
     assert spec.dark_rate_effective == 1e-7
-    assert scenario("k4", dark_mode="pd-equals-p0").dark_rate_effective == pytest.approx(4e-7)
+    assert ScenarioSpec("k4", dark_mode="pd-equals-p0").dark_rate_effective == pytest.approx(4e-7)
 
 
 def test_spec_decoys_are_read_as_a_float_tuple():
-    spec = scenarios.ScenarioSpec(name="custom", decoy_mus=(0.1, 0.2), signal_lower=0.5)
+    spec = ScenarioSpec("custom", decoy_mus=(0.1, 0.2), signal_lower=0.5)
     rows = run_scenario(spec, (0.0, 100.0, 50.0)).rows
-    for decoys in ([0.1, 0.2], np.array([0.1, 0.2])):
-        same = scenarios.ScenarioSpec(name="custom", decoy_mus=decoys, signal_lower=0.5)
-        assert same.decoy_mus == (0.1, 0.2)
+    for decoys in ([0.1, 0.2], np.array([0.1, 0.2]), (0.2, 0.1)):
+        same = ScenarioSpec("custom", decoy_mus=decoys, signal_lower=0.5)
+        assert same == spec
         assert type(same.decoy_mus[0]) is float
         assert run_scenario(same, (0.0, 100.0, 50.0)).rows == rows
-    assert scenarios.ScenarioSpec(name="k2", decoy_mus=[0.1], signal_lower=0.2).decoy_mus == (0.1,)
-    for bad in (0.1, "0.1", [0.1, None], np.array([[0.1, 0.2]])):
-        with pytest.raises(ConfigurationError, match="decoy_mus"):
-            scenarios.ScenarioSpec(name="custom", decoy_mus=bad, signal_lower=0.5)
+    # given decoys are sorted before the default signal floor is read off the largest
+    unsorted = ScenarioSpec("custom", decoy_mus=(0.35, 0.1, 0.2))
+    assert unsorted == ScenarioSpec("custom", decoy_mus=(0.1, 0.2, 0.35))
+    assert unsorted.decoy_mus == (0.1, 0.2, 0.35) and unsorted.signal_lower == 0.35 + 0.1
+    assert ScenarioSpec("k2", decoy_mus=[0.1]).decoy_mus == (0.1,)
+    for bad in (0.1, 5, "0.1", "1", ["a"], [0.1, None], np.array([[0.1, 0.2]])):
+        with pytest.raises(ConfigurationError, match="decoy_mus must be numeric"):
+            ScenarioSpec("custom", decoy_mus=bad, signal_lower=0.5)
 
 
 def test_preset_decoys_and_bounds_kinds():
-    assert scenario("k2").decoy_mus == (0.1,)
-    assert scenario("k3-ours").decoy_mus == (0.1, 0.2)
-    assert scenario("k4").decoy_mus == (0.1, 0.2, 0.3)
-    assert scenario("universal").decoy_mus == ()
-    assert scenario("k3-ma").estimator_kind == "ma"
-    assert scenario("k3-wang").estimator_kind == "wang"
-    assert scenario("custom", decoys=(0.1, 0.3)).estimator_kind == "aggregate"
+    # a preset name alone is a runnable spec: its decoys, and a signal floor one
+    # spacing above them; k3's 0.1 + 0.2 rounds above 0.3, as the k3-ma check needs
+    k3 = ((0.1, 0.2), "0.30000000000000004")
+    for name, (decoys, signal_lower) in {
+        "k2": ((0.1,), "0.2"),
+        "k3-ma": k3,
+        "k3-wang": k3,
+        "k3-ours": k3,
+        "k4": ((0.1, 0.2, 0.3), "0.4"),
+        "universal": ((), "0.01"),
+    }.items():
+        spec = ScenarioSpec(name)
+        assert spec.decoy_mus == decoys and repr(spec.signal_lower) == signal_lower
+    assert ScenarioSpec("k3-ma").estimator_kind == "ma"
+    assert ScenarioSpec("k3-wang").estimator_kind == "wang"
+    assert ScenarioSpec("custom", decoy_mus=(0.1, 0.3)).estimator_kind == "aggregate"
 
 
 @pytest.mark.parametrize(
     "spec",
     [
-        scenario("k2", direction="forward", dark_mode="pd-equals-p0"),
-        scenario("k3-ours", direction="forward", dark_mode="pd-equals-p0"),
-        scenario("k4", direction="forward", dark_mode="pd-equals-p0"),
-        scenario("custom", dark_mode="pd-equals-p0", decoys=(0.1, 0.2, 0.35, 0.5)),
+        ScenarioSpec("k2", direction="forward", dark_mode="pd-equals-p0"),
+        ScenarioSpec("k3-ours", direction="forward", dark_mode="pd-equals-p0"),
+        ScenarioSpec("k4", direction="forward", dark_mode="pd-equals-p0"),
+        ScenarioSpec("custom", dark_mode="pd-equals-p0", decoy_mus=(0.1, 0.2, 0.35, 0.5)),
     ],
     ids=lambda spec: spec.name,
 )
@@ -103,7 +122,7 @@ def test_engine_matches_library_bounds_path(spec):
     state = engine._distance_state(length)
     q1, b1, q_src, b_src = engine._bounds(state, mu, diagnostics=True)
 
-    estimation = STANDARD_FIBER.with_dark_rate(0.0)
+    estimation = replace(STANDARD_FIBER, pD=0.0)
     grid = IntensityGrid(spec.decoy_mus + (mu,), min_spacing=0.05)
     table = ExpansionTable.build(grid)
     alpha = alpha_of_distance(length, estimation)
@@ -123,12 +142,12 @@ def test_engine_distance_bounds_match_library(name):
     # the bounds the state resolves once per distance are the library's:
     # Wang's order-2 q and order-1 b, Ma's ratio q with the order-1 b, and
     # the universal alpha + p0, s alpha + p0 / 2, each with its source codes
-    spec = scenario(name, dark_mode="pd-equals-p0")
+    spec = ScenarioSpec(name, dark_mode="pd-equals-p0")
     engine = _ScenarioEngine(spec)
     length, mu = 120.0, 0.47
     q1, b1, q_src, b_src = engine._bounds(engine._distance_state(length), mu, diagnostics=True)
 
-    estimation = STANDARD_FIBER.with_dark_rate(0.0)
+    estimation = replace(STANDARD_FIBER, pD=0.0)
     alpha = alpha_of_distance(length, estimation)
     if name == "universal":
         expected = (alpha + estimation.p0, estimation.s * alpha + 0.5 * estimation.p0, 0, 0)
@@ -154,7 +173,7 @@ def test_prefix_order_wins_a_tie(monkeypatch, lengths):
         return state["q1"], state["b1"]
 
     monkeypatch.setattr(_ScenarioEngine, "_order_k_bounds", best_prefix)
-    engine = _ScenarioEngine(scenario("k4"))
+    engine = _ScenarioEngine(ScenarioSpec("k4"))
     state = engine._distance_state(lengths)
     q1, b1, q_src, b_src = engine._bounds(state, 0.6, diagnostics=True)
     assert np.array_equal(q1, np.max(state["q_prefix"], axis=0))
@@ -166,12 +185,12 @@ def test_prefix_order_wins_a_tie(monkeypatch, lengths):
 
 def test_engine_ratio_estimator_matches_legacy_form():
     # the k3-ma engine and the library's legacy Ma estimator are one formula
-    spec = scenario("k3-ma")
+    spec = ScenarioSpec("k3-ma")
     engine = _ScenarioEngine(spec)
     length, mu = 120.0, 0.47
     q1, _ = engine._bounds(engine._distance_state(length), mu)
 
-    estimation = STANDARD_FIBER.with_dark_rate(0.0)
+    estimation = replace(STANDARD_FIBER, pD=0.0)
     grid = IntensityGrid((0.1, 0.2, mu))
     alpha = alpha_of_distance(length, estimation)
     stats = model_stats(grid, alpha, estimation)
@@ -181,7 +200,7 @@ def test_engine_ratio_estimator_matches_legacy_form():
 
 def test_engine_vector_path_equals_scalar_path():
     for name in ("k2", "k3-ma", "k3-wang", "k3-ours", "k4", "universal"):
-        spec = scenario(name, direction="reverse", dark_mode="pd-equals-p0")
+        spec = ScenarioSpec(name, direction="reverse", dark_mode="pd-equals-p0")
         engine = _ScenarioEngine(spec)
         state = engine._distance_state(150.0)
         mus = np.linspace(spec.signal_lower + 0.05, 1.5, 7)
@@ -199,7 +218,7 @@ def test_engine_vector_path_equals_scalar_path():
 @pytest.mark.parametrize("dark_mode", ["pd-zero", "pd-equals-p0", "explicit"])
 def test_universal_engine_rate_is_library_universal_upper(direction, dark_mode):
     dark_rate = 1e-7 if dark_mode == "explicit" else None
-    spec = scenario("universal", direction=direction, dark_mode=dark_mode, dark_rate=dark_rate)
+    spec = ScenarioSpec("universal", direction=direction, dark_mode=dark_mode, dark_rate=dark_rate)
     engine = _ScenarioEngine(spec)
     params = spec.resolved_channel()
     for length in (0.0, 120.0, 210.0):
@@ -213,9 +232,9 @@ def test_universal_engine_rate_is_library_universal_upper(direction, dark_mode):
 def test_decoy_estimates_never_beat_perfect_knowledge():
     # at equal signal intensity the decoy-estimated rate cannot exceed the
     # perfectly estimated one (soundness of the bounds through the rate)
-    universal = _ScenarioEngine(scenario("universal"))
+    universal = _ScenarioEngine(ScenarioSpec("universal"))
     for name in ("k2", "k3-wang", "k3-ours", "k4"):
-        engine = _ScenarioEngine(scenario(name))
+        engine = _ScenarioEngine(ScenarioSpec(name))
         for length in (50.0, 150.0, 215.0):
             for mu in (0.4, 0.6, 1.0):
                 decoy = engine.rate(engine._distance_state(length), mu)
@@ -224,7 +243,7 @@ def test_decoy_estimates_never_beat_perfect_knowledge():
 
 
 def test_run_scenario_rows_and_refinement():
-    spec = scenario("k2")
+    spec = ScenarioSpec("k2")
     result = run_scenario(spec, (218.0, 226.0, 1.0))
     lengths = [row.L_km for row in result.rows]
     assert lengths == sorted(lengths)
@@ -236,7 +255,7 @@ def test_run_scenario_rows_and_refinement():
 
 
 def test_run_scenario_range_edges():
-    spec = scenario("k2")
+    spec = ScenarioSpec("k2")
     with pytest.raises(ConfigurationError):
         run_scenario(spec, (0.0, 10.0, 0.0))
     with pytest.raises(ConfigurationError):
@@ -250,7 +269,7 @@ def test_run_scenario_range_edges():
 
 
 def test_beyond_range_is_none_in_both_apis():
-    spec = scenario("k2")
+    spec = ScenarioSpec("k2")
     assert run_scenario(spec, (0.0, 100.0, 1.0)).achievable_km is None
 
 
@@ -268,7 +287,7 @@ def test_sweep_bisects_its_own_scan(monkeypatch):
 
     monkeypatch.setattr(_ScenarioEngine, "optimized", counted)
     monkeypatch.setattr(_ScenarioEngine, "sweep", lanes)
-    result = run_scenario(scenario("k2"), (218.0, 226.0, 1.0))
+    result = run_scenario(ScenarioSpec("k2"), (218.0, 226.0, 1.0))
     # the 9 scan rows come from one lane sweep; the 7 bisection steps each
     # optimize one distance strictly inside the last sign change
     assert sweeps == [[row.L_km for row in result.rows]]
@@ -280,7 +299,7 @@ def test_sweep_bisects_its_own_scan(monkeypatch):
 def test_chunked_sweep_equals_one_block(monkeypatch):
     # the element cap only splits the work: one distance per grid chunk and
     # four per golden-section block give the rows of a single block
-    spec = scenario("k4", direction="reverse", dark_mode="pd-equals-p0")
+    spec = ScenarioSpec("k4", direction="reverse", dark_mode="pd-equals-p0")
     whole = run_scenario(spec, (100.0, 240.0, 10.0))
     monkeypatch.setattr(scenarios, "_EVAL_ELEMENTS", 4)
     chunked = run_scenario(spec, (100.0, 240.0, 10.0))
@@ -289,7 +308,7 @@ def test_chunked_sweep_equals_one_block(monkeypatch):
 
 
 def test_universal_optimum_stays_below_one():
-    spec = scenario("universal", direction="reverse", dark_mode="pd-equals-p0")
+    spec = ScenarioSpec("universal", direction="reverse", dark_mode="pd-equals-p0")
     result = run_scenario(spec, (0.0, 220.0, 20.0))
     for row in result.rows:
         assert row.optimal_mu <= 1.0 + 1e-6
@@ -301,14 +320,14 @@ def test_optimal_intensity_ordering_across_estimators():
     # universal optima are nearly indistinguishable
     mus = {}
     for name in ("k2", "k3-wang", "k3-ours", "k4", "universal"):
-        engine = _ScenarioEngine(scenario(name, direction="reverse", dark_mode="pd-equals-p0"))
+        engine = _ScenarioEngine(ScenarioSpec(name, direction="reverse", dark_mode="pd-equals-p0"))
         mus[name] = engine.optimized(150.0).optimal_mu
     assert mus["k2"] <= mus["k3-wang"] <= mus["k3-ours"] <= mus["k4"] + 1e-9
     assert abs(mus["k4"] - mus["universal"]) <= 2e-3
 
 
 def test_ma_scenario_uses_signal_rate():
-    spec = scenario("k3-ma")
+    spec = ScenarioSpec("k3-ma")
     engine = _ScenarioEngine(spec)
     state = engine._distance_state(100.0)
     q_a, _ = engine._bounds(state, 0.4)
@@ -340,12 +359,12 @@ def lane_cases(draw, names=SCENARIO_NAMES):
         gaps = draw(st.lists(st.floats(0.1, 0.3), min_size=k, max_size=k))
         decoys = list(itertools.accumulate(gaps))
         assume(decoys[-1] + 0.1 < DEFAULT_MU_CAP)
-    spec = scenario(
+    spec = ScenarioSpec(
         name,
         direction=draw(st.sampled_from(["forward", "reverse"])),
         dark_mode=dark_mode,
         channel=channel,
-        decoys=decoys,
+        decoy_mus=decoys,
         dark_rate=dark_rate,
     )
     l_min = draw(st.floats(0.0, 250.0))
@@ -410,7 +429,7 @@ def test_k3_ma_optimum_is_global():
     # edge mu1 + mu2, so the rate falls from the edge, dips where q1 is too
     # small to pay for the error bound, and peaks again near mu = 0.317; at
     # 70-79 km forward the row is 0.2-2% below the edge's rate (1.3% here)
-    spec = scenario("k3-ma", channel=_NOISY_FIBER)
+    spec = ScenarioSpec("k3-ma", channel=_NOISY_FIBER)
     row = run_scenario(spec, (75.0, 75.0, 1.0)).rows[0]
     lo, hi = spec.signal_lower + DEFAULT_MU_TOL, DEFAULT_MU_CAP - DEFAULT_MU_TOL
     assert _beats_dense_scan(_ScenarioEngine(spec), row, lo, hi)
@@ -427,7 +446,7 @@ def test_lower_edge_optimum_is_reached(name):
     # at 115.7 km on this noisy channel every preset's rate falls from
     # signal_lower, which for k3-ma is the ratio estimator's singular point
     # mu1 + mu2; the row lands 6.6e-7 inside and is short by ~2e-6 relative
-    spec = scenario(name, channel=_NOISY_FIBER)
+    spec = ScenarioSpec(name, channel=_NOISY_FIBER)
     row = run_scenario(spec, (115.7, 115.7, 1.0)).rows[0]
     lo = spec.signal_lower + 1e-9
     assert _beats_dense_scan(_ScenarioEngine(spec), row, lo, lo + 1e-4)
