@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expansion import ExpansionTable, IntensityGrid
+from .expansion import ExpansionTable, IntensityGrid, _beta_row, _exp
 
 
 class InfeasibleStatsError(RuntimeError):
@@ -128,29 +128,6 @@ class BoundResult:
         return min(self.b1_max / self.q1_min, 1.0)
 
 
-def _exp(x):
-    """e^x: math.exp for a fixed intensity, np.exp for a numpy trial signal."""
-    return np.exp(x) if isinstance(x, (np.ndarray, np.generic)) else math.exp(x)
-
-
-def _beta_row(points) -> list:
-    """beta(j, 1..j) over the j = len(points) intensities of an order-j solve.
-
-    The last point may be a numpy trial signal, over which the row broadcasts.
-    """
-    j = len(points)
-    prod = math.prod(points)
-    sign = -1.0 if j % 2 == 0 else 1.0
-    row = []
-    for i, mu_i in enumerate(points):
-        denom = mu_i**2
-        for t, mu_t in enumerate(points):
-            if t != i:
-                denom *= mu_i - mu_t
-        row.append(sign * (prod * _exp(mu_i)) / denom)
-    return row
-
-
 def beta(j: int, i: int, grid: IntensityGrid) -> float:
     """Inversion coefficient beta(j, i) of the order-j triangular solve."""
     if not 1 <= i <= j <= grid.k:
@@ -168,8 +145,13 @@ def order_bounds(points, c, d, omega, cap):
     mu_1..mu_j Omega_(j+1) on q, even orders on b.  The last point (with its
     c, d and omega) may be a numpy trial signal; the bounds broadcast over it.
     """
+    return _row_bounds(_beta_row(points), points, c, d, omega, cap)
+
+
+def _row_bounds(row, points, c, d, omega, cap):
+    """:func:`order_bounds` with the beta row of ``points`` given, as a table holds it."""
     q = b = 0.0
-    for beta_i, c_i, d_i in zip(_beta_row(points), c, d, strict=True):
+    for beta_i, c_i, d_i in zip(row, c, d, strict=True):
         q += beta_i * c_i
         b += beta_i * d_i
     saturation = cap * math.prod(points) * omega
@@ -193,21 +175,26 @@ def _check_inputs(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTab
         raise ValueError(f"table built for intensities {table.grid.mus}, not {grid.mus}")
 
 
-def _observed_inputs(stats: ObservedStats, grid: IntensityGrid, offset: int = 0):
-    """Per-intensity inputs (c, d) of :func:`order_bounds`; ``offset`` picks the basis of c."""
+def _observed_inputs(stats: ObservedStats, table: ExpansionTable, *offsets: int):
+    """Per-intensity inputs of :func:`order_bounds`: one c per basis offset, then d.
+
+    The vacuum weights e^(-mu_i) are the table's decays.
+    """
     pd = stats.p_dark
-    vacuum = [math.exp(-mu) * (stats.p[0] - pd) for mu in grid.mus]
-    c = [stats.p[offset + i] - pd - v for i, v in enumerate(vacuum, start=1)]
+    vacuum = [decay * (stats.p[0] - pd) for decay in table.decays]
+    cs = [
+        [stats.p[offset + i] - pd - v for i, v in enumerate(vacuum, start=1)] for offset in offsets
+    ]
     d = [s_i * p_i - 0.5 * (pd + v) for s_i, p_i, v in zip(stats.s, stats.p[1:], vacuum)]
-    return c, d
+    return (*cs, d)
 
 
 def _order_j(j: int, stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable, offset=0):
     _check_inputs(stats, grid, table)
     _check_order(j, grid.k)
-    c, d = _observed_inputs(stats, grid, offset)
-    omega = table.omega_for_order(j)
-    return order_bounds(grid.mus[:j], c[:j], d[:j], omega, 1.0 - stats.p_dark)
+    c, d = _observed_inputs(stats, table, offset)
+    row, omega = table.beta_rows[j - 1], table.omega_for_order(j)
+    return _row_bounds(row, grid.mus[:j], c[:j], d[:j], omega, 1.0 - stats.p_dark)
 
 
 def q_j_min(
@@ -278,15 +265,14 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
     _check_inputs(stats, grid, table)
     k = grid.k
     cap = 1.0 - stats.p_dark
-    c_x, d = _observed_inputs(stats, grid)
-    c_plus, _ = _observed_inputs(stats, grid, k)
+    c_x, c_plus, d = _observed_inputs(stats, table, 0, k)
     q_x, q_plus, b_all = [], [], []
-    for j in range(1, k + 1):
-        points, omega = grid.mus[:j], table.omega_for_order(j)
-        q_j, b_j = order_bounds(points, c_x[:j], d[:j], omega, cap)
+    for j, (row, omega) in enumerate(zip(table.beta_rows, table.omegas), start=1):
+        points = grid.mus[:j]
+        q_j, b_j = _row_bounds(row, points, c_x[:j], d[:j], omega, cap)
         q_x.append(q_j)
         b_all.append(b_j)
-        q_plus.append(order_bounds(points, c_plus[:j], d[:j], omega, cap)[0])
+        q_plus.append(_row_bounds(row, points, c_plus[:j], d[:j], omega, cap)[0])
 
     candidates = q_x + q_plus
     q_source = int(np.argmax(candidates)) + 1
@@ -346,7 +332,7 @@ def _b_system(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable):
     _check_inputs(stats, grid, table)
     # the rhs s_i p_i - (p_dark + e^(-mu_i)(p_0 - p_dark))/2 is the d of order_bounds
     matrix = table.constraint
-    _, rhs = _observed_inputs(stats, grid)
+    _, rhs = _observed_inputs(stats, table, 0)
     return np.column_stack([matrix.z, matrix.x]), np.array(rhs)  # unknowns b^1..b^(k+1)
 
 

@@ -137,13 +137,41 @@ def omega_closed_form(i: int, grid: IntensityGrid) -> float:
     return divided_difference_recurrence(lambda x: _exp_tail(x, i) / (x * x), pts)
 
 
+def _exp(x):
+    """e^x: math.exp for a fixed intensity, np.exp for a numpy trial signal."""
+    return np.exp(x) if isinstance(x, (np.ndarray, np.generic)) else math.exp(x)
+
+
+def _beta_row(points) -> list:
+    """beta(j, 1..j) over the j = len(points) intensities of an order-j solve.
+
+    beta(j, i) = (-1)^(j-1) mu_1..mu_j e^(mu_i) / (mu_i^2 prod_{t!=i}(mu_i -
+    mu_t)) inverts the lower-triangular expansion system.  The last point may
+    be a numpy trial signal, over which the row broadcasts.
+    """
+    j = len(points)
+    prod = math.prod(points)
+    sign = -1.0 if j % 2 == 0 else 1.0
+    row = []
+    for i, mu_i in enumerate(points):
+        denom = mu_i**2
+        for t, mu_t in enumerate(points):
+            if t != i:
+                denom *= mu_i - mu_t
+        row.append(sign * (prod * _exp(mu_i)) / denom)
+    return row
+
+
 @dataclass(frozen=True)
 class ExpansionTable:
     """Expansion coefficients for one intensity grid, truncated at DEFAULT_N_MAX.
 
     ``omegas[i-2]`` holds Omega_i for i = 2..k+1, ``gammas[(i, n)]`` holds
     gamma(i, n) for i <= n <= DEFAULT_N_MAX, and ``constraint`` is the grid's
-    counting-rate system, which the LP oracle reads.  ``truncation_tail``
+    counting-rate system, which the LP oracle reads.  ``beta_rows[j-1]`` is
+    the inversion row beta(j, 1..j) of order j and ``decays[i-1]`` the vacuum
+    weight e^(-mu_i); neither depends on observed rates, so the bounds of
+    every stats block on the grid read them from here.  ``truncation_tail``
     records the crude bound e^(mu_k) mu_k^N / N! (N = DEFAULT_N_MAX) on any
     discarded Fock mass.
     """
@@ -152,18 +180,23 @@ class ExpansionTable:
     omegas: tuple[float, ...]
     gammas: dict[tuple[int, int], float] = field(repr=False)
     constraint: ConstraintMatrix = field(repr=False)
+    beta_rows: tuple[tuple[float, ...], ...] = field(repr=False)
+    decays: tuple[float, ...] = field(repr=False)
     truncation_tail: float = 0.0
 
     @classmethod
     def build(cls, grid: IntensityGrid) -> "ExpansionTable":
+        mus = grid.mus
         omegas = tuple(omega(i, grid) for i in range(2, grid.k + 2))
         gammas: dict[tuple[int, int], float] = {}
         for i in range(2, grid.k + 2):
             for n in range(i, DEFAULT_N_MAX + 1):
                 gammas[(i, n)] = gamma_coefficient(i, n, grid)
-        mu_top = grid.mus[-1]
+        beta_rows = tuple(tuple(_beta_row(mus[:j])) for j in range(1, grid.k + 1))
+        decays = tuple(math.exp(-mu) for mu in mus)  # constraint.y's np.exp may differ by an ulp
+        mu_top = mus[-1]
         tail = math.exp(mu_top) * mu_top**DEFAULT_N_MAX / math.factorial(DEFAULT_N_MAX)
-        return cls(grid, omegas, gammas, constraint_matrix(grid.mus, omegas), tail)
+        return cls(grid, omegas, gammas, constraint_matrix(mus, omegas), beta_rows, decays, tail)
 
     def omega_for_order(self, j: int) -> float:
         """Omega_(j+1) over the first j intensities, as used by order-j bounds."""
@@ -207,10 +240,8 @@ class ConstraintMatrix:
 
     ``p`` has 2k+1 rows (row 0: vacuum pulse; rows 1..k: one basis; rows
     k+1..2k: the conjugate basis) and 2k+2 columns ordered (vacuum,
-    single-photon, k basis states per basis).  ``p_prime`` is the (k+1) x
-    (k+2) single-basis variant, a view of the top-left block of ``p``.
-    Blocks: y_i = e^(-mu_i), z_i = mu_i e^(-mu_i), and the lower-triangular
-    x with
+    single-photon, k basis states per basis).  Blocks: y_i = e^(-mu_i),
+    z_i = mu_i e^(-mu_i), and the lower-triangular x with
 
         x[i, j] = mu_i^2 prod_{t<j}(mu_i - mu_t) e^(-mu_i) Omega_(j+1),  j <= i.
     """
@@ -219,11 +250,6 @@ class ConstraintMatrix:
     y: np.ndarray
     z: np.ndarray
     x: np.ndarray
-
-    @property
-    def p_prime(self) -> np.ndarray:
-        k = len(self.y)
-        return self.p[: k + 1, : k + 2]
 
 
 class DecoyMatrices(NamedTuple):

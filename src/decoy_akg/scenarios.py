@@ -77,6 +77,13 @@ class ConfigurationError(ValueError):
     """Scenario or sweep configuration is invalid."""
 
 
+def _number(value) -> float:
+    """``float(value)``, refusing strings and bools, which float() would read as numbers."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A runnable scenario: estimator, decoys, direction and dark handling.
@@ -98,9 +105,8 @@ class ScenarioSpec:
             if value is None:
                 continue
             try:
-                if key == "decoy_mus" and isinstance(value, str):  # "1" would iterate as digits
-                    raise TypeError("decoys are a sequence of numbers, not a string")
-                value = tuple(sorted(float(m) for m in value)) if key == "decoy_mus" else float(value)
+                # a string of decoys fails on its first character
+                value = tuple(sorted(map(_number, value))) if key == "decoy_mus" else _number(value)
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(f"{key} must be numeric, got {value!r}") from exc
             object.__setattr__(self, key, value)

@@ -100,6 +100,35 @@ def test_soundness_on_synthetic_truth():
         assert agg.b1_max >= b_vec[0] - 1e-9
 
 
+def test_table_rows_give_the_from_points_bounds_exactly():
+    # the table's beta rows and decays are computed once per grid; every bound
+    # read through them must equal, to the last bit, the bound from the points
+    rng = np.random.default_rng(23)
+    for k in range(1, 11):
+        for p_dark in (0.0, 1e-6, 1e-3):
+            grid, table, stats, _, _ = _feasible_instance(rng, k, p_dark)
+            for j, row in enumerate(table.beta_rows, start=1):
+                assert row == tuple(beta(j, i, grid) for i in range(1, j + 1))
+            cap = 1.0 - p_dark
+            vacuum = [math.exp(-mu) * (stats.p[0] - p_dark) for mu in grid.mus]
+            c_key, c_plus = (
+                [stats.p[offset + i] - p_dark - v for i, v in enumerate(vacuum, start=1)]
+                for offset in (0, k)
+            )
+            inputs = zip(stats.s, stats.p[1:], vacuum)
+            d = [s_i * p_i - 0.5 * (p_dark + v) for s_i, p_i, v in inputs]
+            agg = aggregate(stats, grid, table)
+            for j in range(1, k + 1):
+                points, omega = grid.mus[:j], table.omega_for_order(j)
+                q, b = bounds.order_bounds(points, c_key[:j], d[:j], omega, cap)
+                q_plus, _ = bounds.order_bounds(points, c_plus[:j], d[:j], omega, cap)
+                assert agg.q_j_min[j - 1] == q and agg.b_j_max[j - 1] == b
+                assert agg.q_kj_min[j - 1] == q_plus
+                assert q_j_min(j, stats, grid, table) == q
+                assert q_j_min(j, stats, grid, table, plus_basis=True) == q_plus
+                assert b_j_max(j, stats, grid, table) == b
+
+
 def test_aggregate_sources_and_clamping(table_cache):
     grid = IntensityGrid((0.1, 0.2))
     table = table_cache(grid)

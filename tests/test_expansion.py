@@ -9,6 +9,7 @@ from decoy_akg import (
     ExpansionTable,
     IntensityGrid,
     PointSet,
+    beta,
     build_matrices,
     gamma_coefficient,
     gamma_coefficient_direct,
@@ -132,6 +133,13 @@ def test_expansion_table_build():
         assert table.omegas[i - 2] == pytest.approx(omega(i, grid), rel=1e-12)
         assert table.gammas[(i, i)] == pytest.approx(gamma_coefficient(i, i, grid), rel=1e-12)
     assert table.omega_for_order(1) == table.omegas[0]
+    # beta(j, 1..j) per order and e^(-mu_i) per intensity, kept out of the repr
+    assert [len(row) for row in table.beta_rows] == [1, 2, 3]
+    for j, row in enumerate(table.beta_rows, start=1):
+        assert row == tuple(beta(j, i, grid) for i in range(1, j + 1))
+    assert table.beta_rows[1] == pytest.approx((20.0 * math.exp(0.1), -5.0 * math.exp(0.2)))
+    assert table.decays == tuple(math.exp(-mu) for mu in grid.mus)
+    assert "beta_rows" not in repr(table) and "decays" not in repr(table)
     assert 0.0 < table.truncation_tail < 1e-30
     assert np.array_equal(table.constraint.p, build_matrices(grid).constraint.p)
 
@@ -187,9 +195,6 @@ def test_constraint_matrix_k3_star_entry():
     # x block is lower triangular
     x = mats.constraint.x
     assert np.all(x[np.triu_indices_from(x, k=1)] == 0.0)
-    # p-prime carries the single-basis layout
-    assert mats.constraint.p_prime.shape == (4, 5)
-    assert np.allclose(mats.constraint.p_prime[1:, 2:], x)
 
 
 @settings(max_examples=40, deadline=None)

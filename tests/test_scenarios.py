@@ -59,6 +59,18 @@ def test_spec_validation():
         ScenarioSpec("k2", signal_lower="x")
     with pytest.raises(ConfigurationError, match="dark_rate must be numeric"):
         ScenarioSpec("k2", dark_mode="explicit", dark_rate="x")
+    # float() reads numeric strings and bools, but they are not numbers here
+    for key, kwargs in (
+        ("signal_lower", dict(signal_lower="0.5")),
+        ("signal_lower", dict(signal_lower=True)),
+        ("dark_rate", dict(dark_mode="explicit", dark_rate=False)),
+        ("dark_rate", dict(dark_mode="explicit", dark_rate="1e-7")),
+    ):
+        with pytest.raises(ConfigurationError, match=f"{key} must be numeric"):
+            ScenarioSpec("k2", **kwargs)
+    for decoys in (("0.1", True), (0.1, True), (0.1, np.True_), ("0.1", 0.3)):
+        with pytest.raises(ConfigurationError, match="decoy_mus must be numeric"):
+            ScenarioSpec("custom", decoy_mus=decoys)
     with pytest.raises(ConfigurationError, match="--dark-mode"):
         ScenarioSpec("k2", channel=replace(STANDARD_FIBER, pD=1e-7))  # a dark rate no mode reads
     spec = ScenarioSpec("k2", dark_mode="explicit", dark_rate=1e-7)
