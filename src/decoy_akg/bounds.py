@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,28 +79,16 @@ class ObservedStats:
 
 
 @dataclass(frozen=True)
-class LegacyBounds:
-    """Earlier two- and three-intensity estimators kept for comparison curves.
-
-    All four assume no dark-count correction.  ``ma_q13_l`` requires
-    mu_1 + mu_2 < mu_3 and mu_1 + mu_2 < 1 and is None when its
-    preconditions fail or the grid is too small.
-    """
-
-    wang_q2_min: Optional[float] = None
-    wang_b1_max: Optional[float] = None
-    ma_q13_l: Optional[float] = None
-    ma_b12_u: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class BoundResult:
     """Aggregated single-photon bounds for one set of observed stats.
 
-    ``q1_min``/``b1_max`` are clamped to [0, 1 - p_dark]; the raw optima are
-    kept for diagnostics.  ``q1_source_j`` is the order that achieved the
-    max (values k+1..2k denote the conjugate-basis variant), ``b1_source_j``
-    the order achieving the min.
+    ``q_j_min[j-1]`` and ``b_j_max[j-1]`` are the order-j bounds of the key
+    basis and ``q_kj_min[j-1]`` the order-j q bound of the conjugate basis;
+    this is the one table entry for every order.  ``q1_min``/``b1_max`` are
+    the best of them clamped to [0, 1 - p_dark]; the raw optima are kept for
+    diagnostics.  ``q1_source_j`` is the order that achieved the max (values
+    k+1..2k denote the conjugate-basis variant), ``b1_source_j`` the order
+    achieving the min.
     """
 
     q_j_min: tuple[float, ...]
@@ -112,20 +100,6 @@ class BoundResult:
     b1_max_raw: float
     q1_source_j: int
     b1_source_j: int
-    p_dark: float
-    legacy: LegacyBounds
-
-    @property
-    def error_ratio(self) -> float:
-        """Worst-case single-photon error ratio b1_max / q1_min.
-
-        Saturates at 1 when q1_min is not positive: the binary-entropy
-        penalty then wipes out the single-photon contribution, which is the
-        conservative reading of a vacuous yield bound.
-        """
-        if self.q1_min <= 0.0:
-            return 1.0
-        return min(self.b1_max / self.q1_min, 1.0)
 
 
 def beta(j: int, i: int, grid: IntensityGrid) -> float:
@@ -189,36 +163,6 @@ def _observed_inputs(stats: ObservedStats, table: ExpansionTable, *offsets: int)
     return (*cs, d)
 
 
-def _order_j(j: int, stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable, offset=0):
-    _check_inputs(stats, grid, table)
-    _check_order(j, grid.k)
-    c, d = _observed_inputs(stats, table, offset)
-    row, omega = table.beta_rows[j - 1], table.omega_for_order(j)
-    return _row_bounds(row, grid.mus[:j], c[:j], d[:j], omega, 1.0 - stats.p_dark)
-
-
-def q_j_min(
-    j: int,
-    stats: ObservedStats,
-    grid: IntensityGrid,
-    table: ExpansionTable,
-    plus_basis: bool = False,
-) -> float:
-    """Order-j lower bound on the single-photon counting rate q^1.
-
-    Uses the first j intensities of the key basis (or of the conjugate basis
-    when ``plus_basis``).  Odd orders carry the saturation term
-    -(1 - p_dark) mu_1..mu_j Omega_(j+1) because the optimizing box corner
-    differs with the sign pattern of the beta coefficients.
-    """
-    return _order_j(j, stats, grid, table, stats.k if plus_basis else 0)[0]
-
-
-def b_j_max(j: int, stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) -> float:
-    """Order-j upper bound on the single-photon error product b^1 = q^1 r^1."""
-    return _order_j(j, stats, grid, table)[1]
-
-
 def ma_q1_lower(mus, p0, p):
     """Three-intensity ratio lower bound on q^1, without dark-count correction.
 
@@ -233,26 +177,6 @@ def ma_q1_lower(mus, p0, p):
         - (mu2**2 - mu1**2) / mu3**2 * (p3 * _exp(mu3) - p0)
     )
     return numer / (mu2 * mu3 - mu3 * mu1 - mu2**2 + mu1**2)
-
-
-def _legacy_bounds(stats: ObservedStats, grid: IntensityGrid) -> LegacyBounds:
-    mus = grid.mus
-    p0 = stats.p[0]
-    wang_q2 = ma_q = ma_b = None
-    wang_b1 = (stats.s[0] * stats.p[1] * math.exp(mus[0]) - 0.5 * p0) / mus[0]
-    if grid.k >= 2:
-        mu1, mu2 = mus[0], mus[1]
-        p1, p2 = stats.p[1], stats.p[2]
-        wang_q2 = (
-            mu2 * math.exp(mu1) / (mu1 * (mu2 - mu1)) * (p1 - math.exp(-mu1) * p0)
-            - mu1 * math.exp(mu2) / (mu2 * (mu2 - mu1)) * (p2 - math.exp(-mu2) * p0)
-        )
-        ma_b = (
-            stats.s[1] * p2 * math.exp(mu2) - stats.s[0] * p1 * math.exp(mu1)
-        ) / (mu2 - mu1)
-    if grid.k >= 3 and mus[0] + mus[1] < mus[2] and mus[0] + mus[1] < 1.0:
-        ma_q = ma_q1_lower(mus[:3], p0, stats.p[1:4])
-    return LegacyBounds(wang_q2_min=wang_q2, wang_b1_max=wang_b1, ma_q13_l=ma_q, ma_b12_u=ma_b)
 
 
 def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) -> BoundResult:
@@ -290,8 +214,6 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
         b1_max_raw=b_raw,
         q1_source_j=q_source,
         b1_source_j=b_source,
-        p_dark=stats.p_dark,
-        legacy=_legacy_bounds(stats, grid),
     )
 
 
@@ -364,7 +286,8 @@ def lp_oracle_q_j_min(
     """LP value of the order-j relaxed program: only q^(1+j) is boxed.
 
     All other unknowns are free, matching the program whose closed form is
-    ``q_j_min``; the optimum may be negative.
+    ``aggregate(...).q_j_min[j-1]`` (``q_kj_min[j-1]`` when ``plus_basis``);
+    the optimum may be negative.
     """
     _check_order(j, grid.k)
     a_eq, rhs = _q_system(stats, grid, table)
@@ -375,7 +298,10 @@ def lp_oracle_q_j_min(
 def lp_oracle_b_j_max(
     j: int, stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable
 ) -> float:
-    """LP value of the order-j relaxed error program: only b^(1+j) is boxed."""
+    """LP value of the order-j relaxed error program: only b^(1+j) is boxed.
+
+    Its closed form is ``aggregate(...).b_j_max[j-1]``.
+    """
     _check_order(j, grid.k)
     a_eq, rhs = _b_system(stats, grid, table)
     return -_solve_lp(a_eq, rhs, objective=0, sign=-1.0, cap=1.0 - stats.p_dark, boxed=j)

@@ -166,7 +166,8 @@ def _beta_row(points) -> list:
 class ExpansionTable:
     """Expansion coefficients for one intensity grid, truncated at DEFAULT_N_MAX.
 
-    ``omegas[i-2]`` holds Omega_i for i = 2..k+1, ``gammas[(i, n)]`` holds
+    ``omegas[i-2]`` holds Omega_i for i = 2..k+1, so ``omegas[j-1]`` is the
+    Omega_(j+1) of the order-j bounds; ``gammas[(i, n)]`` holds
     gamma(i, n) for i <= n <= DEFAULT_N_MAX, and ``constraint`` is the grid's
     counting-rate system, which the LP oracle reads.  ``beta_rows[j-1]`` is
     the inversion row beta(j, 1..j) of order j and ``decays[i-1]`` the vacuum
@@ -197,10 +198,6 @@ class ExpansionTable:
         mu_top = mus[-1]
         tail = math.exp(mu_top) * mu_top**DEFAULT_N_MAX / math.factorial(DEFAULT_N_MAX)
         return cls(grid, omegas, gammas, constraint_matrix(mus, omegas), beta_rows, decays, tail)
-
-    def omega_for_order(self, j: int) -> float:
-        """Omega_(j+1) over the first j intensities, as used by order-j bounds."""
-        return self.omegas[j - 1]
 
 
 def reconstruct_poisson(i: int, grid: IntensityGrid, n_max: int = DEFAULT_N_MAX) -> list[float]:

@@ -10,7 +10,6 @@ from decoy_akg import (
     ObservedStats,
     aggregate,
     alpha_of_distance,
-    b_j_max,
     beta,
     build_matrices,
     lp_oracle_b1_max,
@@ -18,7 +17,6 @@ from decoy_akg import (
     lp_oracle_q1_min,
     lp_oracle_q_j_min,
     model_stats,
-    q_j_min,
 )
 from decoy_akg import bounds
 from decoy_akg.channel import STANDARD_FIBER
@@ -53,12 +51,19 @@ def test_beta_order_two_matches_two_intensity_coefficients():
 
 
 def test_order_two_bound_equals_legacy_form_without_dark_counts(table_cache):
+    # Wang's two-intensity closed forms (PRL 94, 230503 (2005)) are the
+    # order-2 yield bound and the order-1 error bound without dark counts
     grid = IntensityGrid((0.1, 0.2, 0.35), min_spacing=0.05)
-    table = table_cache(grid)
     stats = model_stats(grid, 1e-3, STANDARD_FIBER)
-    agg = aggregate(stats, grid, table)
-    assert q_j_min(2, stats, grid, table) == pytest.approx(agg.legacy.wang_q2_min, rel=1e-10)
-    assert b_j_max(1, stats, grid, table) == pytest.approx(agg.legacy.wang_b1_max, rel=1e-10)
+    assert stats.p_dark == 0.0
+    agg = aggregate(stats, grid, table_cache(grid))
+    (mu1, mu2, _), (p0, p1, p2) = grid.mus, stats.p[:3]
+    wang_q2_min = mu2 * math.exp(mu1) / (mu1 * (mu2 - mu1)) * (
+        p1 - math.exp(-mu1) * p0
+    ) - mu1 * math.exp(mu2) / (mu2 * (mu2 - mu1)) * (p2 - math.exp(-mu2) * p0)
+    wang_b1_max = (stats.s[0] * p1 * math.exp(mu1) - 0.5 * p0) / mu1
+    assert agg.q_j_min[1] == pytest.approx(wang_q2_min, rel=1e-10)
+    assert agg.b_j_max[0] == pytest.approx(wang_b1_max, rel=1e-10)
 
 
 def test_order_one_bound_recovers_saturating_truth():
@@ -72,21 +77,18 @@ def test_order_one_bound_recovers_saturating_truth():
     q_vec[2] = 1.0 - p_dark
     p = p_matrix @ q_vec + p_dark
     stats = ObservedStats(tuple(p), (0.1,) * k, p_dark)
-    assert q_j_min(1, stats, grid, table) == pytest.approx(q_vec[1], rel=1e-9, abs=1e-12)
+    assert aggregate(stats, grid, table).q_j_min[0] == pytest.approx(q_vec[1], rel=1e-9, abs=1e-12)
 
 
 def test_plus_basis_variant_uses_conjugate_rates():
     rng = np.random.default_rng(9)
     grid, table, stats, q_vec, _ = _feasible_instance(rng, 3, p_dark=1e-4)
-    for j in (1, 2, 3):
-        x_val = q_j_min(j, stats, grid, table)
-        plus_val = q_j_min(j, stats, grid, table, plus_basis=True)
+    agg = aggregate(stats, grid, table)
+    for x_val, plus_val in zip(agg.q_j_min, agg.q_kj_min, strict=True):
         assert x_val != pytest.approx(plus_val, abs=1e-15)  # asymmetric stats
     sym = ObservedStats.symmetric(stats.p[0], stats.p[1:4], stats.s, stats.p_dark)
-    for j in (1, 2, 3):
-        assert q_j_min(j, sym, grid, table) == pytest.approx(
-            q_j_min(j, sym, grid, table, plus_basis=True), rel=1e-14
-        )
+    agg = aggregate(sym, grid, table)
+    assert agg.q_j_min == pytest.approx(agg.q_kj_min, rel=1e-14)
 
 
 def test_soundness_on_synthetic_truth():
@@ -119,14 +121,11 @@ def test_table_rows_give_the_from_points_bounds_exactly():
             d = [s_i * p_i - 0.5 * (p_dark + v) for s_i, p_i, v in inputs]
             agg = aggregate(stats, grid, table)
             for j in range(1, k + 1):
-                points, omega = grid.mus[:j], table.omega_for_order(j)
+                points, omega = grid.mus[:j], table.omegas[j - 1]
                 q, b = bounds.order_bounds(points, c_key[:j], d[:j], omega, cap)
                 q_plus, _ = bounds.order_bounds(points, c_plus[:j], d[:j], omega, cap)
                 assert agg.q_j_min[j - 1] == q and agg.b_j_max[j - 1] == b
                 assert agg.q_kj_min[j - 1] == q_plus
-                assert q_j_min(j, stats, grid, table) == q
-                assert q_j_min(j, stats, grid, table, plus_basis=True) == q_plus
-                assert b_j_max(j, stats, grid, table) == b
 
 
 def test_aggregate_sources_and_clamping(table_cache):
@@ -140,14 +139,6 @@ def test_aggregate_sources_and_clamping(table_cache):
     assert min(agg.q_j_min) < 0.0  # odd orders go strictly negative here
     assert 1 <= agg.q1_source_j <= 2 * grid.k
     assert 1 <= agg.b1_source_j <= grid.k
-    assert agg.error_ratio == 1.0
-
-
-def test_error_ratio_caps_at_one():
-    rng = np.random.default_rng(23)
-    grid, table, stats, _, _ = _feasible_instance(rng, 2)
-    agg = aggregate(stats, grid, table)
-    assert 0.0 <= agg.error_ratio <= 1.0
 
 
 def test_lp_matches_closed_forms_with_dark_counts():
@@ -167,15 +158,16 @@ def test_per_order_relaxed_programs_match_closed_forms():
         k = int(rng.integers(1, 5))
         p_dark = float(rng.choice([0.0, 1e-4]))
         grid, table, stats, _, _ = _feasible_instance(rng, k, p_dark)
+        agg = aggregate(stats, grid, table)
         for j in range(1, k + 1):
             assert lp_oracle_q_j_min(j, stats, grid, table) == pytest.approx(
-                q_j_min(j, stats, grid, table), abs=1e-8
+                agg.q_j_min[j - 1], abs=1e-8
             )
             assert lp_oracle_q_j_min(j, stats, grid, table, plus_basis=True) == pytest.approx(
-                q_j_min(j, stats, grid, table, plus_basis=True), abs=1e-8
+                agg.q_kj_min[j - 1], abs=1e-8
             )
             assert lp_oracle_b_j_max(j, stats, grid, table) == pytest.approx(
-                b_j_max(j, stats, grid, table), abs=1e-8
+                agg.b_j_max[j - 1], abs=1e-8
             )
 
 
@@ -204,8 +196,6 @@ def test_stats_grid_and_table_must_agree():
     for args in mismatches:
         for call in (
             lambda: aggregate(*args),
-            lambda: q_j_min(2, *args),
-            lambda: b_j_max(2, *args),
             lambda: lp_oracle_q1_min(*args),
             lambda: lp_oracle_b1_max(*args),
             lambda: lp_oracle_q_j_min(2, *args),
@@ -248,22 +238,12 @@ def test_bounds_tighten_with_more_intensities():
 
 
 def test_two_intensity_error_bound_dominates_ratio_estimator():
-    # min(b_1, b_2) can only improve on the two-intensity ratio bound
+    # min(b_1, b_2) can only improve on Ma et al.'s two-intensity ratio bound
+    # (s2 p2 e^mu2 - s1 p1 e^mu1) / (mu2 - mu1) (PRA 72, 012326 (2005))
     rng = np.random.default_rng(41)
     for trial in range(25):
         grid, table, stats, _, _ = _feasible_instance(rng, 2, p_dark=0.0)
         agg = aggregate(stats, grid, table)
-        b12 = min(agg.b_j_max[0], agg.b_j_max[1])
-        assert b12 <= agg.legacy.ma_b12_u + 1e-12
-
-
-def test_legacy_ma_bound_requires_preconditions(table_cache):
-    grid = IntensityGrid((0.2, 0.3, 0.4))  # mu1 + mu2 > mu3: estimator undefined
-    table = table_cache(grid)
-    stats = model_stats(grid, 1e-3, STANDARD_FIBER)
-    agg = aggregate(stats, grid, table)
-    assert agg.legacy.ma_q13_l is None
-    grid_ok = IntensityGrid((0.1, 0.2, 0.4))
-    stats_ok = model_stats(grid_ok, 1e-3, STANDARD_FIBER)
-    agg_ok = aggregate(stats_ok, grid_ok, table_cache(grid_ok))
-    assert agg_ok.legacy.ma_q13_l is not None
+        (mu1, mu2), (p1, p2), (s1, s2) = grid.mus, stats.p[1:3], stats.s
+        ma_b12_max = (s2 * p2 * math.exp(mu2) - s1 * p1 * math.exp(mu1)) / (mu2 - mu1)
+        assert min(agg.b_j_max[0], agg.b_j_max[1]) <= ma_b12_max + 1e-12

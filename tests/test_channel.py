@@ -10,8 +10,8 @@ from decoy_akg import (
     ChannelParams,
     ExpansionTable,
     IntensityGrid,
+    aggregate,
     alpha_of_distance,
-    b_j_max,
     closed_form_bounds,
     counting_rate,
     epsilon,
@@ -21,7 +21,6 @@ from decoy_akg import (
     model_stats,
     omega,
     per_photon_rates,
-    q_j_min,
 )
 from conftest import random_grid
 
@@ -165,17 +164,14 @@ def test_closed_forms_match_bound_pipeline():
             s=float(rng.uniform(0.0, 0.2)),
         )
         alpha = float(rng.uniform(1e-6, 0.05))
-        stats = model_stats(grid, alpha, params)
+        agg = aggregate(model_stats(grid, alpha, params), grid, table)
         for j in range(1, k + 1):
             q_closed, b_closed = closed_form_bounds(j, alpha, grid, params)
-            q_path = q_j_min(j, stats, grid, table)
-            b_path = b_j_max(j, stats, grid, table)
+            q_path, b_path = agg.q_j_min[j - 1], agg.b_j_max[j - 1]
             assert abs(q_closed - q_path) <= 1e-10 * max(1.0, abs(q_closed))
             assert abs(b_closed - b_path) <= 1e-10 * max(1.0, abs(b_closed))
             # both bases coincide on the symmetric model
-            assert q_j_min(j, stats, grid, table, plus_basis=True) == pytest.approx(
-                q_path, rel=1e-12, abs=1e-18
-            )
+            assert agg.q_kj_min[j - 1] == pytest.approx(q_path, rel=1e-12, abs=1e-18)
 
 
 def test_dark_free_closed_forms_have_published_shape():

@@ -132,7 +132,6 @@ def test_expansion_table_build():
     for i in range(2, grid.k + 2):
         assert table.omegas[i - 2] == pytest.approx(omega(i, grid), rel=1e-12)
         assert table.gammas[(i, i)] == pytest.approx(gamma_coefficient(i, i, grid), rel=1e-12)
-    assert table.omega_for_order(1) == table.omegas[0]
     # beta(j, 1..j) per order and e^(-mu_i) per intensity, kept out of the repr
     assert [len(row) for row in table.beta_rows] == [1, 2, 3]
     for j, row in enumerate(table.beta_rows, start=1):

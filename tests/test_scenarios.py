@@ -13,13 +13,12 @@ from decoy_akg import (
     ScenarioSpec,
     aggregate,
     alpha_of_distance,
-    b_j_max,
     model_stats,
-    q_j_min,
     run_scenario,
     universal_upper,
 )
 from decoy_akg import scenarios
+from decoy_akg.bounds import ma_q1_lower
 from decoy_akg.channel import STANDARD_FIBER, ChannelParams, counting_rate
 from decoy_akg.keyrate import DEFAULT_MU_CAP, DEFAULT_MU_TOL
 from decoy_akg.scenarios import DARK_MODES, SCENARIO_NAMES, _ScenarioEngine
@@ -40,6 +39,9 @@ def test_spec_validation():
         ScenarioSpec("k2", dark_mode="pd-zero", dark_rate=1e-7)  # a dark rate the mode ignores
     with pytest.raises(ConfigurationError):
         ScenarioSpec("nope")
+    with pytest.raises(ConfigurationError, match="ratio estimator"):
+        # inside the grid's 1e-12 spacing slack, but below mu1 + mu2 = 0.1 + 0.2
+        ScenarioSpec("k3-ma", signal_lower=0.3 - 5e-13)
     for signal_lower in (DEFAULT_MU_CAP, DEFAULT_MU_CAP + 0.5, float("nan")):
         with pytest.raises(ConfigurationError):
             ScenarioSpec("k2", signal_lower=signal_lower)
@@ -145,8 +147,8 @@ def test_engine_matches_library_bounds_path(spec):
     assert q_src == agg.q1_source_j
     assert b_src == agg.b1_source_j
     for j in range(1, len(spec.decoy_mus) + 1):
-        assert state["q_prefix"][j - 1] == pytest.approx(q_j_min(j, stats, grid, table), rel=1e-11)
-        assert state["b_prefix"][j - 1] == pytest.approx(b_j_max(j, stats, grid, table), rel=1e-11)
+        assert state["q_prefix"][j - 1] == pytest.approx(agg.q_j_min[j - 1], rel=1e-11)
+        assert state["b_prefix"][j - 1] == pytest.approx(agg.b_j_max[j - 1], rel=1e-11)
 
 
 @pytest.mark.parametrize("name", ["k3-wang", "k3-ma", "universal"])
@@ -165,13 +167,12 @@ def test_engine_distance_bounds_match_library(name):
         expected = (alpha + estimation.p0, estimation.s * alpha + 0.5 * estimation.p0, 0, 0)
     else:
         grid = IntensityGrid(spec.decoy_mus + (mu,))
-        table = ExpansionTable.build(grid)
         stats = model_stats(grid, alpha, estimation)
-        b_1 = b_j_max(1, stats, grid, table)
+        agg = aggregate(stats, grid, ExpansionTable.build(grid))
         if name == "k3-wang":
-            expected = (q_j_min(2, stats, grid, table), b_1, 2, 1)
+            expected = (agg.q_j_min[1], agg.b_j_max[0], 2, 1)
         else:
-            expected = (aggregate(stats, grid, table).legacy.ma_q13_l, b_1, -1, 1)
+            expected = (ma_q1_lower(grid.mus, stats.p[0], stats.p[1:4]), agg.b_j_max[0], -1, 1)
     assert float(q1) == pytest.approx(expected[0], rel=1e-11)
     assert float(b1) == pytest.approx(expected[1], rel=1e-11)
     assert (q_src, b_src) == expected[2:]
@@ -196,7 +197,7 @@ def test_prefix_order_wins_a_tie(monkeypatch, lengths):
 
 
 def test_engine_ratio_estimator_matches_legacy_form():
-    # the k3-ma engine and the library's legacy Ma estimator are one formula
+    # the k3-ma engine's q1 is the library's Ma ratio estimator on the model stats
     spec = ScenarioSpec("k3-ma")
     engine = _ScenarioEngine(spec)
     length, mu = 120.0, 0.47
@@ -206,8 +207,7 @@ def test_engine_ratio_estimator_matches_legacy_form():
     grid = IntensityGrid((0.1, 0.2, mu))
     alpha = alpha_of_distance(length, estimation)
     stats = model_stats(grid, alpha, estimation)
-    legacy = aggregate(stats, grid, ExpansionTable.build(grid)).legacy
-    assert float(q1) == pytest.approx(legacy.ma_q13_l, rel=1e-11)
+    assert float(q1) == pytest.approx(ma_q1_lower(grid.mus, stats.p[0], stats.p[1:4]), rel=1e-11)
 
 
 def test_engine_vector_path_equals_scalar_path():
