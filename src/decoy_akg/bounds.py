@@ -199,9 +199,10 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
         q_plus.append(_row_bounds(row, points, c_plus[:j], d[:j], omega, cap)[0])
 
     candidates = q_x + q_plus
-    q_source = int(np.argmax(candidates)) + 1
+    # max/min keep the first of equal values, so the lowest order wins a tie
+    q_source = max(range(2 * k), key=candidates.__getitem__) + 1
     q_raw = candidates[q_source - 1]
-    b_source = int(np.argmin(b_all)) + 1
+    b_source = min(range(k), key=b_all.__getitem__) + 1
     b_raw = b_all[b_source - 1]
 
     return BoundResult(
