@@ -251,7 +251,8 @@ def find_zero_distance(
     scan.  Returns 0.0 when no value is positive and None when the last one
     is (beyond range: the caller should widen the scan); otherwise bisects
     the last positive-to-nonpositive bracket, calling ``envelope`` only
-    strictly inside it.
+    strictly inside it, until the bracket is narrower than the tolerance or
+    holds no float between its ends.
     """
     positive = [i for i, v in enumerate(values) if v > 0.0]
     if not positive:
@@ -262,6 +263,8 @@ def find_zero_distance(
     lo, hi = float(lengths[last_pos]), float(lengths[last_pos + 1])
     while hi - lo > DISTANCE_TOL_KM:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no float left inside: far out, floats are over 0.01 apart
+            break
         if envelope(mid) > 0.0:
             lo = mid
         else:

@@ -206,6 +206,29 @@ def test_channel_without_clicks_gives_zero_rates(tmp_path):
     assert all(row.split(",")[3] == "0" for row in rows)
 
 
+def test_crossing_beyond_float_resolution_ends(tmp_path):
+    # with a1 = 1e-15 dB/km the universal rate turns at about 3.8e16 km, where
+    # floats lie 8 km apart; the bisection must end there instead of spinning
+    params_file = tmp_path / "far.cfg"
+    params_file.write_text("a1 = 1e-15\n")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from decoy_akg import cli; sys.exit(cli.main(sys.argv[2:]))"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    argv = ["run", "--scenario", "universal", "--params-file", params_file, "--l-max", "1e17"]
+    argv += ["--l-step", "1e15", "--out", tmp_path / "out"]
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(src), *map(str, argv)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    reach = float(done.stdout.split("achievable distance ")[1].split(" km")[0])
+    assert reach == pytest.approx(3.829e16, rel=1e-3)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

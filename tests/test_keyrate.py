@@ -224,6 +224,23 @@ def test_zero_distance_bisection():
     assert _scan(lambda L: 1.0, np.arange(0.0, 51.0).tolist()) is None
 
 
+def test_zero_distance_bisection_ends_where_floats_run_out():
+    # near 3.8e16 km adjacent floats lie 8 km apart, wider than DISTANCE_TOL_KM:
+    # the bisection must stop once no float is left strictly inside its bracket
+    crossing = 3.829057519841232e16
+    calls = []
+
+    def step(length):
+        calls.append(length)
+        if len(calls) > 200:
+            raise AssertionError("the bisection does not end")
+        return 1.0 if length <= crossing else -1.0
+
+    result = _scan(step, [3.8e16, 3.9e16])
+    assert abs(result - crossing) <= 2 * math.ulp(crossing)
+    assert len(calls) < 60
+
+
 @st.composite
 def distance_scans(draw, max_points=12):
     """Increasing scan lengths with envelope values of any sign, zeros included."""
