@@ -218,7 +218,7 @@ class _ScenarioEngine:
     def _inputs(self, alpha, mu):
         """(1 - e^(-alpha mu), c, d) at intensities mu, dark-inclusive (p_dark = 0)."""
         signal = -np.expm1(-alpha * mu)
-        vacuum = self.p0 * (1.0 - np.exp(-mu))
+        vacuum = self.p0 * -np.expm1(-mu)  # 1 - e^(-mu) cancels for small decoys
         return signal, signal + vacuum, self.s * signal + 0.5 * vacuum
 
     def _distance_state(self, lengths) -> dict:

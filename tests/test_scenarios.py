@@ -243,10 +243,13 @@ def test_universal_engine_rate_is_library_universal_upper(direction, dark_mode):
 
 def test_decoy_estimates_never_beat_perfect_knowledge():
     # at equal signal intensity the decoy-estimated rate cannot exceed the
-    # perfectly estimated one (soundness of the bounds through the rate)
+    # perfectly estimated one (soundness of the bounds through the rate);
+    # the tiny custom decoys probe the vacuum weight 1 - e^(-mu) for cancellation
     universal = _ScenarioEngine(ScenarioSpec("universal"))
-    for name in ("k2", "k3-wang", "k3-ours", "k4"):
-        engine = _ScenarioEngine(ScenarioSpec(name))
+    specs = [ScenarioSpec(name) for name in ("k2", "k3-wang", "k3-ours", "k4")]
+    specs += [ScenarioSpec("custom", decoy_mus=(d,)) for d in (1e-10, 1e-12, 1e-16, 1e-20)]
+    for spec in specs:
+        engine = _ScenarioEngine(spec)
         for length in (50.0, 150.0, 215.0):
             for mu in (0.4, 0.6, 1.0):
                 decoy = engine.rate(engine._distance_state(length), mu)
