@@ -83,10 +83,9 @@ class BoundResult:
     """Aggregated single-photon bounds for one set of observed stats.
 
     ``q_j_min[j-1]`` and ``b_j_max[j-1]`` are the order-j bounds of the key
-    basis and ``q_kj_min[j-1]`` the order-j q bound of the conjugate basis;
-    this is the one table entry for every order.  ``q1_min``/``b1_max`` are
-    the best of them clamped to [0, 1 - p_dark]; the raw optima are kept for
-    diagnostics.  ``q1_source_j`` is the order that achieved the max (values
+    basis and ``q_kj_min[j-1]`` the order-j q bound of the conjugate basis.
+    ``q1_min``/``b1_max`` are the best of them clamped to [0, 1 - p_dark];
+    the raw optima are kept for diagnostics.  ``q1_source_j`` is the order that achieved the max (values
     k+1..2k denote the conjugate-basis variant), ``b1_source_j`` the order
     achieving the min.
     """
