@@ -58,9 +58,10 @@ def test_order_two_bound_equals_legacy_form_without_dark_counts(table_cache):
     assert stats.p_dark == 0.0
     agg = aggregate(stats, grid, table_cache(grid))
     (mu1, mu2, _), (p0, p1, p2) = grid.mus, stats.p[:3]
-    wang_q2_min = mu2 * math.exp(mu1) / (mu1 * (mu2 - mu1)) * (
-        p1 - math.exp(-mu1) * p0
-    ) - mu1 * math.exp(mu2) / (mu2 * (mu2 - mu1)) * (p2 - math.exp(-mu2) * p0)
+    wang_q2_min = (
+        mu2 * math.exp(mu1) / (mu1 * (mu2 - mu1)) * (p1 - math.exp(-mu1) * p0)
+        - mu1 * math.exp(mu2) / (mu2 * (mu2 - mu1)) * (p2 - math.exp(-mu2) * p0)
+    )
     wang_b1_max = (stats.s[0] * p1 * math.exp(mu1) - 0.5 * p0) / mu1
     assert agg.q_j_min[1] == pytest.approx(wang_q2_min, rel=1e-10)
     assert agg.b_j_max[0] == pytest.approx(wang_b1_max, rel=1e-10)
