@@ -173,7 +173,7 @@ def ma_q1_lower(mus, p0, p):
     numer = mu3 * (
         p2 * math.exp(mu2)
         - p1 * math.exp(mu1)
-        - (mu2**2 - mu1**2) / mu3**2 * (p3 * _exp(mu3) - p0)
+        - (mu2**2 - mu1**2) / (mu3 * mu3) * (p3 * _exp(mu3) - p0)
     )
     return numer / (mu2 * mu3 - mu3 * mu1 - mu2**2 + mu1**2)
 

@@ -154,7 +154,8 @@ def _beta_row(points) -> list:
     sign = -1.0 if j % 2 == 0 else 1.0
     row = []
     for i, mu_i in enumerate(points):
-        denom = mu_i**2
+        # a numpy scalar squares like an array element (x * x); its ** is C pow, an ulp off
+        denom = mu_i * mu_i if isinstance(mu_i, np.generic) else mu_i**2
         for t, mu_t in enumerate(points):
             if t != i:
                 denom *= mu_i - mu_t

@@ -46,40 +46,57 @@ def _check_direction(direction: str) -> None:
         raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
 
 
+def _entropy(p):
+    """h(p) = -p log2 p - (1 - p) log2(1 - p) for p in (0, 1/2], a float or an array."""
+    return -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+
+
 def binary_entropy_bar(x):
     """Binary entropy saturated at its maximum: h(x) for x <= 1/2, else 1.
 
     Accepts scalars or arrays in [0, 1]; continuous at 1/2.  Values outside
     [0, 1] and NaN are rejected (the caller must clamp an error ratio above
-    1, as the bound formulas may overshoot on noisy input).
+    1, as the bound formulas may overshoot on noisy input).  A float (numpy's
+    too) takes a float path with the array path's ufuncs, so the same bits.
     """
+    if isinstance(x, float):
+        if not 0.0 <= x <= 1.0:
+            raise ValueError("binary_entropy_bar requires finite arguments in [0, 1]")
+        # h(1/2) = 1 exactly, which is also the saturated value above 1/2
+        return float(_entropy(min(x, 0.5))) if x > 0.0 else 0.0
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("binary_entropy_bar requires finite arguments in [0, 1]")
-    # h(1/2) = 1 exactly, which is also the saturated value above 1/2
-    inner = np.where((arr > 0.0) & (arr < 0.5), arr, 0.5)
-    entropy = -inner * np.log2(inner) - (1.0 - inner) * np.log2(1.0 - inner)
-    result = np.where(arr == 0.0, 0.0, entropy)
+    result = np.where(arr == 0.0, 0.0, _entropy(np.where((arr > 0.0) & (arr < 0.5), arr, 0.5)))
     return float(result) if np.ndim(x) == 0 else result
+
+
+def _credit(q, b):
+    """q (1 - hbar(b/q)) for q > 0 and 0 <= b <= q, a float or an array."""
+    return q * (1.0 - binary_entropy_bar(b / q))
 
 
 def single_photon_credit(q1, b1):
     """q1 (1 - hbar(b1/q1)) with the conservative conventions.
 
     A non-positive yield bound contributes nothing; an error ratio at or
-    above 1/2 saturates the entropy and likewise zeroes the term.
-    Array-friendly in both arguments; non-finite input raises ValueError.
+    above 1/2 saturates the entropy and likewise zeroes the term; b1 is
+    capped at q1 before dividing, so b1/q1 cannot overflow.  Array-friendly,
+    with a float path for two floats; non-finite input raises ValueError.
     """
+    if isinstance(q1, float) and isinstance(b1, float):
+        if not (math.isfinite(q1) and math.isfinite(b1)):
+            raise ValueError("single_photon_credit requires finite q1 and b1")
+        safe_q = q1 if q1 > 0.0 else 1.0
+        credit = _credit(safe_q, min(max(b1, 0.0), safe_q))
+        return float(credit) if q1 > 0.0 else 0.0
     q = np.asarray(q1, dtype=float)
     b = np.asarray(b1, dtype=float)
-    if not np.isfinite(q + b).all():
+    if not (np.isfinite(q).all() and np.isfinite(b).all()):
         raise ValueError("single_photon_credit requires finite q1 and b1")
     safe_q = np.where(q > 0.0, q, 1.0)
-    ratio = np.minimum(np.maximum(b, 0.0) / safe_q, 1.0)
-    credit = np.where(q > 0.0, q * (1.0 - binary_entropy_bar(ratio)), 0.0)
-    if np.ndim(q1) == 0 and np.ndim(b1) == 0:
-        return float(credit)
-    return credit
+    credit = np.where(q > 0.0, _credit(safe_q, np.minimum(np.maximum(b, 0.0), safe_q)), 0.0)
+    return float(credit) if np.ndim(q1) == 0 and np.ndim(b1) == 0 else credit
 
 
 @dataclass(frozen=True)

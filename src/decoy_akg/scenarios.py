@@ -77,6 +77,11 @@ class ConfigurationError(ValueError):
     """Scenario or sweep configuration is invalid."""
 
 
+def _clamp_unit(x):
+    """x clamped to [0, 1] by ufuncs: np.clip's bits (-0.0 and NaN kept) at a scalar's cost."""
+    return np.minimum(1.0, np.maximum(0.0, x))
+
+
 def _number(value) -> float:
     """``float(value)``, refusing strings and bools, which float() would read as numbers."""
     if isinstance(value, (str, bytes, bool, np.bool_)):
@@ -295,8 +300,8 @@ class _ScenarioEngine:
         alpha = state["alpha"]
         inputs = RateInputs(
             mu_signal=mu,
-            q1=np.clip(q1, 0.0, 1.0),
-            b1=np.clip(b1, 0.0, 1.0),
+            q1=_clamp_unit(q1),
+            b1=_clamp_unit(b1),
             q0=self.p0 - self.pD,
             p_signal=counting_rate(mu, alpha, self.params),
             s_signal=error_rate(mu, alpha, self.params),
@@ -318,7 +323,7 @@ class _ScenarioEngine:
         q1, b1, q_src, b_src = self._bounds(state, mu, diagnostics=True)
         columns = (
             np.broadcast_to(v, np.shape(mu)).ravel().tolist()
-            for v in (mu, rate, np.clip(q1, 0.0, 1.0), np.clip(b1, 0.0, 1.0), q_src, b_src)
+            for v in (mu, rate, _clamp_unit(q1), _clamp_unit(b1), q_src, b_src)
         )
         return [
             SweepRow(length, m, max(r, 0.0), r, q, b, q_j, b_j)

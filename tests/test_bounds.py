@@ -249,3 +249,14 @@ def test_two_intensity_error_bound_dominates_ratio_estimator():
         (mu1, mu2), (p1, p2), (s1, s2) = grid.mus, stats.p[1:3], stats.s
         ma_b12_max = (s2 * p2 * math.exp(mu2) - s1 * p1 * math.exp(mu1)) / (mu2 - mu1)
         assert min(agg.b_j_max[0], agg.b_j_max[1]) <= ma_b12_max + 1e-12
+
+
+def test_numpy_trial_signal_matches_its_array_element():
+    # a one-distance optimization passes its trial signal as np.float64, whose
+    # ** is C pow: it must give the bits of the lane sweep's array element
+    mus = np.random.default_rng(13).uniform(0.31, 2.0, 2000)
+    lanes_q1 = bounds.ma_q1_lower((0.1, 0.2, mus), 1e-4, (2e-3, 4e-3, 0.3 * mus))
+    lanes_beta = np.array(bounds._beta_row((0.1, 0.2, mus)))
+    for i, mu in enumerate(mus):
+        assert bounds.ma_q1_lower((0.1, 0.2, mu), 1e-4, (2e-3, 4e-3, 0.3 * mu)) == lanes_q1[i]
+        assert bounds._beta_row((0.1, 0.2, mu)) == lanes_beta[:, i].tolist()

@@ -45,23 +45,46 @@ def test_single_photon_credit_conventions():
     assert single_photon_credit(1e-6, 2e-6) == 0.0  # overshooting bound is clamped
     credit = single_photon_credit(1e-6, 3e-8)
     assert credit == pytest.approx(1e-6 * (1.0 - binary_entropy_bar(0.03)), rel=1e-12)
+    # b1/q1 overflows a float here; the ratio saturates at 1 without a warning
+    assert single_photon_credit(5e-324, 1.0) == 0.0
+    assert single_photon_credit(1e-300, 1e10) == 0.0
+
+
+# every way a caller may pass one number; a list comes back as an array
+_INPUT_KINDS = {
+    "float": float,
+    "np.float64": np.float64,
+    "0-d array": np.array,
+    "list": lambda v: [v],
+    "1-d element": lambda v: np.array([v])[0],
+}
 
 
 def test_entropy_rejects_non_finite_input():
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            binary_entropy_bar(bad)
+    for make in _INPUT_KINDS.values():
+        for bad in (math.nan, math.inf, -math.inf, -0.01, 1.01):
+            with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+                binary_entropy_bar(make(bad))
     with pytest.raises(ValueError):
         binary_entropy_bar(np.array([0.1, math.nan]))
+    assert math.copysign(1.0, binary_entropy_bar(-0.0)) == 1.0  # -0.0 in, +0.0 out
 
 
 def test_single_photon_credit_rejects_non_finite_input():
     bad = ((math.nan, 0.01), (math.inf, 0.01), (-math.inf, 0.01), (1e-6, math.nan), (1e-6, math.inf))
-    for q1, b1 in bad:
-        with pytest.raises(ValueError):
-            single_photon_credit(q1, b1)
+    for make in _INPUT_KINDS.values():
+        for args in bad:
+            with pytest.raises(ValueError, match="finite q1 and b1"):
+                single_photon_credit(*map(make, args))
     with pytest.raises(ValueError):
         single_photon_credit(np.array([1e-6, math.nan]), np.array([1e-8, 1e-8]))
+
+
+def _assert_matches_element(result, kind, expected):
+    if kind == "list":
+        assert isinstance(result, np.ndarray) and result.tolist() == [expected]
+    else:
+        assert type(result) is float and result == expected
 
 
 def _inputs(**overrides):
@@ -112,8 +135,22 @@ def test_array_inputs_match_scalar_rates():
         assert rates.shape == (3,)
         for i in range(3):
             scalar = akg_rate(RateInputs(**{k: float(v[i]) for k, v in fields.items()}), direction)
-            assert isinstance(scalar, float)
-            assert rates[i] == pytest.approx(scalar, rel=1e-14)  # vector exp may differ by an ulp
+            assert type(scalar) is float
+            assert rates[i] == scalar
+    # the two functions inside it, on every kind of one-number input
+    xs = [0.0, -0.0, 5e-324, 1e-300, 1e-9, 0.03, 0.25, 0.5 - 1e-9, 0.5, 0.75, 1.0]
+    xs += np.linspace(0.0, 1.0, 37).tolist()
+    entropies = binary_entropy_bar(np.array(xs))
+    pairs = [
+        (0.0, 0.1), (-1e-9, 0.0), (1e-6, 5e-7), (1e-6, 2e-6), (1e-6, 3e-8), (1e-6, -1e-9),
+        (4e-6, 1.5e-7), (0.3, 0.01), (1.0, 1.0), (5e-324, 1.0), (1e-300, 1e10), (1e10, 1e-300),
+    ]
+    credits = single_photon_credit(*(np.array(v) for v in zip(*pairs)))
+    for kind, make in _INPUT_KINDS.items():
+        for x, expected in zip(xs, entropies.tolist()):
+            _assert_matches_element(binary_entropy_bar(make(x)), kind, expected)
+        for (q1, b1), expected in zip(pairs, credits.tolist()):
+            _assert_matches_element(single_photon_credit(make(q1), make(b1)), kind, expected)
 
 
 def test_clean_channel_reduction():
