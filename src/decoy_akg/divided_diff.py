@@ -154,6 +154,68 @@ def _top_limit(m: int, n: int, factorial: float) -> float:
     return struct.unpack("<d", struct.pack("<q", hi))[0]
 
 
+class _PrefixSeries:
+    """:func:`h_series` over ``(*prefix, last)`` for one fixed prefix and any last point.
+
+    The recurrence columns h_d(x_1..x_l), l < m, do not depend on the last
+    point.  They are extended degree by degree as a series first needs them
+    and then kept, so each later call does one multiply-add per term:
+    h_d(x_1..x_m) = h_d(x_1..x_(m-1)) + x_m h_(d-1)(x_1..x_m), the
+    operations of a call that builds every column itself, in the same order.
+    """
+
+    def __init__(self, prefix: Sequence):
+        self.prefix = tuple(prefix)
+        self.top = max(self.prefix, default=-math.inf)
+        # h_d(x_1..x_l) for l = 0..m-1 at the highest degree d reached so far
+        self._row = [1.0] * (len(self.prefix) + 1)
+        self._column = [1.0]  # h_d(x_1..x_(m-1)) for d = 0, 1, ...
+
+    def __call__(self, last, weight: Optional[Callable[[int], float]] = None):
+        m = len(self.prefix) + 1
+        lanes = isinstance(last, np.ndarray)
+        if lanes:
+            top = np.maximum(self.top, last)
+            active = np.ones(top.shape, dtype=bool)
+            total = np.zeros(top.shape)
+        else:
+            top = max(self.top, last)
+            total = 0.0
+        prefix, row, column = self.prefix, self._row, self._column
+        h = 1.0  # h_d(x_1..x_m) at the current degree d = n - 1 - m
+        degree = 0
+        n = m + 1
+        factorial = float(math.factorial(n))
+        while True:
+            term = (h if weight is None else weight(n) * h) / factorial
+            if lanes:
+                np.add(total, term, out=total, where=active)
+            else:
+                total += term
+            # the series decays at least geometrically with ratio ~ m*x_top/n once
+            # n is past m*x_top
+            if n > m + 3:
+                going_on = top >= _top_limit(m, n, factorial)
+                if lanes:
+                    active &= going_on
+                    going_on = active.any()
+                if not going_on:
+                    return total
+            if n > 400:  # factorial decay guarantees we never get here for sane points
+                raise RuntimeError("complete-homogeneous series failed to converge")
+            n += 1
+            factorial *= n
+            degree += 1
+            if degree == len(column):
+                # h_d(x_1..x_l) = h_d(x_1..x_{l-1}) + x_l * h_{d-1}(x_1..x_l), in place
+                # in increasing l; h_d of no points is 0 for d > 0
+                row[0] = 0.0
+                for l in range(1, len(row)):
+                    row[l] = row[l - 1] + prefix[l - 1] * row[l]
+                column.append(row[-1])
+            h = column[degree] + last * h
+
+
 def h_series(points: Sequence, weight: Optional[Callable[[int], float]] = None):
     """sum_{n>m} w(n) h_(n-1-m)(x_1..x_m) / n! over m positive points.
 
@@ -164,46 +226,11 @@ def h_series(points: Sequence, weight: Optional[Callable[[int], float]] = None):
     h_d <= C(d+m-1, m-1) x_top^d and the decay of 1/n!.
     The last point may be a numpy array, over which the result broadcasts;
     each element sums exactly the terms that a call with that element
-    alone would sum.
+    alone would sum.  An empty point set raises ValueError.
     """
-    m = len(points)
-    last = points[-1]
-    lanes = isinstance(last, np.ndarray)
-    if lanes:
-        top = np.maximum(max(points[:-1], default=-math.inf), last)
-        active = np.ones(top.shape, dtype=bool)
-        total = np.zeros(top.shape)
-    else:
-        top = max(points)
-        total = 0.0
-    hh = [1.0] * (m + 1)  # hh[l] = h_d(x_1..x_l) at the current degree d = n - 1 - m
-    n = m + 1
-    factorial = float(math.factorial(n))
-    while True:
-        h = hh[m]
-        term = (h if weight is None else weight(n) * h) / factorial
-        if lanes:
-            np.add(total, term, out=total, where=active)
-        else:
-            total += term
-        # the series decays at least geometrically with ratio ~ m*x_top/n once
-        # n is past m*x_top
-        if n > m + 3:
-            going_on = top >= _top_limit(m, n, factorial)
-            if lanes:
-                active &= going_on
-                going_on = active.any()
-            if not going_on:
-                return total
-        if n > 400:  # factorial decay guarantees we never get here for sane points
-            raise RuntimeError("complete-homogeneous series failed to converge")
-        n += 1
-        factorial *= n
-        # h_d(x_1..x_l) = h_d(x_1..x_{l-1}) + x_l * h_{d-1}(x_1..x_l)
-        new = [0.0] * (m + 1)
-        for l in range(1, m + 1):
-            new[l] = new[l - 1] + points[l - 1] * hh[l]
-        hh = new
+    if len(points) == 0:
+        raise ValueError("h_series needs at least one point, got the empty point set")
+    return _PrefixSeries(points[:-1])(points[-1], weight)
 
 
 def power_divided_difference(exponent: int, pts: PointSet) -> float:

@@ -167,13 +167,19 @@ def universal_upper(
     return akg_rate(inputs, direction)
 
 
-def _golden_section_max(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float):
+def _pick(cond, x, y):
+    """``np.where(cond, x, y)`` for an array ``cond``, a plain choice for one truth value."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def _golden_section_max(fn: Callable, lo, hi, tol: float):
     """Golden-section maxima of ``fn`` on every bracket [lo, hi] at once.
 
-    ``lo`` and ``hi`` are arrays of brackets, one per lane (0-d for one
-    lane), and ``fn`` maps trial points of that shape to the rates there.
-    Each lane narrows its own bracket while it is wider than ``tol``; a lane
-    that is done keeps its bracket while the others go on.
+    ``lo`` and ``hi`` are arrays of brackets, one per lane, or two floats
+    for one lane, which the search then narrows in floats; ``fn`` maps trial
+    points of that shape to the rates there.  Each lane narrows its own
+    bracket while it is wider than ``tol``; a lane that is done keeps its
+    bracket while the others go on.
     """
     invphi = GOLDEN_RATIO_CONJUGATE
     a, b = lo, hi
@@ -181,18 +187,18 @@ def _golden_section_max(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
     active = b - a > tol
-    while np.any(active):
-        left = np.greater_equal(fc, fd)  # the maximum is in [a, d]
+    while active.any() if isinstance(active, np.ndarray) else active:
+        left = fc >= fd  # the maximum is in [a, d]
         # a lane that is done keeps its bracket; its inner points no longer matter
-        a = np.where(active & ~left, c, a)
-        b = np.where(active & left, d, b)
+        a = _pick(left, a, _pick(active, c, a))
+        b = _pick(left, _pick(active, d, b), b)
         width = b - a
         step = invphi * width
-        x = np.where(left, b - step, a + step)
+        x = _pick(left, b - step, a + step)
         fx = fn(x)
         # c stays on as the new d on the left, d as the new c on the right
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        c, d = _pick(left, x, d), _pick(left, c, x)
+        fc, fd = _pick(left, fx, fd), _pick(left, fc, fx)
         active = width > tol
     mid = 0.5 * (a + b)
     return mid, fn(mid)
@@ -210,8 +216,9 @@ def optimize_lanes(
     ``grid_fn(grid)`` gives every lane's rates on the coarse grid (step
     ``DEFAULT_COARSE_STEP``), shape (*lanes, grid.size); the golden section then
     refines each lane's best bracket through ``rate_fn``, which maps one
-    trial signal per lane (shape ``lanes``) to the rates there.  Returns the
-    optimal signals and rates, shape ``lanes``.  The best point is returned
+    trial signal per lane (shape ``lanes``) to the rates there; with one
+    lane (``lanes`` = ()) it is called with floats.  Returns the optimal
+    signals and rates, shape ``lanes``.  The best point is returned
     even when the rate is negative everywhere, which distance root finding
     relies on.
     """
@@ -229,10 +236,13 @@ def optimize_lanes(
     # bracket ends of each grid point: its neighbours, or the search range
     lower_ends = np.concatenate(([max(mu_lower + 0.25 * tol, grid[0] - coarse_step)], grid[:-1]))
     upper_ends = np.concatenate((grid[1:], [mu_cap]))
-    mu_opt, rate_opt = _golden_section_max(rate_fn, lower_ends[best], upper_ends[best], tol)
+    lo, hi = lower_ends[best], upper_ends[best]
+    if values.ndim == 1:  # one lane: the golden section runs in floats
+        lo, hi = float(lo), float(hi)
+    mu_opt, rate_opt = _golden_section_max(rate_fn, lo, hi, tol)
     # the bracket interior can lose to the best grid point in flat regions
     flat = best_value > rate_opt
-    return np.where(flat, grid[best], mu_opt), np.where(flat, best_value, rate_opt)
+    return _pick(flat, grid[best], mu_opt), _pick(flat, best_value, rate_opt)
 
 
 def optimize_signal_intensity(
@@ -251,9 +261,7 @@ def optimize_signal_intensity(
     """
     if vector_fn is None:
         vector_fn = lambda grid: np.array([rate_fn(m) for m in grid])  # noqa: E731
-    mu_opt, rate_opt = optimize_lanes(
-        lambda mu: rate_fn(float(mu)), vector_fn, mu_lower, mu_cap, tol
-    )
+    mu_opt, rate_opt = optimize_lanes(rate_fn, vector_fn, mu_lower, mu_cap, tol)
     return float(mu_opt), float(rate_opt)
 
 

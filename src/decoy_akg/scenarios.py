@@ -36,7 +36,7 @@ import numpy as np
 
 from .bounds import ma_q1_lower, order_bounds
 from .channel import STANDARD_FIBER, ChannelParams, alpha_of_distance, counting_rate, error_rate
-from .divided_diff import h_series
+from .divided_diff import _PrefixSeries, h_series
 from .expansion import DEFAULT_MIN_SPACING, IntensityGrid
 from .keyrate import (
     DEFAULT_MU_CAP,
@@ -217,6 +217,8 @@ class _ScenarioEngine:
         self.pD = self.params.pD
         self.decoy_array = np.asarray(self.decoys, dtype=float)
         self.prefix_omegas = [h_series(self.decoys[:j]) for j in range(1, len(self.decoys) + 1)]
+        # Omega over the decoys and a trial signal; keeps the decoys' recurrence columns
+        self.trial_omega = _PrefixSeries(self.decoys)
 
     # -- per-distance state ------------------------------------------------
 
@@ -269,7 +271,7 @@ class _ScenarioEngine:
         """Order-k bounds with the trial signal as the k-th intensity."""
         _, c, d = self._inputs(state["alpha"], mu)
         points = self.decoys + (mu,)
-        return order_bounds(points, [*state["c"], c], [*state["d"], d], h_series(points), 1.0)
+        return order_bounds(points, [*state["c"], c], [*state["d"], d], self.trial_omega(mu), 1.0)
 
     def _bounds(self, state: dict, mu, diagnostics: bool = False):
         """(q1, b1[, source indices]) for trial signal mu (scalar or array).
@@ -330,14 +332,20 @@ class _ScenarioEngine:
             for length, m, r, q, b, q_j, b_j in zip(lengths, *columns, strict=True)
         ]
 
-    def optimized(self, length_km: float) -> SweepRow:
-        """The row at one distance (one lane of ``optimize_signal_intensity``)."""
+    def _optimum(self, length_km: float):
+        """(state, optimal signal, signed rate) at one distance, via ``optimize_signal_intensity``."""
         state = self._distance_state(length_km)
         rate_fn = partial(self.rate, state)
-        mu_opt, rate_opt = optimize_signal_intensity(
-            rate_fn, self.spec.signal_lower, vector_fn=rate_fn
-        )
+        return state, *optimize_signal_intensity(rate_fn, self.spec.signal_lower, vector_fn=rate_fn)
+
+    def optimized(self, length_km: float) -> SweepRow:
+        """The row at one distance, with the bounds' diagnostics."""
+        state, mu_opt, rate_opt = self._optimum(length_km)
         return self._rows([length_km], state, mu_opt, rate_opt)[0]
+
+    def optimized_rate(self, length_km: float) -> float:
+        """The signed optimal rate at one distance: the envelope that the bisection reads."""
+        return self._optimum(length_km)[2]
 
     def sweep(self, lengths: list[float]) -> list[SweepRow]:
         """The rows at every distance, optimized at once with one lane each."""
@@ -380,5 +388,5 @@ def run_scenario(
     engine = _ScenarioEngine(spec)
     rows = tuple(engine.sweep(lengths))
     signed = [row.rate_signed for row in rows]
-    achievable = find_zero_distance(lambda L: engine.optimized(L).rate_signed, lengths, signed)
+    achievable = find_zero_distance(engine.optimized_rate, lengths, signed)
     return SweepResult(spec=spec, rows=rows, achievable_km=achievable)

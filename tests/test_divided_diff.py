@@ -192,6 +192,11 @@ def test_h_series_lanes_equal_scalar_calls(prefix, lanes, alpha):
         assert value == h_series(points + (last,), weight)
 
 
+def test_h_series_needs_a_point():
+    with pytest.raises(ValueError, match="empty point set"):
+        h_series(())
+
+
 def test_h_series_stop_is_the_majorant_test():
     # x_top < _top_limit(m, n, n!) exactly where the majorant of term n + 1
     # is below half the tolerance

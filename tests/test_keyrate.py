@@ -20,6 +20,7 @@ from decoy_akg import (
     single_photon_credit,
     universal_upper,
 )
+from decoy_akg.keyrate import _golden_section_max
 
 
 def test_entropy_endpoints_and_saturation():
@@ -247,6 +248,32 @@ def test_optimizer_returns_best_even_when_negative():
     assert mu == pytest.approx(0.4, abs=1e-4)
     with pytest.raises(ValueError):
         optimize_signal_intensity(lambda m: m, mu_lower=-0.1)
+
+
+def _plateau(x, peak, cap):
+    """-(x - peak)^2 capped at ``cap``: a float for a float, an array for an array."""
+    rate = -(x - peak) * (x - peak)
+    return np.minimum(rate, cap) if isinstance(rate, np.ndarray) else min(rate, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 2.0),
+    st.sampled_from([1e-6, 1e-4, 0.05]) | st.floats(1e-9, 1.0),
+    st.floats(-1.0, 3.0),
+    st.sampled_from([math.inf, -0.0625]) | st.floats(-1.0, -1e-6),
+)
+def test_golden_section_in_floats_is_its_one_lane_array(lo, width, tol, peak, cap):
+    # two float bracket ends run the search in floats with the bits of a
+    # one-element lane; the cap draws flat tops and, below the bracket's
+    # rates, functions that are flat everywhere
+    hi = lo + width
+    fn = lambda x: _plateau(x, peak, cap)  # noqa: E731
+    mu, rate = _golden_section_max(fn, lo, hi, tol)
+    lane_mu, lane_rate = _golden_section_max(fn, np.array([lo]), np.array([hi]), tol)
+    assert type(mu) is float and type(rate) is float
+    assert (mu.hex(), rate.hex()) == (float(lane_mu[0]).hex(), float(lane_rate[0]).hex())
 
 
 def _scan(envelope, lengths):

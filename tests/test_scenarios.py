@@ -20,6 +20,7 @@ from decoy_akg import (
 from decoy_akg import scenarios
 from decoy_akg.bounds import ma_q1_lower
 from decoy_akg.channel import STANDARD_FIBER, ChannelParams, counting_rate
+from decoy_akg.divided_diff import h_series
 from decoy_akg.keyrate import DEFAULT_MU_CAP, DEFAULT_MU_TOL
 from decoy_akg.scenarios import DARK_MODES, SCENARIO_NAMES, _ScenarioEngine
 
@@ -290,17 +291,17 @@ def test_beyond_range_is_none_in_both_apis():
 
 def test_sweep_bisects_its_own_scan(monkeypatch):
     calls, sweeps = [], []
-    optimized, sweep = _ScenarioEngine.optimized, _ScenarioEngine.sweep
+    envelope, sweep = _ScenarioEngine.optimized_rate, _ScenarioEngine.sweep
 
     def counted(self, length_km):
         calls.append(length_km)
-        return optimized(self, length_km)
+        return envelope(self, length_km)
 
     def lanes(self, lengths):
         sweeps.append(list(lengths))
         return sweep(self, lengths)
 
-    monkeypatch.setattr(_ScenarioEngine, "optimized", counted)
+    monkeypatch.setattr(_ScenarioEngine, "optimized_rate", counted)
     monkeypatch.setattr(_ScenarioEngine, "sweep", lanes)
     result = run_scenario(ScenarioSpec("k2"), (218.0, 226.0, 1.0))
     # the 9 scan rows come from one lane sweep; the 7 bisection steps each
@@ -309,6 +310,34 @@ def test_sweep_bisects_its_own_scan(monkeypatch):
     assert len(result.rows) == 9
     assert len(calls) == 7
     assert all(222.0 < length < 223.0 for length in calls)
+
+
+@pytest.mark.parametrize("dark_mode", DARK_MODES)
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+@pytest.mark.parametrize("name", [name for name in SCENARIO_NAMES if name != "custom"])
+def test_envelope_is_the_row_rate(name, direction, dark_mode):
+    # the bisection reads the optimum's rate alone: the one-distance row's rate
+    dark_rate = 0.5 * STANDARD_FIBER.p0 if dark_mode == "explicit" else None
+    engine = _ScenarioEngine(ScenarioSpec(name, direction, dark_mode, dark_rate=dark_rate))
+    for length in (0.0, 97.3, 180.0, 241.5):
+        assert engine.optimized_rate(length) == engine.optimized(length).rate_signed
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.floats(0.101, 0.18), min_size=1, max_size=10),
+    st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6),
+)
+def test_trial_omega_is_the_series_over_decoys_and_signal(gaps, trials):
+    # the engine keeps the decoys' recurrence columns from one trial signal to
+    # the next; each Omega is the series over all the points, to the bit
+    engine = _ScenarioEngine(ScenarioSpec("custom", decoy_mus=itertools.accumulate(gaps)))
+    lanes = np.array(trials)
+    for mu in (*trials, np.float64(trials[0]), lanes, lanes[:, None]):
+        omega, series = engine.trial_omega(mu), h_series((*engine.decoys, mu))
+        assert type(omega) is type(series)
+        assert np.shape(omega) == np.shape(series)
+        assert np.array_equal(omega, series)
 
 
 def test_chunked_sweep_equals_one_block(monkeypatch):
