@@ -72,30 +72,43 @@ def alpha_of_distance(length_km: float, params: ChannelParams) -> float:
     return params.theta * 10.0 ** (-(params.a1 * length_km + params.a0) / 10.0)
 
 
-def counting_rate(mu, alpha: float, params: ChannelParams):
-    """Model counting rate p(mu) = 1 - e^(-alpha mu) + p0 (array-friendly)."""
-    return -np.expm1(-alpha * np.asarray(mu, dtype=float)) + params.p0
+def _transmitted(alpha, mu):
+    """1 - e^(-alpha mu), without cancellation for small alpha mu (the model's signal part)."""
+    return -np.expm1(-alpha * mu)
 
 
-def error_rate(mu, alpha: float, params: ChannelParams):
-    """Model error rate s(mu); dark/vacuum counts err half the time.
+def _model_rates(signal, params: ChannelParams):
+    """(p(mu), s(mu)) from the transmitted fraction ``signal`` = 1 - e^(-alpha mu).
 
+    The one implementation of both model rates, for a float or an array.
     With p0 = 0 and a transmission that underflows, p(mu) is 0 and s(mu)
     would be 0/0; the floored denominator makes it 0 (its weight p(mu) is 0).
     """
-    signal = -np.expm1(-alpha * np.asarray(mu, dtype=float))
-    return (params.s * signal + 0.5 * params.p0) / np.maximum(signal + params.p0, _TINY)
+    p = signal + params.p0
+    return p, (params.s * signal + 0.5 * params.p0) / np.maximum(p, _TINY)
+
+
+def counting_rate(mu, alpha: float, params: ChannelParams):
+    """Model counting rate p(mu) = 1 - e^(-alpha mu) + p0 (array-friendly)."""
+    return _model_rates(_transmitted(alpha, np.asarray(mu, dtype=float)), params)[0]
+
+
+def error_rate(mu, alpha: float, params: ChannelParams):
+    """Model error rate s(mu); dark/vacuum counts err half the time (0 where nothing clicks)."""
+    return _model_rates(_transmitted(alpha, np.asarray(mu, dtype=float)), params)[1]
 
 
 def model_stats(grid: IntensityGrid, alpha: float, params: ChannelParams) -> ObservedStats:
     """Observed statistics the noise model predicts for a grid of intensities.
 
     Counting rates are basis independent, so both basis blocks coincide.
+    Each intensity's transmission is computed once, for both of its rates.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    p_basis = [float(counting_rate(mu, alpha, params)) for mu in grid.mus]
-    s_basis = [float(error_rate(mu, alpha, params)) for mu in grid.mus]
+    rates = [_model_rates(_transmitted(alpha, mu), params) for mu in grid.mus]
+    p_basis = [float(p) for p, _ in rates]
+    s_basis = [float(s) for _, s in rates]
     return ObservedStats.symmetric(params.p0, p_basis, s_basis, p_dark=params.pD)
 
 

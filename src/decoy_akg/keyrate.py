@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, counting_rate, error_rate
+from .channel import ChannelParams, _model_rates, _transmitted
 
 GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_MU_CAP = 2.0
@@ -155,13 +155,14 @@ def universal_upper(
     """
     pd_est = params.pD if estimation_dark_rate is None else float(estimation_dark_rate)
     dark_gap = params.p0 - pd_est
+    p_signal, s_signal = _model_rates(_transmitted(alpha, np.asarray(mu, dtype=float)), params)
     inputs = RateInputs(
         mu_signal=mu,
         q1=alpha + dark_gap,
         b1=params.s * alpha + 0.5 * dark_gap,
         q0=params.p0 - params.pD,
-        p_signal=float(counting_rate(mu, alpha, params)),
-        s_signal=float(error_rate(mu, alpha, params)),
+        p_signal=float(p_signal),
+        s_signal=float(s_signal),
         pD=params.pD,
     )
     return akg_rate(inputs, direction)
@@ -204,6 +205,13 @@ def _golden_section_max(fn: Callable, lo, hi, tol: float):
     return mid, fn(mid)
 
 
+def _coarse_grid(mu_lower: float, mu_cap: float) -> np.ndarray:
+    """The coarse scan of (mu_lower, mu_cap], one coarse step apart; its midpoint if none fits."""
+    step = DEFAULT_COARSE_STEP
+    grid = np.arange(mu_lower + step, mu_cap + 0.5 * step, step)
+    return grid if grid.size else np.array([0.5 * (mu_lower + mu_cap)])
+
+
 def optimize_lanes(
     rate_fn: Callable[[np.ndarray], np.ndarray],
     grid_fn: Callable[[np.ndarray], np.ndarray],
@@ -227,9 +235,7 @@ def optimize_lanes(
     if mu_cap <= mu_lower:
         raise ValueError("mu_cap must exceed mu_lower")
     coarse_step = DEFAULT_COARSE_STEP
-    grid = np.arange(mu_lower + coarse_step, mu_cap + 0.5 * coarse_step, coarse_step)
-    if grid.size == 0:
-        grid = np.array([0.5 * (mu_lower + mu_cap)])
+    grid = _coarse_grid(mu_lower, mu_cap)
     values = np.asarray(grid_fn(grid))
     best = np.argmax(values, axis=-1)
     best_value = np.take_along_axis(values, np.expand_dims(best, -1), -1)[..., 0]

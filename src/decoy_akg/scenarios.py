@@ -28,20 +28,22 @@ kilometres.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .bounds import ma_q1_lower, order_bounds
-from .channel import STANDARD_FIBER, ChannelParams, alpha_of_distance, counting_rate, error_rate
+from .bounds import _row_bounds, ma_q1_lower, order_bounds
+from .channel import STANDARD_FIBER, ChannelParams, _model_rates, _transmitted, alpha_of_distance
 from .divided_diff import _PrefixSeries, h_series
-from .expansion import DEFAULT_MIN_SPACING, IntensityGrid
+from .expansion import DEFAULT_MIN_SPACING, IntensityGrid, _beta_row
 from .keyrate import (
     DEFAULT_MU_CAP,
     DIRECTIONS,
     RateInputs,
+    _coarse_grid,
     akg_rate,
     find_zero_distance,
     optimize_lanes,
@@ -204,7 +206,8 @@ class _ScenarioEngine:
 
     A state holds these inputs at one distance or, as arrays with one lane
     per distance, at many; a trial signal is a float, or an array that
-    broadcasts against the lanes.
+    broadcasts against the lanes.  An aggregation's trial beta row and Omega
+    depend on the signal alone, so the engine keeps them for its coarse grid.
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -219,14 +222,18 @@ class _ScenarioEngine:
         self.prefix_omegas = [h_series(self.decoys[:j]) for j in range(1, len(self.decoys) + 1)]
         # Omega over the decoys and a trial signal; keeps the decoys' recurrence columns
         self.trial_omega = _PrefixSeries(self.decoys)
+        # the coarse grid that the intensity search scans at every distance
+        self.grid = _coarse_grid(spec.signal_lower, DEFAULT_MU_CAP)
+        self.grid_terms = None
+        if self.kind == "aggregate":
+            self.grid_terms = (_beta_row(self.decoys + (self.grid,)), self.trial_omega(self.grid))
 
     # -- per-distance state ------------------------------------------------
 
-    def _inputs(self, alpha, mu):
-        """(1 - e^(-alpha mu), c, d) at intensities mu, dark-inclusive (p_dark = 0)."""
-        signal = -np.expm1(-alpha * mu)
+    def _inputs(self, signal, mu):
+        """(c, d) at intensities mu that transmit ``signal``, dark-inclusive (p_dark = 0)."""
         vacuum = self.p0 * -np.expm1(-mu)  # 1 - e^(-mu) cancels for small decoys
-        return signal, signal + vacuum, self.s * signal + 0.5 * vacuum
+        return signal + vacuum, self.s * signal + 0.5 * vacuum
 
     def _distance_state(self, lengths) -> dict:
         """Inputs and signal-free bounds at ``lengths``: one distance, or a 1-d array of lanes.
@@ -238,8 +245,9 @@ class _ScenarioEngine:
         alpha = np.reshape(
             [alpha_of_distance(float(length), self.params) for length in np.ravel(lengths)], shape
         )
-        column = (-1,) + (1,) * len(shape)  # one row per decoy, the lanes across
-        signal, c, d = self._inputs(alpha, self.decoy_array.reshape(column))
+        decoys = self.decoy_array.reshape((-1,) + (1,) * len(shape))  # the lanes across
+        signal = _transmitted(alpha, decoys)
+        c, d = self._inputs(signal, decoys)
         state = {"alpha": alpha, "c": c, "d": d}
         if self.kind == "universal":
             q1, b1 = alpha + self.p0, self.s * alpha + 0.5 * self.p0
@@ -254,7 +262,7 @@ class _ScenarioEngine:
         if self.kind == "wang":
             state.update(q1=q_prefix[1], q_src=2)
         elif self.kind == "ma":
-            state.update(q_src=SOURCE_MA, ma_p=signal + self.p0)
+            state.update(q_src=SOURCE_MA, ma_p=_model_rates(signal, self.params)[0])
         else:
             state.update(q1=np.max(q_prefix, axis=0), q_src=np.argmax(q_prefix, axis=0) + 1)
             state.update(b1=np.min(b_prefix, axis=0), b_src=np.argmin(b_prefix, axis=0) + 1)
@@ -267,27 +275,42 @@ class _ScenarioEngine:
 
     # -- estimator evaluation ----------------------------------------------
 
-    def _order_k_bounds(self, state: dict, mu):
-        """Order-k bounds with the trial signal as the k-th intensity."""
-        _, c, d = self._inputs(state["alpha"], mu)
+    def _trial(self, state: dict, mu):
+        """(mu, 1 - e^(-alpha mu), p(mu), s(mu)): one transmission per trial signal.
+
+        A float becomes numpy's, which the library exponentiates with np.exp.
+        """
+        if isinstance(mu, float):
+            mu = np.float64(mu)
+        signal = _transmitted(state["alpha"], mu)
+        return (mu, signal, *_model_rates(signal, self.params))
+
+    def _order_k_bounds(self, state: dict, mu, signal, terms):
+        """Order-k bounds with the trial signal as the k-th intensity.
+
+        ``terms`` is its beta row and Omega, or None to compute them here.
+        """
+        c, d = self._inputs(signal, mu)
         points = self.decoys + (mu,)
-        return order_bounds(points, [*state["c"], c], [*state["d"], d], self.trial_omega(mu), 1.0)
+        row, omega = terms or (_beta_row(points), self.trial_omega(mu))
+        return _row_bounds(row, points, [*state["c"], c], [*state["d"], d], omega, 1.0)
 
     def _bounds(self, state: dict, mu, diagnostics: bool = False):
-        """(q1, b1[, source indices]) for trial signal mu (scalar or array).
+        """(q1, b1[, source indices]) for trial signal mu (scalar or array)."""
+        return self._trial_bounds(state, self._trial(state, mu), None, diagnostics)
+
+    def _trial_bounds(self, state: dict, trial, terms, diagnostics: bool = False):
+        """:meth:`_bounds` for a ``_trial`` tuple, with the trial's grid terms if known.
 
         Adds Ma's q1 or an aggregation's order-k pair to the state's bounds;
         a prefix order wins a tie.
         """
-        if isinstance(mu, float):
-            # a numpy trial signal, which the library exponentiates with np.exp
-            mu = np.float64(mu)
+        mu, signal, p_signal, _ = trial
         q1, b1, q_src, b_src = (state.get(key) for key in ("q1", "b1", "q_src", "b_src"))
         if self.kind == "ma":
-            p3 = counting_rate(mu, state["alpha"], self.params)
-            q1 = ma_q1_lower(self.decoys + (mu,), self.p0, (*state["ma_p"], p3))
+            q1 = ma_q1_lower(self.decoys + (mu,), self.p0, (*state["ma_p"], p_signal))
         elif self.kind == "aggregate":
-            q_k, b_k = self._order_k_bounds(state, mu)
+            q_k, b_k = self._order_k_bounds(state, mu, signal, terms)
             if diagnostics:
                 k = len(self.decoys) + 1
                 q_src, b_src = np.where(q_k > q1, k, q_src), np.where(b_k < b1, k, b_src)
@@ -296,26 +319,38 @@ class _ScenarioEngine:
 
     # -- rate evaluation -----------------------------------------------------
 
-    def rate(self, state: dict, mu):
-        """Signed key rate at trial signal mu (scalar or array) via ``akg_rate``."""
-        q1, b1 = self._bounds(state, mu)
-        alpha = state["alpha"]
+    def rate(self, state: dict, mu, terms=None):
+        """Signed key rate at trial signal mu (scalar or array) via ``akg_rate``.
+
+        ``terms`` is the trial's beta row and Omega, when the caller holds them.
+        """
+        trial = self._trial(state, mu)
+        q1, b1 = self._trial_bounds(state, trial, terms)
+        _, _, p_signal, s_signal = trial
         inputs = RateInputs(
             mu_signal=mu,
             q1=_clamp_unit(q1),
             b1=_clamp_unit(b1),
             q0=self.p0 - self.pD,
-            p_signal=counting_rate(mu, alpha, self.params),
-            s_signal=error_rate(mu, alpha, self.params),
+            p_signal=p_signal,
+            s_signal=s_signal,
             pD=self.pD,
         )
         return akg_rate(inputs, self.spec.direction)
 
     def _grid_rates(self, state: dict, grid: np.ndarray) -> np.ndarray:
-        """Rates of every lane on the coarse grid, shape (lanes, grid.size)."""
+        """Rates of every lane on the coarse grid, shape (*lanes, grid.size).
+
+        The engine's grid reads its kept terms; lanes go in chunks of whole grids.
+        """
+        terms = self.grid_terms if np.array_equal(grid, self.grid) else None
+        if np.ndim(state["alpha"]) == 0:  # one distance
+            return self.rate(state, grid, terms)
+        if terms:
+            terms = ([beta_i[:, None] for beta_i in terms[0]], terms[1][:, None])
         per_chunk = max(1, _EVAL_ELEMENTS // grid.size)
         chunks = [
-            self.rate(self._lanes(state, slice(start, start + per_chunk)), grid[:, None])
+            self.rate(self._lanes(state, slice(start, start + per_chunk)), grid[:, None], terms)
             for start in range(0, state["alpha"].size, per_chunk)
         ]
         return np.concatenate(chunks, axis=1).T
@@ -335,8 +370,9 @@ class _ScenarioEngine:
     def _optimum(self, length_km: float):
         """(state, optimal signal, signed rate) at one distance, via ``optimize_signal_intensity``."""
         state = self._distance_state(length_km)
-        rate_fn = partial(self.rate, state)
-        return state, *optimize_signal_intensity(rate_fn, self.spec.signal_lower, vector_fn=rate_fn)
+        return state, *optimize_signal_intensity(
+            partial(self.rate, state), self.spec.signal_lower, vector_fn=partial(self._grid_rates, state)
+        )
 
     def optimized(self, length_km: float) -> SweepRow:
         """The row at one distance, with the bounds' diagnostics."""
@@ -346,6 +382,16 @@ class _ScenarioEngine:
     def optimized_rate(self, length_km: float) -> float:
         """The signed optimal rate at one distance: the envelope that the bisection reads."""
         return self._optimum(length_km)[2]
+
+    def settled_rate(self, length_km: float, mu_hint: float) -> float:
+        """The rate at the grid signal nearest ``mu_hint`` if positive, else ``optimized_rate``.
+
+        The search returns at least its best grid rate, so a positive grid
+        rate gives the optimum's sign, all that the bisection reads.
+        """
+        mu = float(self.grid[np.argmin(np.abs(self.grid - mu_hint))])
+        rate = self.rate(self._distance_state(length_km), mu)
+        return rate if rate > 0.0 else self.optimized_rate(length_km)
 
     def sweep(self, lengths: list[float]) -> list[SweepRow]:
         """The rows at every distance, optimized at once with one lane each."""
@@ -388,5 +434,10 @@ def run_scenario(
     engine = _ScenarioEngine(spec)
     rows = tuple(engine.sweep(lengths))
     signed = [row.rate_signed for row in rows]
-    achievable = find_zero_distance(engine.optimized_rate, lengths, signed)
+
+    def envelope(length_km: float) -> float:
+        # the optimal signal of the scan row just below hints at a positive grid rate
+        return engine.settled_rate(length_km, rows[bisect_left(lengths, length_km) - 1].optimal_mu)
+
+    achievable = find_zero_distance(envelope, lengths, signed)
     return SweepResult(spec=spec, rows=rows, achievable_km=achievable)

@@ -22,6 +22,7 @@ from decoy_akg import (
     omega,
     per_photon_rates,
 )
+from decoy_akg.channel import _model_rates, _transmitted
 from conftest import random_grid
 
 
@@ -62,6 +63,47 @@ def test_error_rate_without_clicks_is_zero():
     assert error_rate(0.5, alpha, dark) == 0.0
     rates = error_rate(np.array([0.3, 0.5]), alpha, dark)
     assert np.all(np.isfinite(rates)) and np.all(rates == 0.0)
+
+
+def _literal_rates(mu, alpha, params):
+    """p(mu) and s(mu) written out: 1 - e^(-alpha mu) + p0 and (s (1 - e^(-alpha mu)) + p0/2) / p."""
+    signal = -np.expm1(-alpha * np.asarray(mu, dtype=float))
+    tiny = np.finfo(float).tiny
+    return signal + params.p0, (params.s * signal + 0.5 * params.p0) / np.maximum(signal + params.p0, tiny)
+
+
+def _same_bits(x, y) -> bool:
+    return np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize("params", [STANDARD_FIBER, replace(STANDARD_FIBER, s=0.135, p0=9.8e-4)])
+def test_model_rates_from_one_transmission(params):
+    # one transmission gives the bits of counting_rate and error_rate, and of
+    # their formulas written out, for every trial-signal form the engine uses
+    alphas = np.array([alpha_of_distance(length, params) for length in (0.0, 97.3, 241.5)])
+    grid = np.arange(0.21, 2.0, 0.01)
+    cases = [(0.47, alphas[1]), (np.float64(0.47), alphas[1]), (np.asarray(0.47), alphas[1])]
+    cases += [(np.float64(0.47), alphas[1:2].reshape(())), (grid, alphas[0])]
+    cases += [(np.array([0.3, 0.5, 0.8]), alphas), (grid[:, None], alphas)]
+    for mu, alpha in cases:
+        p, s = _model_rates(_transmitted(alpha, mu), params)
+        literal = _literal_rates(mu, alpha, params)
+        for helper, public, written in zip((p, s), (counting_rate, error_rate), literal):
+            assert _same_bits(helper, public(mu, alpha, params))
+            assert _same_bits(helper, written)
+    # model_stats takes both rates of an intensity from its one transmission
+    stats_grid = IntensityGrid((0.1, 0.2, 0.5))
+    for alpha in (alphas[1], float(alphas[2])):
+        stats = model_stats(stats_grid, alpha, params)
+        for mu, p_i, s_i in zip(stats_grid.mus, stats.p[1 : 1 + stats.k], stats.s, strict=True):
+            assert (p_i, s_i) == tuple(map(float, _literal_rates(mu, alpha, params)))
+    # p0 = 0 and a transmission that underflows: nothing clicks, so s(mu) = 0
+    dark = ChannelParams(theta=0.1, a0=4000.0, a1=0.17, p0=0.0, pD=0.0, s=0.03)
+    alpha = alpha_of_distance(0.0, dark)
+    with np.errstate(all="raise"):
+        for mu in (0.5, np.float64(0.5), grid):
+            p, s = _model_rates(_transmitted(alpha, mu), dark)
+            assert np.all(p == 0.0) and np.all(s == 0.0)
 
 
 def test_model_stats_layout():

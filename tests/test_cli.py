@@ -63,6 +63,30 @@ def test_cli_start_does_not_load_scipy():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], EXIT_OK),
+        (["figures", "--format", "xml"], EXIT_CONFIG),  # refused by the parser
+    ],
+)
+def test_module_entry_point_exit_codes(tmp_path, argv, code):
+    # python -m decoy_akg is the console script: same exit codes, no traceback
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "decoy_akg", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,  # where the default --out would go
+    )
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if code == EXIT_OK:
+        assert done.stdout.startswith("usage:")
+
+
 def test_scan_too_large_to_allocate_is_config_error(tmp_path):
     # 2.5e8 distances need 2 GB; under a 1.5 GB address-space limit the scan
     # fails to allocate, which must be a configuration error, not a traceback

@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from decoy_akg import scenarios
 from decoy_akg.bounds import ma_q1_lower
 from decoy_akg.channel import STANDARD_FIBER, ChannelParams, counting_rate
 from decoy_akg.divided_diff import h_series
-from decoy_akg.keyrate import DEFAULT_MU_CAP, DEFAULT_MU_TOL
+from decoy_akg.expansion import _beta_row
+from decoy_akg.keyrate import DEFAULT_MU_CAP, DEFAULT_MU_TOL, _coarse_grid, find_zero_distance
 from decoy_akg.scenarios import DARK_MODES, SCENARIO_NAMES, _ScenarioEngine
 
 
@@ -183,7 +185,7 @@ def test_engine_distance_bounds_match_library(name):
 def test_prefix_order_wins_a_tie(monkeypatch, lengths):
     # a trial-signal order that only equals the best prefix order leaves the
     # prefix's source codes in place, as argmax over all orders would
-    def best_prefix(self, state, mu):
+    def best_prefix(self, state, mu, signal, terms):
         return state["q1"], state["b1"]
 
     monkeypatch.setattr(_ScenarioEngine, "_order_k_bounds", best_prefix)
@@ -291,21 +293,24 @@ def test_beyond_range_is_none_in_both_apis():
 
 def test_sweep_bisects_its_own_scan(monkeypatch):
     calls, sweeps = [], []
-    envelope, sweep = _ScenarioEngine.optimized_rate, _ScenarioEngine.sweep
+    find_zero, sweep = scenarios.find_zero_distance, _ScenarioEngine.sweep
 
-    def counted(self, length_km):
-        calls.append(length_km)
-        return envelope(self, length_km)
+    def counted(envelope, lengths, values):
+        def spy(length_km):
+            calls.append(length_km)
+            return envelope(length_km)
+
+        return find_zero(spy, lengths, values)
 
     def lanes(self, lengths):
         sweeps.append(list(lengths))
         return sweep(self, lengths)
 
-    monkeypatch.setattr(_ScenarioEngine, "optimized_rate", counted)
+    monkeypatch.setattr(scenarios, "find_zero_distance", counted)
     monkeypatch.setattr(_ScenarioEngine, "sweep", lanes)
     result = run_scenario(ScenarioSpec("k2"), (218.0, 226.0, 1.0))
     # the 9 scan rows come from one lane sweep; the 7 bisection steps each
-    # optimize one distance strictly inside the last sign change
+    # read the envelope at one distance strictly inside the last sign change
     assert sweeps == [[row.L_km for row in result.rows]]
     assert len(result.rows) == 9
     assert len(calls) == 7
@@ -494,3 +499,92 @@ def test_lower_edge_optimum_is_reached(name):
     row = run_scenario(spec, (115.7, 115.7, 1.0)).rows[0]
     lo = spec.signal_lower + 1e-9
     assert _beats_dense_scan(_ScenarioEngine(spec), row, lo, lo + 1e-4)
+
+
+@settings(max_examples=10, deadline=None)
+@given(lane_cases())
+def test_grid_rates_are_scalar_rates(case):
+    # a settled bisection step reads one scalar rate for its grid point: it is
+    # that point's rate in the one-distance grid and in a lane chunk of the sweep
+    spec, (l_min, l_max, step) = case
+    engine = _ScenarioEngine(spec)
+    lengths = np.arange(l_min, l_max + 0.5 * step, step)
+    with mock.patch.object(scenarios, "_EVAL_ELEMENTS", 1):  # one lane per chunk
+        lanes = engine._grid_rates(engine._distance_state(lengths), engine.grid)
+    for length, lane in zip(lengths.tolist(), lanes, strict=True):
+        state = engine._distance_state(length)
+        scalar = np.array([engine.rate(state, float(g)) for g in engine.grid])
+        assert np.array_equal(scalar, engine._grid_rates(state, engine.grid))
+        assert np.array_equal(scalar, lane)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ScenarioSpec(name) for name in _PRESETS]
+    + [ScenarioSpec("custom", decoy_mus=(0.1, 0.25, 0.4, 0.6, 0.85, 1.1), signal_lower=1.3)],
+    ids=lambda spec: spec.name,
+)
+def test_grid_terms_are_fresh_terms(spec):
+    # the aggregation's kept trial row and Omega are those of the grid the search scans
+    engine = _ScenarioEngine(spec)
+    assert np.array_equal(engine.grid, _coarse_grid(spec.signal_lower, DEFAULT_MU_CAP))
+    if spec.estimator_kind != "aggregate":
+        assert engine.grid_terms is None
+        return
+    engine.rate(engine._distance_state(120.0), 0.77)  # a later trial leaves them as they were
+    row, omega = engine.grid_terms
+    fresh = _beta_row(spec.decoy_mus + (engine.grid,))
+    assert len(row) == len(fresh) == len(spec.decoy_mus) + 1
+    assert all(np.array_equal(kept, new) for kept, new in zip(row, fresh))
+    assert np.array_equal(omega, h_series((*spec.decoy_mus, engine.grid)))
+
+
+@pytest.mark.parametrize("name", _PRESETS)
+def test_settled_bisection_equals_optimized_bisection(monkeypatch, name):
+    # a step settled by one positive grid rate calls no optimizer, and the
+    # bisection ends where it ends on the optimized rate alone.  The noisy
+    # channel is never positive, so there the scan alone decides (0.0).
+    optimized_rate, optimize = _ScenarioEngine.optimized_rate, scenarios.optimize_signal_intensity
+    optima, fallbacks, optimizations, steps = {}, [], [], []
+
+    def remembered(self, length_km):
+        # the reference bisection repeats the unsettled steps' optima
+        fallbacks.append(length_km)
+        key = (self.spec, length_km)
+        if key not in optima:
+            optima[key] = optimized_rate(self, length_km)
+        return optima[key]
+
+    def counted(*args, **kwargs):
+        optimizations.append(args)
+        return optimize(*args, **kwargs)
+
+    def spied(envelope, lengths, values):
+        def step(length_km):
+            before = len(fallbacks), len(optimizations)
+            rate = envelope(length_km)
+            steps.append((len(fallbacks) - before[0], len(optimizations) - before[1], rate))
+            return rate
+
+        return find_zero_distance(step, lengths, values)
+
+    monkeypatch.setattr(_ScenarioEngine, "optimized_rate", remembered)
+    monkeypatch.setattr(scenarios, "optimize_signal_intensity", counted)
+    monkeypatch.setattr(scenarios, "find_zero_distance", spied)
+    configs = itertools.product(("forward", "reverse"), DARK_MODES, (STANDARD_FIBER, _NOISY_FIBER))
+    for direction, dark_mode, channel in configs:
+        dark_rate = 0.5 * channel.p0 if dark_mode == "explicit" else None
+        spec = ScenarioSpec(name, direction, dark_mode, channel, dark_rate=dark_rate)
+        for offset in (0.0, 0.347, 0.625):
+            result = run_scenario(spec, (200.0 + offset, 250.0 + offset, 2.5))
+            lengths = [row.L_km for row in result.rows]
+            signed = [row.rate_signed for row in result.rows]
+            reference = find_zero_distance(_ScenarioEngine(spec).optimized_rate, lengths, signed)
+            assert repr(result.achievable_km) == repr(reference)
+            if channel is _NOISY_FIBER:
+                assert result.achievable_km == 0.0
+            else:
+                assert lengths[0] < result.achievable_km < lengths[-1]
+    settled = [(calls, rate) for fell_back, calls, rate in steps if not fell_back]
+    assert settled and all(calls == 0 and rate > 0.0 for calls, rate in settled)
+    assert all(fell_back == 1 for fell_back, _, _ in steps if fell_back)
