@@ -26,6 +26,7 @@ from .scenarios import (
     ConfigurationError,
     ScenarioSpec,
     SweepResult,
+    _ScenarioEngine,
     run_scenario,
 )
 
@@ -239,9 +240,17 @@ def _cmd_figures(args) -> int:
     channel = load_params_file(args.params_file) if args.params_file else STANDARD_FIBER
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
+    # sweep key -> result: a spec whose engine reads what an earlier one read
+    # (the forward pD = p0 set) reuses its sweep under its own spec
+    sweeps: dict[tuple, SweepResult] = {}
     for direction, dark_mode, names in _FIGURE_SETS:
-        specs = [ScenarioSpec(n, direction, dark_mode, channel) for n in names]
-        results = [run_scenario(spec, (args.l_min, args.l_max, args.l_step)) for spec in specs]
+        results = []
+        for name in names:
+            spec = ScenarioSpec(name, direction, dark_mode, channel)
+            key = _ScenarioEngine.sweep_key(spec)
+            if key not in sweeps:
+                sweeps[key] = run_scenario(spec, (args.l_min, args.l_max, args.l_step))
+            results.append(replace(sweeps[key], spec=spec))
         tag = f"{direction}_{dark_mode}"
         emit(results, args.format, out / f"rates_{tag}")
         _emit_distance_table(results, out / f"distances_{tag}.csv")

@@ -19,7 +19,10 @@ Estimation convention: the bound formulas are evaluated with a zero dark
 rate, i.e. every click (including dark counts) is attributed to the channel
 during parameter estimation.  The configured dark rate enters only the
 additive vacuum/dark credit of the rate formula (and is what separates the
-forward and reverse directions).  The reference comparison tables are
+forward and reverse directions).  The forward rate reads it only through
+e^(-mu) (q0 + pD) with q0 = p0 - pD, which is e^(-mu) p0 bit for bit at
+pD = 0 and at pD = p0, so those two dark modes give one forward sweep; the
+reverse rate reads pD itself.  The reference comparison tables are
 defined under this convention; propagating the dark rate into the
 estimators instead would shift the reverse achievable distances by several
 kilometres.
@@ -338,6 +341,17 @@ class _ScenarioEngine:
         )
         return akg_rate(inputs, self.spec.direction)
 
+    @staticmethod
+    def sweep_key(spec: ScenarioSpec) -> tuple:
+        """What an engine for ``spec`` reads: equal keys give bit-equal ``run_scenario`` results.
+
+        The dark rate reaches only ``akg_rate``'s vacuum term, as the float
+        (p0 - pD) + pD of :meth:`rate`'s inputs forward and as pD reverse.
+        """
+        params = spec.resolved_channel()
+        dark = (params.p0 - params.pD) + params.pD if spec.direction == "forward" else params.pD
+        return (spec.name, spec.decoy_mus, spec.signal_lower, spec.direction, spec.channel, dark)
+
     def _grid_rates(self, state: dict, grid: np.ndarray) -> np.ndarray:
         """Rates of every lane on the coarse grid, shape (*lanes, grid.size).
 
@@ -367,31 +381,32 @@ class _ScenarioEngine:
             for length, m, r, q, b, q_j, b_j in zip(lengths, *columns, strict=True)
         ]
 
-    def _optimum(self, length_km: float):
-        """(state, optimal signal, signed rate) at one distance, via ``optimize_signal_intensity``."""
-        state = self._distance_state(length_km)
-        return state, *optimize_signal_intensity(
+    def _optimum(self, state: dict):
+        """(optimal signal, signed rate) at a distance state, via ``optimize_signal_intensity``."""
+        return optimize_signal_intensity(
             partial(self.rate, state), self.spec.signal_lower, vector_fn=partial(self._grid_rates, state)
         )
 
     def optimized(self, length_km: float) -> SweepRow:
         """The row at one distance, with the bounds' diagnostics."""
-        state, mu_opt, rate_opt = self._optimum(length_km)
-        return self._rows([length_km], state, mu_opt, rate_opt)[0]
+        state = self._distance_state(length_km)
+        return self._rows([length_km], state, *self._optimum(state))[0]
 
     def optimized_rate(self, length_km: float) -> float:
-        """The signed optimal rate at one distance: the envelope that the bisection reads."""
-        return self._optimum(length_km)[2]
+        """The signed optimal rate at one distance: the envelope whose sign the bisection reads."""
+        return self._optimum(self._distance_state(length_km))[1]
 
     def settled_rate(self, length_km: float, mu_hint: float) -> float:
         """The rate at the grid signal nearest ``mu_hint`` if positive, else ``optimized_rate``.
 
         The search returns at least its best grid rate, so a positive grid
-        rate gives the optimum's sign, all that the bisection reads.
+        rate gives the optimum's sign, all that the bisection reads.  Both
+        rates read one distance state.
         """
+        state = self._distance_state(length_km)
         mu = float(self.grid[np.argmin(np.abs(self.grid - mu_hint))])
-        rate = self.rate(self._distance_state(length_km), mu)
-        return rate if rate > 0.0 else self.optimized_rate(length_km)
+        rate = self.rate(state, mu)
+        return rate if rate > 0.0 else self._optimum(state)[1]
 
     def sweep(self, lengths: list[float]) -> list[SweepRow]:
         """The rows at every distance, optimized at once with one lane each."""

@@ -210,6 +210,27 @@ def test_figures_command_writes_datasets(tmp_path):
     assert profile[0] == "scenario,L_km,optimal_mu"
 
 
+def test_figures_sweeps_each_sweep_key_once(tmp_path, monkeypatch):
+    # the forward pD = p0 set reads what the dark-free set reads: its five
+    # sweeps are the dark-free ones, written under their own headers
+    calls, run_scenario = [], cli.run_scenario
+
+    def spy(spec, l_range):
+        calls.append(spec)
+        return run_scenario(spec, l_range)
+
+    monkeypatch.setattr(cli, "run_scenario", spy)
+    assert _run(["figures", "--l-step", "50", "--out", tmp_path]) == EXIT_OK
+    assert len(calls) == 11
+    assert not any(s.direction == "forward" and s.dark_mode == "pd-equals-p0" for s in calls)
+    assert sum(1 for path in tmp_path.rglob("*") if path.is_file()) == 23
+    for path in (tmp_path / "rates_forward_pd-equals-p0").glob("*_forward_pd-equals-p0.csv"):
+        header, *rows = path.read_text().splitlines()
+        assert "dark_mode=pd-equals-p0 dark_rate=4e-07 " in header
+        twin = tmp_path / "rates_forward_pd-zero" / path.name.replace("pd-equals-p0", "pd-zero")
+        assert rows == twin.read_text().splitlines()[1:]
+
+
 def test_non_finite_loss_in_params_file_is_config_error(tmp_path):
     for value in ("nan", "inf"):
         params_file = tmp_path / f"{value}.cfg"
@@ -372,5 +393,5 @@ def test_run_fuzz_exits_cleanly(case):
 @settings(max_examples=25, deadline=None)
 @given(_figures_argv())
 def test_figures_fuzz_exits_cleanly(case):
-    # each drawn scan has at most 20 distances, so 16 sweeps of it stay cheap
+    # each drawn scan has at most 20 distances, so 11 sweeps of it stay cheap
     _assert_exits_cleanly(*case)

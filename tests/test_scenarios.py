@@ -21,6 +21,7 @@ from decoy_akg import (
 from decoy_akg import scenarios
 from decoy_akg.bounds import ma_q1_lower
 from decoy_akg.channel import STANDARD_FIBER, ChannelParams, counting_rate
+from decoy_akg.cli import _FIGURE_SETS
 from decoy_akg.divided_diff import h_series
 from decoy_akg.expansion import _beta_row
 from decoy_akg.keyrate import DEFAULT_MU_CAP, DEFAULT_MU_TOL, _coarse_grid, find_zero_distance
@@ -518,6 +519,52 @@ def test_grid_rates_are_scalar_rates(case):
         assert np.array_equal(scalar, lane)
 
 
+@st.composite
+def dark_variants(draw):
+    """A preset scenario on a drawn channel in every dark mode and direction, and a short scan."""
+    p0 = draw(st.sampled_from([0.0, 4e-7]) | st.floats(1e-8, 1e-3))
+    s, a1 = draw(st.floats(0.0, 0.5)), draw(st.floats(0.1, 0.3))
+    channel = replace(STANDARD_FIBER, p0=p0, s=s, a1=a1)
+    dark_rate = draw(st.sampled_from([0.0, p0]) | st.floats(0.0, p0))
+    name = draw(st.sampled_from(_PRESETS))
+    specs = [
+        ScenarioSpec(name, d, mode, channel, dark_rate=dark_rate if mode == "explicit" else None)
+        for d in ("forward", "reverse")
+        for mode in DARK_MODES
+    ]
+    l_min, step = draw(st.floats(0.0, 250.0)), draw(st.floats(1.0, 40.0))
+    return specs, (l_min, l_min + 2 * step, step)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dark_variants())
+def test_equal_sweep_keys_give_equal_sweeps(case):
+    # figures sweeps once per key, so specs with one key must sweep alike bit
+    # for bit; forward pd-zero and pd-equals-p0 always share a key, and a
+    # reverse key keeps the dark rate
+    specs, l_range = case
+    keys = {}
+    for spec in specs:
+        keys.setdefault(_ScenarioEngine.sweep_key(spec), []).append(spec)
+    assert len(keys) < len(specs)
+    for first, *repeats in keys.values():
+        expected = run_scenario(first, l_range) if repeats else None
+        for spec in repeats:
+            result = run_scenario(spec, l_range)
+            assert repr(result.rows) == repr(expected.rows)
+            assert repr(result.achievable_km) == repr(expected.achievable_km)
+    reverse = [spec for spec in specs if spec.direction == "reverse"]
+    for a, b in itertools.combinations(reverse, 2):
+        same_key = _ScenarioEngine.sweep_key(a) == _ScenarioEngine.sweep_key(b)
+        assert same_key == (a.dark_rate_effective == b.dark_rate_effective)
+
+
+def test_figures_specs_have_eleven_sweep_keys():
+    specs = [ScenarioSpec(n, direction, mode) for direction, mode, ns in _FIGURE_SETS for n in ns]
+    assert len(specs) == 16
+    assert len({_ScenarioEngine.sweep_key(spec) for spec in specs}) == 11
+
+
 @pytest.mark.parametrize(
     "spec",
     [ScenarioSpec(name) for name in _PRESETS]
@@ -541,35 +588,32 @@ def test_grid_terms_are_fresh_terms(spec):
 
 @pytest.mark.parametrize("name", _PRESETS)
 def test_settled_bisection_equals_optimized_bisection(monkeypatch, name):
-    # a step settled by one positive grid rate calls no optimizer, and the
-    # bisection ends where it ends on the optimized rate alone.  The noisy
-    # channel is never positive, so there the scan alone decides (0.0).
-    optimized_rate, optimize = _ScenarioEngine.optimized_rate, scenarios.optimize_signal_intensity
-    optima, fallbacks, optimizations, steps = {}, [], [], []
-
-    def remembered(self, length_km):
-        # the reference bisection repeats the unsettled steps' optima
-        fallbacks.append(length_km)
-        key = (self.spec, length_km)
-        if key not in optima:
-            optima[key] = optimized_rate(self, length_km)
-        return optima[key]
+    # a step settled by one positive grid rate calls no optimizer, a step
+    # that falls back calls it once, and either builds one distance state.
+    # The bisection ends where it ends on the optimized rate alone.  The
+    # noisy channel is never positive, so there the scan alone decides (0.0).
+    optimize, distance_state = scenarios.optimize_signal_intensity, _ScenarioEngine._distance_state
+    optimizations, states, steps = [], [], []
 
     def counted(*args, **kwargs):
         optimizations.append(args)
         return optimize(*args, **kwargs)
 
+    def built(self, lengths):
+        states.append(lengths)
+        return distance_state(self, lengths)
+
     def spied(envelope, lengths, values):
         def step(length_km):
-            before = len(fallbacks), len(optimizations)
+            before = len(optimizations), len(states)
             rate = envelope(length_km)
-            steps.append((len(fallbacks) - before[0], len(optimizations) - before[1], rate))
+            steps.append((len(optimizations) - before[0], len(states) - before[1], rate))
             return rate
 
         return find_zero_distance(step, lengths, values)
 
-    monkeypatch.setattr(_ScenarioEngine, "optimized_rate", remembered)
     monkeypatch.setattr(scenarios, "optimize_signal_intensity", counted)
+    monkeypatch.setattr(_ScenarioEngine, "_distance_state", built)
     monkeypatch.setattr(scenarios, "find_zero_distance", spied)
     configs = itertools.product(("forward", "reverse"), DARK_MODES, (STANDARD_FIBER, _NOISY_FIBER))
     for direction, dark_mode, channel in configs:
@@ -585,6 +629,7 @@ def test_settled_bisection_equals_optimized_bisection(monkeypatch, name):
                 assert result.achievable_km == 0.0
             else:
                 assert lengths[0] < result.achievable_km < lengths[-1]
-    settled = [(calls, rate) for fell_back, calls, rate in steps if not fell_back]
-    assert settled and all(calls == 0 and rate > 0.0 for calls, rate in settled)
-    assert all(fell_back == 1 for fell_back, _, _ in steps if fell_back)
+    settled = [rate for calls, _, rate in steps if not calls]
+    assert settled and all(rate > 0.0 for rate in settled)
+    assert len(settled) < len(steps)
+    assert all(calls <= 1 and built_states == 1 for calls, built_states, _ in steps)
