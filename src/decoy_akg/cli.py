@@ -26,7 +26,7 @@ from .scenarios import (
     ConfigurationError,
     ScenarioSpec,
     SweepResult,
-    _ScenarioEngine,
+    _sweep_key,
     run_scenario,
 )
 
@@ -247,7 +247,7 @@ def _cmd_figures(args) -> int:
         results = []
         for name in names:
             spec = ScenarioSpec(name, direction, dark_mode, channel)
-            key = _ScenarioEngine.sweep_key(spec)
+            key = _sweep_key(spec)
             if key not in sweeps:
                 sweeps[key] = run_scenario(spec, (args.l_min, args.l_max, args.l_step))
             results.append(replace(sweeps[key], spec=spec))

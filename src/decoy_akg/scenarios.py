@@ -341,17 +341,6 @@ class _ScenarioEngine:
         )
         return akg_rate(inputs, self.spec.direction)
 
-    @staticmethod
-    def sweep_key(spec: ScenarioSpec) -> tuple:
-        """What an engine for ``spec`` reads: equal keys give bit-equal ``run_scenario`` results.
-
-        The dark rate reaches only ``akg_rate``'s vacuum term, as the float
-        (p0 - pD) + pD of :meth:`rate`'s inputs forward and as pD reverse.
-        """
-        params = spec.resolved_channel()
-        dark = (params.p0 - params.pD) + params.pD if spec.direction == "forward" else params.pD
-        return (spec.name, spec.decoy_mus, spec.signal_lower, spec.direction, spec.channel, dark)
-
     def _grid_rates(self, state: dict, grid: np.ndarray) -> np.ndarray:
         """Rates of every lane on the coarse grid, shape (*lanes, grid.size).
 
@@ -419,6 +408,17 @@ class _ScenarioEngine:
             )
             rows += self._rows(block, state, mu, rate)
         return rows
+
+
+def _sweep_key(spec: ScenarioSpec) -> tuple:
+    """What an engine for ``spec`` reads: equal keys give bit-equal ``run_scenario`` results.
+
+    The dark rate reaches only ``akg_rate``'s vacuum term, as the float
+    (p0 - pD) + pD of ``_ScenarioEngine.rate``'s inputs forward and as pD reverse.
+    """
+    params = spec.resolved_channel()
+    dark = (params.p0 - params.pD) + params.pD if spec.direction == "forward" else params.pD
+    return (spec.name, spec.decoy_mus, spec.signal_lower, spec.direction, spec.channel, dark)
 
 
 def run_scenario(

@@ -222,6 +222,7 @@ def test_figures_sweeps_each_sweep_key_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", spy)
     assert _run(["figures", "--l-step", "50", "--out", tmp_path]) == EXIT_OK
     assert len(calls) == 11
+    assert len(list(tmp_path.glob("rates_*/*_*_*.csv"))) == 16
     assert not any(s.direction == "forward" and s.dark_mode == "pd-equals-p0" for s in calls)
     assert sum(1 for path in tmp_path.rglob("*") if path.is_file()) == 23
     for path in (tmp_path / "rates_forward_pd-equals-p0").glob("*_forward_pd-equals-p0.csv"):

@@ -21,7 +21,6 @@ from decoy_akg import (
 from decoy_akg import scenarios
 from decoy_akg.bounds import ma_q1_lower
 from decoy_akg.channel import STANDARD_FIBER, ChannelParams, counting_rate
-from decoy_akg.cli import _FIGURE_SETS
 from decoy_akg.divided_diff import h_series
 from decoy_akg.expansion import _beta_row
 from decoy_akg.keyrate import DEFAULT_MU_CAP, DEFAULT_MU_TOL, _coarse_grid, find_zero_distance
@@ -545,7 +544,7 @@ def test_equal_sweep_keys_give_equal_sweeps(case):
     specs, l_range = case
     keys = {}
     for spec in specs:
-        keys.setdefault(_ScenarioEngine.sweep_key(spec), []).append(spec)
+        keys.setdefault(scenarios._sweep_key(spec), []).append(spec)
     assert len(keys) < len(specs)
     for first, *repeats in keys.values():
         expected = run_scenario(first, l_range) if repeats else None
@@ -555,14 +554,8 @@ def test_equal_sweep_keys_give_equal_sweeps(case):
             assert repr(result.achievable_km) == repr(expected.achievable_km)
     reverse = [spec for spec in specs if spec.direction == "reverse"]
     for a, b in itertools.combinations(reverse, 2):
-        same_key = _ScenarioEngine.sweep_key(a) == _ScenarioEngine.sweep_key(b)
+        same_key = scenarios._sweep_key(a) == scenarios._sweep_key(b)
         assert same_key == (a.dark_rate_effective == b.dark_rate_effective)
-
-
-def test_figures_specs_have_eleven_sweep_keys():
-    specs = [ScenarioSpec(n, direction, mode) for direction, mode, ns in _FIGURE_SETS for n in ns]
-    assert len(specs) == 16
-    assert len({_ScenarioEngine.sweep_key(spec) for spec in specs}) == 11
 
 
 @pytest.mark.parametrize(
