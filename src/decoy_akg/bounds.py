@@ -84,10 +84,10 @@ class BoundResult:
 
     ``q_j_min[j-1]`` and ``b_j_max[j-1]`` are the order-j bounds of the key
     basis and ``q_kj_min[j-1]`` the order-j q bound of the conjugate basis.
-    ``q1_min``/``b1_max`` are the best of them clamped to [0, 1 - p_dark];
-    the raw optima are kept for diagnostics.  ``q1_source_j`` is the order that achieved the max (values
-    k+1..2k denote the conjugate-basis variant), ``b1_source_j`` the order
-    achieving the min.
+    ``q1_min``/``b1_max`` are the best of them clamped to [0, 1 - p_dark],
+    ``q1_min_raw``/``b1_max_raw`` the best unclamped.  ``q1_source_j`` is the
+    order that achieved the max (values k+1..2k denote the conjugate-basis
+    variant), ``b1_source_j`` the order achieving the min.
     """
 
     q_j_min: tuple[float, ...]
@@ -133,6 +133,32 @@ def _row_bounds(row, points, c, d, omega, cap):
     else:
         b += saturation
     return q, b
+
+
+def _pick(cond, x, y):
+    """``np.where(cond, x, y)`` for an array ``cond``, a plain choice for one truth value."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def _best(bounds, upper: bool = False):
+    """(tightest bound, its order from 1): the max of lower ``bounds``, the min of upper ones.
+
+    A list of floats runs in floats, an array per lane along its first (orders) axis.
+    Only a strictly tighter bound wins, so the lowest order wins a tie.
+    """
+    if isinstance(bounds, list):
+        j = (min if upper else max)(range(len(bounds)), key=bounds.__getitem__)
+        return bounds[j], j + 1
+    if upper:
+        return np.min(bounds, axis=0), np.argmin(bounds, axis=0) + 1
+    return np.max(bounds, axis=0), np.argmax(bounds, axis=0) + 1
+
+
+def _clamp(x, cap: float):
+    """``x`` clamped to [0, cap], NaN kept: by ufuncs for an array, else in floats."""
+    if isinstance(x, np.ndarray):
+        return np.minimum(cap, np.maximum(0.0, x))
+    return min(max(x, 0.0), cap)
 
 
 def _check_order(j: int, k: int) -> None:
@@ -197,19 +223,14 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
         b_all.append(b_j)
         q_plus.append(_row_bounds(row, points, c_plus[:j], d[:j], omega, cap)[0])
 
-    candidates = q_x + q_plus
-    # max/min keep the first of equal values, so the lowest order wins a tie
-    q_source = max(range(2 * k), key=candidates.__getitem__) + 1
-    q_raw = candidates[q_source - 1]
-    b_source = min(range(k), key=b_all.__getitem__) + 1
-    b_raw = b_all[b_source - 1]
-
+    q_raw, q_source = _best(q_x + q_plus)
+    b_raw, b_source = _best(b_all, upper=True)
     return BoundResult(
         q_j_min=tuple(q_x),
         q_kj_min=tuple(q_plus),
         b_j_max=tuple(b_all),
-        q1_min=min(max(q_raw, 0.0), cap),
-        b1_max=min(max(b_raw, 0.0), cap),
+        q1_min=_clamp(q_raw, cap),
+        b1_max=_clamp(b_raw, cap),
         q1_min_raw=q_raw,
         b1_max_raw=b_raw,
         q1_source_j=q_source,

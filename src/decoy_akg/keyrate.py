@@ -14,10 +14,11 @@ directions differ only in how vacuum and dark events are credited:
 reverse - forward = (pD - e^-mu (q0 + pD)) / 2.
 
 The universal upper bound substitutes the perfectly estimated channel
-parameters q1 = alpha + (p0 - pD), b1 = s alpha + (p0 - pD)/2; its optimal
-signal intensity never exceeds 1 (the derivative at mu = 1 is non-positive
-for any admissible parameter set).  The intensity searches stop at
-DEFAULT_MU_CAP = 2.0, above that proven optimum; the decoy estimators have
+parameters q1 = alpha + p0, b1 = s alpha + p0/2, clamped to [0, 1]: every
+click is the channel's during estimation (the scenarios module's convention).
+Its optimal signal intensity never exceeds 1 (the derivative at mu = 1 is
+non-positive for any admissible parameter set).  The intensity searches stop
+at DEFAULT_MU_CAP = 2.0, above that proven optimum; the decoy estimators have
 no such proof.
 """
 
@@ -29,6 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .bounds import _clamp, _pick
 from .channel import ChannelParams, _model_rates, _transmitted
 
 GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
@@ -88,14 +90,14 @@ def single_photon_credit(q1, b1):
         if not (math.isfinite(q1) and math.isfinite(b1)):
             raise ValueError("single_photon_credit requires finite q1 and b1")
         safe_q = q1 if q1 > 0.0 else 1.0
-        credit = _credit(safe_q, min(max(b1, 0.0), safe_q))
+        credit = _credit(safe_q, _clamp(b1, safe_q))
         return float(credit) if q1 > 0.0 else 0.0
     q = np.asarray(q1, dtype=float)
     b = np.asarray(b1, dtype=float)
     if not (np.isfinite(q).all() and np.isfinite(b).all()):
         raise ValueError("single_photon_credit requires finite q1 and b1")
     safe_q = np.where(q > 0.0, q, 1.0)
-    credit = np.where(q > 0.0, _credit(safe_q, np.minimum(np.maximum(b, 0.0), safe_q)), 0.0)
+    credit = np.where(q > 0.0, _credit(safe_q, _clamp(b, safe_q)), 0.0)
     return float(credit) if np.ndim(q1) == 0 and np.ndim(b1) == 0 else credit
 
 
@@ -137,40 +139,31 @@ def akg_rate(inputs: RateInputs, direction: Direction = "forward"):
     return float(rate) if np.ndim(rate) == 0 else rate
 
 
+def _universal_bounds(alpha, params: ChannelParams):
+    """(q1, b1) = (alpha + p0, s alpha + p0/2): the channel's own, every click the channel's."""
+    return alpha + params.p0, params.s * alpha + 0.5 * params.p0
+
+
 def universal_upper(
-    mu: float,
-    alpha: float,
-    params: ChannelParams,
-    direction: Direction = "forward",
-    estimation_dark_rate: Optional[float] = None,
+    mu: float, alpha: float, params: ChannelParams, direction: Direction = "forward"
 ) -> float:
     """Key rate with perfectly known channel parameters (no decoy slack).
 
-    Substitutes q1 = alpha + (p0 - pD_est), b1 = s alpha + (p0 - pD_est)/2
-    and the model p(mu), s(mu).  ``estimation_dark_rate`` is the dark rate
-    assumed inside those estimated arguments and defaults to the physical
-    ``params.pD``; passing 0.0 reproduces the convention where every click
-    is attributed to the channel during estimation while dark counts still
-    enter the additive rate term.
+    Substitutes the clamped :func:`_universal_bounds` and the model p(mu),
+    s(mu); the universal scenario's engine rate, bit for bit.
     """
-    pd_est = params.pD if estimation_dark_rate is None else float(estimation_dark_rate)
-    dark_gap = params.p0 - pd_est
+    q1, b1 = (_clamp(bound, 1.0) for bound in _universal_bounds(alpha, params))
     p_signal, s_signal = _model_rates(_transmitted(alpha, np.asarray(mu, dtype=float)), params)
     inputs = RateInputs(
         mu_signal=mu,
-        q1=alpha + dark_gap,
-        b1=params.s * alpha + 0.5 * dark_gap,
+        q1=q1,
+        b1=b1,
         q0=params.p0 - params.pD,
         p_signal=float(p_signal),
         s_signal=float(s_signal),
         pD=params.pD,
     )
     return akg_rate(inputs, direction)
-
-
-def _pick(cond, x, y):
-    """``np.where(cond, x, y)`` for an array ``cond``, a plain choice for one truth value."""
-    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
 
 
 def _golden_section_max(fn: Callable, lo, hi, tol: float):

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import _row_bounds, ma_q1_lower, order_bounds
+from .bounds import _best, _clamp, _pick, _row_bounds, ma_q1_lower, order_bounds
 from .channel import STANDARD_FIBER, ChannelParams, _model_rates, _transmitted, alpha_of_distance
 from .divided_diff import _PrefixSeries, h_series
 from .expansion import DEFAULT_MIN_SPACING, IntensityGrid, _beta_row
@@ -47,6 +47,7 @@ from .keyrate import (
     DIRECTIONS,
     RateInputs,
     _coarse_grid,
+    _universal_bounds,
     akg_rate,
     find_zero_distance,
     optimize_lanes,
@@ -80,11 +81,6 @@ SOURCE_MA = -1  # three-intensity ratio estimator
 
 class ConfigurationError(ValueError):
     """Scenario or sweep configuration is invalid."""
-
-
-def _clamp_unit(x):
-    """x clamped to [0, 1] by ufuncs: np.clip's bits (-0.0 and NaN kept) at a scalar's cost."""
-    return np.minimum(1.0, np.maximum(0.0, x))
 
 
 def _number(value) -> float:
@@ -253,7 +249,7 @@ class _ScenarioEngine:
         c, d = self._inputs(signal, decoys)
         state = {"alpha": alpha, "c": c, "d": d}
         if self.kind == "universal":
-            q1, b1 = alpha + self.p0, self.s * alpha + 0.5 * self.p0
+            q1, b1 = _universal_bounds(alpha, self.params)
             state.update(q1=q1, b1=b1, q_src=SOURCE_EXACT, b_src=SOURCE_EXACT)
             return state
         orders = [
@@ -267,8 +263,8 @@ class _ScenarioEngine:
         elif self.kind == "ma":
             state.update(q_src=SOURCE_MA, ma_p=_model_rates(signal, self.params)[0])
         else:
-            state.update(q1=np.max(q_prefix, axis=0), q_src=np.argmax(q_prefix, axis=0) + 1)
-            state.update(b1=np.min(b_prefix, axis=0), b_src=np.argmin(b_prefix, axis=0) + 1)
+            (q1, q_src), (b1, b_src) = _best(q_prefix), _best(b_prefix, upper=True)
+            state.update(q1=q1, q_src=q_src, b1=b1, b_src=b_src)
         return state
 
     @staticmethod
@@ -298,15 +294,15 @@ class _ScenarioEngine:
         row, omega = terms or (_beta_row(points), self.trial_omega(mu))
         return _row_bounds(row, points, [*state["c"], c], [*state["d"], d], omega, 1.0)
 
-    def _bounds(self, state: dict, mu, diagnostics: bool = False):
-        """(q1, b1[, source indices]) for trial signal mu (scalar or array)."""
-        return self._trial_bounds(state, self._trial(state, mu), None, diagnostics)
+    def _bounds(self, state: dict, mu):
+        """(q1, b1, q1's source, b1's source) for trial signal mu (scalar or array)."""
+        return self._trial_bounds(state, self._trial(state, mu), None)
 
-    def _trial_bounds(self, state: dict, trial, terms, diagnostics: bool = False):
+    def _trial_bounds(self, state: dict, trial, terms):
         """:meth:`_bounds` for a ``_trial`` tuple, with the trial's grid terms if known.
 
         Adds Ma's q1 or an aggregation's order-k pair to the state's bounds;
-        a prefix order wins a tie.
+        as in ``bounds._best``, only a strictly tighter order-k bound wins.
         """
         mu, signal, p_signal, _ = trial
         q1, b1, q_src, b_src = (state.get(key) for key in ("q1", "b1", "q_src", "b_src"))
@@ -314,11 +310,10 @@ class _ScenarioEngine:
             q1 = ma_q1_lower(self.decoys + (mu,), self.p0, (*state["ma_p"], p_signal))
         elif self.kind == "aggregate":
             q_k, b_k = self._order_k_bounds(state, mu, signal, terms)
-            if diagnostics:
-                k = len(self.decoys) + 1
-                q_src, b_src = np.where(q_k > q1, k, q_src), np.where(b_k < b1, k, b_src)
-            q1, b1 = np.maximum(q1, q_k), np.minimum(b1, b_k)
-        return (q1, b1, q_src, b_src) if diagnostics else (q1, b1)
+            k, q_new, b_new = len(self.decoys) + 1, q_k > q1, b_k < b1
+            q1, b1 = _pick(q_new, q_k, q1), _pick(b_new, b_k, b1)
+            q_src, b_src = _pick(q_new, k, q_src), _pick(b_new, k, b_src)
+        return q1, b1, q_src, b_src
 
     # -- rate evaluation -----------------------------------------------------
 
@@ -328,12 +323,12 @@ class _ScenarioEngine:
         ``terms`` is the trial's beta row and Omega, when the caller holds them.
         """
         trial = self._trial(state, mu)
-        q1, b1 = self._trial_bounds(state, trial, terms)
+        q1, b1, _, _ = self._trial_bounds(state, trial, terms)
         _, _, p_signal, s_signal = trial
         inputs = RateInputs(
             mu_signal=mu,
-            q1=_clamp_unit(q1),
-            b1=_clamp_unit(b1),
+            q1=_clamp(q1, 1.0),
+            b1=_clamp(b1, 1.0),
             q0=self.p0 - self.pD,
             p_signal=p_signal,
             s_signal=s_signal,
@@ -360,10 +355,10 @@ class _ScenarioEngine:
 
     def _rows(self, lengths, state: dict, mu, rate) -> list[SweepRow]:
         """Rows at the optimal signals ``mu`` and rates, in the lanes' shape."""
-        q1, b1, q_src, b_src = self._bounds(state, mu, diagnostics=True)
+        q1, b1, q_src, b_src = self._bounds(state, mu)
         columns = (
             np.broadcast_to(v, np.shape(mu)).ravel().tolist()
-            for v in (mu, rate, _clamp_unit(q1), _clamp_unit(b1), q_src, b_src)
+            for v in (mu, rate, _clamp(q1, 1.0), _clamp(b1, 1.0), q_src, b_src)
         )
         return [
             SweepRow(length, m, max(r, 0.0), r, q, b, q_j, b_j)
@@ -377,7 +372,7 @@ class _ScenarioEngine:
         )
 
     def optimized(self, length_km: float) -> SweepRow:
-        """The row at one distance, with the bounds' diagnostics."""
+        """The row at one distance, with the bounds and their sources."""
         state = self._distance_state(length_km)
         return self._rows([length_km], state, *self._optimum(state))[0]
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,14 +197,15 @@ def test_weak_channel_factorization():
 
 
 def test_universal_upper_is_definitional_substitution():
+    # every click is the channel's during estimation: pD enters only q0 and pD
     params = ChannelParams(theta=0.1, a0=5.0, a1=0.17, p0=4e-7, pD=1e-7, s=0.03)
     alpha, mu = 2e-5, 0.45
     for direction in ("forward", "reverse"):
         via_inputs = akg_rate(
             RateInputs(
                 mu_signal=mu,
-                q1=alpha + params.p0 - params.pD,
-                b1=params.s * alpha + 0.5 * (params.p0 - params.pD),
+                q1=alpha + params.p0,
+                b1=params.s * alpha + 0.5 * params.p0,
                 q0=params.p0 - params.pD,
                 p_signal=float(counting_rate(mu, alpha, params)),
                 s_signal=float(error_rate(mu, alpha, params)),
@@ -214,15 +216,6 @@ def test_universal_upper_is_definitional_substitution():
         assert universal_upper(mu, alpha, params, direction) == pytest.approx(
             via_inputs, rel=1e-14
         )
-
-
-def test_universal_upper_estimation_dark_rate_knob():
-    params = ChannelParams(theta=0.1, a0=5.0, a1=0.17, p0=4e-7, pD=4e-7, s=0.03)
-    alpha = 3.4e-6
-    literal = universal_upper(0.4, alpha, params, "reverse")
-    inclusive = universal_upper(0.4, alpha, params, "reverse", estimation_dark_rate=0.0)
-    # attributing every click to the channel raises the estimated yield
-    assert inclusive != pytest.approx(literal, rel=1e-6)
 
 
 def test_optimizer_finds_analytic_maximum():
@@ -341,13 +334,15 @@ def test_zero_distance_decides_from_the_scan(scan, frequency):
 
 
 def test_derivative_check_report():
-    params = STANDARD_FIBER
-    alphas = [alpha_of_distance(L, params) for L in (0.0, 60.0, 120.0, 200.0, 250.0)]
-    report = optimal_mu_derivative_check(params, alphas)
-    assert report.all_nonpositive
-    assert len(report.rows) == len(alphas)
-    text = report.to_text()
-    assert "OK" in text and len(text.splitlines()) == len(alphas) + 2
+    # the optimum stays at or below mu = 1 for any dark rate, which the
+    # reverse pd-equals-p0 universal sweep relies on
+    alphas = [alpha_of_distance(L, STANDARD_FIBER) for L in (0.0, 60.0, 120.0, 200.0, 250.0)]
+    for pd in (0.0, 1e-7, STANDARD_FIBER.p0):
+        report = optimal_mu_derivative_check(replace(STANDARD_FIBER, pD=pd), alphas)
+        assert report.all_nonpositive, pd
+        assert len(report.rows) == len(alphas)
+        text = report.to_text()
+        assert "OK" in text and len(text.splitlines()) == len(alphas) + 2
 
 
 def test_universal_rate_decreases_past_one():

@@ -19,7 +19,7 @@ from decoy_akg import (
     universal_upper,
 )
 from decoy_akg import scenarios
-from decoy_akg.bounds import ma_q1_lower
+from decoy_akg.bounds import _best, ma_q1_lower
 from decoy_akg.channel import STANDARD_FIBER, ChannelParams, counting_rate
 from decoy_akg.divided_diff import h_series
 from decoy_akg.expansion import _beta_row
@@ -137,7 +137,7 @@ def test_engine_matches_library_bounds_path(spec):
     engine = _ScenarioEngine(spec)
     length, mu = 120.0, spec.signal_lower + 0.17
     state = engine._distance_state(length)
-    q1, b1, q_src, b_src = engine._bounds(state, mu, diagnostics=True)
+    q1, b1, q_src, b_src = engine._bounds(state, mu)
 
     estimation = replace(STANDARD_FIBER, pD=0.0)
     grid = IntensityGrid(spec.decoy_mus + (mu,), min_spacing=0.05)
@@ -162,7 +162,7 @@ def test_engine_distance_bounds_match_library(name):
     spec = ScenarioSpec(name, dark_mode="pd-equals-p0")
     engine = _ScenarioEngine(spec)
     length, mu = 120.0, 0.47
-    q1, b1, q_src, b_src = engine._bounds(engine._distance_state(length), mu, diagnostics=True)
+    q1, b1, q_src, b_src = engine._bounds(engine._distance_state(length), mu)
 
     estimation = replace(STANDARD_FIBER, pD=0.0)
     alpha = alpha_of_distance(length, estimation)
@@ -191,7 +191,7 @@ def test_prefix_order_wins_a_tie(monkeypatch, lengths):
     monkeypatch.setattr(_ScenarioEngine, "_order_k_bounds", best_prefix)
     engine = _ScenarioEngine(ScenarioSpec("k4"))
     state = engine._distance_state(lengths)
-    q1, b1, q_src, b_src = engine._bounds(state, 0.6, diagnostics=True)
+    q1, b1, q_src, b_src = engine._bounds(state, 0.6)
     assert np.array_equal(q1, np.max(state["q_prefix"], axis=0))
     assert np.array_equal(b1, np.min(state["b_prefix"], axis=0))
     assert np.array_equal(q_src, np.argmax(state["q_prefix"], axis=0) + 1)
@@ -199,12 +199,43 @@ def test_prefix_order_wins_a_tie(monkeypatch, lengths):
     assert np.all(q_src <= 3) and np.all(b_src <= 3)
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([-1e-3, 0.0, 2e-6, 0.5]), min_size=n, max_size=n),
+            min_size=1,
+            max_size=3,
+        )
+    )
+)
+def test_tightest_order_is_one_rule_for_floats_lanes_and_the_trial_step(lanes):
+    # the max of the lower bounds, the min of the upper ones, the lowest order
+    # winning a tie: from a list of floats, from the same values as lanes, and
+    # as the engine's trial-signal order added to the best prefix order
+    stacked = np.array(lanes).T  # orders along the first axis, one lane per column
+    for upper in (False, True):
+        for values, bound, order in zip(lanes, *_best(stacked, upper)):
+            tightest = (min if upper else max)(values)
+            assert _best(values, upper) == (tightest, values.index(tightest) + 1) == (bound, order)
+    decoys = tuple(0.1 * j for j in range(1, len(lanes[0])))
+    engine = _ScenarioEngine(ScenarioSpec("custom", decoy_mus=decoys))
+    for orders in (stacked, *lanes):
+        (q1, q_src), (b1, b_src) = _best(orders[:-1]), _best(orders[:-1], upper=True)
+        state = {"q1": q1, "q_src": q_src, "b1": b1, "b_src": b_src}
+        trial_order = lambda *_: (orders[-1], orders[-1])  # noqa: E731
+        with mock.patch.object(_ScenarioEngine, "_order_k_bounds", trial_order):
+            stepped = engine._trial_bounds(state, (0.6, None, None, None), None)
+        (q1, q_src), (b1, b_src) = _best(orders), _best(orders, upper=True)
+        assert all(map(np.array_equal, stepped, (q1, b1, q_src, b_src)))
+
+
 def test_engine_ratio_estimator_matches_legacy_form():
     # the k3-ma engine's q1 is the library's Ma ratio estimator on the model stats
     spec = ScenarioSpec("k3-ma")
     engine = _ScenarioEngine(spec)
     length, mu = 120.0, 0.47
-    q1, _ = engine._bounds(engine._distance_state(length), mu)
+    q1, *_ = engine._bounds(engine._distance_state(length), mu)
 
     estimation = replace(STANDARD_FIBER, pD=0.0)
     grid = IntensityGrid((0.1, 0.2, mu))
@@ -220,10 +251,10 @@ def test_engine_vector_path_equals_scalar_path():
         state = engine._distance_state(150.0)
         mus = np.linspace(spec.signal_lower + 0.05, 1.5, 7)
         # bounds without a trial-signal part keep the distance's shape
-        q_vec, b_vec = (np.broadcast_to(v, mus.shape) for v in engine._bounds(state, mus))
+        q_vec, b_vec = (np.broadcast_to(v, mus.shape) for v in engine._bounds(state, mus)[:2])
         rate_vec = engine.rate(state, mus)
         for idx, mu in enumerate(mus):
-            q_s, b_s = engine._bounds(state, float(mu))
+            q_s, b_s, _, _ = engine._bounds(state, float(mu))
             assert float(q_vec[idx]) == pytest.approx(float(q_s), rel=1e-13)
             assert float(b_vec[idx]) == pytest.approx(float(b_s), rel=1e-13)
             assert rate_vec[idx] == pytest.approx(engine.rate(state, float(mu)), rel=1e-12)
@@ -232,16 +263,18 @@ def test_engine_vector_path_equals_scalar_path():
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 @pytest.mark.parametrize("dark_mode", ["pd-zero", "pd-equals-p0", "explicit"])
 def test_universal_engine_rate_is_library_universal_upper(direction, dark_mode):
+    # the lossless channel's alpha + p0 exceeds 1 at 0 km, where both clamp q1
+    lossless = replace(STANDARD_FIBER, theta=1.0, a0=0.0, p0=1e-3)
     dark_rate = 1e-7 if dark_mode == "explicit" else None
-    spec = ScenarioSpec("universal", direction=direction, dark_mode=dark_mode, dark_rate=dark_rate)
-    engine = _ScenarioEngine(spec)
-    params = spec.resolved_channel()
-    for length in (0.0, 120.0, 210.0):
-        alpha = alpha_of_distance(length, params)
-        for mu in (0.2, 0.55, 1.3):
-            expected = universal_upper(mu, alpha, params, direction, estimation_dark_rate=0.0)
-            rate = engine.rate(engine._distance_state(length), mu)
-            assert rate == pytest.approx(expected, rel=1e-14)
+    for channel in (STANDARD_FIBER, lossless):
+        spec = ScenarioSpec("universal", direction, dark_mode, channel, dark_rate=dark_rate)
+        engine = _ScenarioEngine(spec)
+        params = spec.resolved_channel()
+        for length in (0.0, 120.0, 210.0):
+            alpha = alpha_of_distance(length, params)
+            for mu in (0.2, 0.55, 1.3):
+                expected = universal_upper(mu, alpha, params, direction)
+                assert engine.rate(engine._distance_state(length), mu) == expected
 
 
 def test_decoy_estimates_never_beat_perfect_knowledge():
@@ -379,8 +412,8 @@ def test_ma_scenario_uses_signal_rate():
     spec = ScenarioSpec("k3-ma")
     engine = _ScenarioEngine(spec)
     state = engine._distance_state(100.0)
-    q_a, _ = engine._bounds(state, 0.4)
-    q_b, _ = engine._bounds(state, 0.8)
+    q_a, *_ = engine._bounds(state, 0.4)
+    q_b, *_ = engine._bounds(state, 0.8)
     assert float(q_a) != pytest.approx(float(q_b), rel=1e-6)
     row = engine.optimized(100.0)
     assert row.q1_source_j == -1 and row.b1_source_j == 1
