@@ -108,21 +108,17 @@ def beta(j: int, i: int, grid: IntensityGrid) -> float:
     return _beta_row(grid.mus[:j])[i - 1]
 
 
-def order_bounds(points, c, d, omega, cap):
+def order_bounds(row, points, c, d, omega, cap):
     """Order-j bounds (q_j_min, b_j_max) over the j = len(points) intensities.
 
-    ``c[i]`` = p_i - p_dark - e^(-mu_i)(p_0 - p_dark) and ``d[i]`` = s_i p_i
-    - (p_dark + e^(-mu_i)(p_0 - p_dark))/2 are the observed inputs of the
-    points, ``omega`` is Omega_(j+1) over them and ``cap`` = 1 - p_dark the
-    box of every unknown.  Odd orders put the saturation term cap
-    mu_1..mu_j Omega_(j+1) on q, even orders on b.  The last point (with its
-    c, d and omega) may be a numpy trial signal; the bounds broadcast over it.
+    ``row`` is their beta row beta(j, 1..j), ``c[i]`` = p_i - p_dark -
+    e^(-mu_i)(p_0 - p_dark) and ``d[i]`` = s_i p_i - (p_dark + e^(-mu_i)(p_0 -
+    p_dark))/2 their observed inputs, ``omega`` is Omega_(j+1) over them and
+    ``cap`` = 1 - p_dark the box of every unknown.  Odd orders put the
+    saturation term cap mu_1..mu_j Omega_(j+1) on q, even orders on b.  The
+    last point (with its row entry, c, d and omega) may be a numpy trial
+    signal; the bounds broadcast over it.
     """
-    return _row_bounds(_beta_row(points), points, c, d, omega, cap)
-
-
-def _row_bounds(row, points, c, d, omega, cap):
-    """:func:`order_bounds` with the beta row of ``points`` given, as a table holds it."""
     q = b = 0.0
     for beta_i, c_i, d_i in zip(row, c, d, strict=True):
         q += beta_i * c_i
@@ -218,10 +214,10 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
     q_x, q_plus, b_all = [], [], []
     for j, (row, omega) in enumerate(zip(table.beta_rows, table.omegas), start=1):
         points = grid.mus[:j]
-        q_j, b_j = _row_bounds(row, points, c_x[:j], d[:j], omega, cap)
+        q_j, b_j = order_bounds(row, points, c_x[:j], d[:j], omega, cap)
         q_x.append(q_j)
         b_all.append(b_j)
-        q_plus.append(_row_bounds(row, points, c_plus[:j], d[:j], omega, cap)[0])
+        q_plus.append(order_bounds(row, points, c_plus[:j], d[:j], omega, cap)[0])
 
     q_raw, q_source = _best(q_x + q_plus)
     b_raw, b_source = _best(b_all, upper=True)

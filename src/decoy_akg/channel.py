@@ -67,8 +67,8 @@ STANDARD_FIBER = ChannelParams(theta=0.1, a0=5.0, a1=0.17, p0=4.0e-7, pD=0.0, s=
 
 def alpha_of_distance(length_km: float, params: ChannelParams) -> float:
     """Single-photon transmission theta * 10^(-(a1 L + a0)/10)."""
-    if length_km < 0.0:
-        raise ValueError("distance must be non-negative")
+    if not 0.0 <= length_km < math.inf:
+        raise ValueError(f"distance must be finite and non-negative; got {length_km}")
     return params.theta * 10.0 ** (-(params.a1 * length_km + params.a0) / 10.0)
 
 

@@ -271,6 +271,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:  # a sweep too large for memory, after its scan was allocated
+        print("configuration error: out of memory; shorten the distance scan", file=sys.stderr)
+        return EXIT_CONFIG
     except (InfeasibleStatsError, RuntimeError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

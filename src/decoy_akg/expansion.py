@@ -36,6 +36,13 @@ DEFAULT_N_MAX = 64
 DEFAULT_MIN_SPACING = 0.1
 
 
+def _number(value) -> float:
+    """``float(value)``, refusing strings and bools, which float() would read as numbers."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class IntensityGrid:
     """Strictly increasing, positive and finite pulse intensities (mean photon numbers).
@@ -50,9 +57,9 @@ class IntensityGrid:
     min_spacing: float = DEFAULT_MIN_SPACING
 
     def __init__(self, mus, min_spacing: float = DEFAULT_MIN_SPACING):
-        values = tuple(float(m) for m in mus)
+        values = tuple(_number(m) for m in mus)
         object.__setattr__(self, "mus", values)
-        object.__setattr__(self, "min_spacing", float(min_spacing))
+        object.__setattr__(self, "min_spacing", _number(min_spacing))
         if not 0.0 < self.min_spacing < math.inf:
             raise ValueError(f"min_spacing must be positive and finite; got {self.min_spacing}")
         if not values:

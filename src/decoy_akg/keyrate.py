@@ -139,6 +139,23 @@ def akg_rate(inputs: RateInputs, direction: Direction = "forward"):
     return float(rate) if np.ndim(rate) == 0 else rate
 
 
+def _model_rate(mu, q1, b1, p_signal, s_signal, params: ChannelParams, direction: Direction):
+    """:func:`akg_rate` of bounds q1, b1 clamped to [0, 1] and the signal's own p(mu), s(mu).
+
+    The vacuum yield is q0 = p0 - pD and the dark rate pD, both of ``params``.
+    """
+    inputs = RateInputs(
+        mu_signal=mu,
+        q1=_clamp(q1, 1.0),
+        b1=_clamp(b1, 1.0),
+        q0=params.p0 - params.pD,
+        p_signal=p_signal,
+        s_signal=s_signal,
+        pD=params.pD,
+    )
+    return akg_rate(inputs, direction)
+
+
 def _universal_bounds(alpha, params: ChannelParams):
     """(q1, b1) = (alpha + p0, s alpha + p0/2): the channel's own, every click the channel's."""
     return alpha + params.p0, params.s * alpha + 0.5 * params.p0
@@ -149,21 +166,12 @@ def universal_upper(
 ) -> float:
     """Key rate with perfectly known channel parameters (no decoy slack).
 
-    Substitutes the clamped :func:`_universal_bounds` and the model p(mu),
+    :func:`_model_rate` of :func:`_universal_bounds` and the model p(mu),
     s(mu); the universal scenario's engine rate, bit for bit.
     """
-    q1, b1 = (_clamp(bound, 1.0) for bound in _universal_bounds(alpha, params))
+    q1, b1 = _universal_bounds(alpha, params)
     p_signal, s_signal = _model_rates(_transmitted(alpha, np.asarray(mu, dtype=float)), params)
-    inputs = RateInputs(
-        mu_signal=mu,
-        q1=q1,
-        b1=b1,
-        q0=params.p0 - params.pD,
-        p_signal=float(p_signal),
-        s_signal=float(s_signal),
-        pD=params.pD,
-    )
-    return akg_rate(inputs, direction)
+    return _model_rate(mu, q1, b1, float(p_signal), float(s_signal), params, direction)
 
 
 def _golden_section_max(fn: Callable, lo, hi, tol: float):

@@ -38,17 +38,16 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import _best, _clamp, _pick, _row_bounds, ma_q1_lower, order_bounds
+from .bounds import _best, _clamp, _pick, ma_q1_lower, order_bounds
 from .channel import STANDARD_FIBER, ChannelParams, _model_rates, _transmitted, alpha_of_distance
 from .divided_diff import _PrefixSeries, h_series
-from .expansion import DEFAULT_MIN_SPACING, IntensityGrid, _beta_row
+from .expansion import DEFAULT_MIN_SPACING, IntensityGrid, _beta_row, _number
 from .keyrate import (
     DEFAULT_MU_CAP,
     DIRECTIONS,
-    RateInputs,
     _coarse_grid,
+    _model_rate,
     _universal_bounds,
-    akg_rate,
     find_zero_distance,
     optimize_lanes,
     optimize_signal_intensity,
@@ -81,13 +80,6 @@ SOURCE_MA = -1  # three-intensity ratio estimator
 
 class ConfigurationError(ValueError):
     """Scenario or sweep configuration is invalid."""
-
-
-def _number(value) -> float:
-    """``float(value)``, refusing strings and bools, which float() would read as numbers."""
-    if isinstance(value, (str, bytes, bool, np.bool_)):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,8 @@ class _ScenarioEngine:
     A state holds these inputs at one distance or, as arrays with one lane
     per distance, at many; a trial signal is a float, or an array that
     broadcasts against the lanes.  An aggregation's trial beta row and Omega
-    depend on the signal alone, so the engine keeps them for its coarse grid.
+    depend on the signal alone, so the engine keeps them for its coarse grid,
+    and the row and Omega of each decoy prefix for every distance.
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -216,9 +209,9 @@ class _ScenarioEngine:
         self.kind = spec.estimator_kind
         self.p0 = self.params.p0
         self.s = self.params.s
-        self.pD = self.params.pD
         self.decoy_array = np.asarray(self.decoys, dtype=float)
-        self.prefix_omegas = [h_series(self.decoys[:j]) for j in range(1, len(self.decoys) + 1)]
+        prefixes = [self.decoys[:j] for j in range(1, len(self.decoys) + 1)]
+        self.prefix_terms = [(_beta_row(points), h_series(points)) for points in prefixes]
         # Omega over the decoys and a trial signal; keeps the decoys' recurrence columns
         self.trial_omega = _PrefixSeries(self.decoys)
         # the coarse grid that the intensity search scans at every distance
@@ -253,8 +246,8 @@ class _ScenarioEngine:
             state.update(q1=q1, b1=b1, q_src=SOURCE_EXACT, b_src=SOURCE_EXACT)
             return state
         orders = [
-            order_bounds(self.decoys[:j], c[:j], d[:j], omega, 1.0)
-            for j, omega in enumerate(self.prefix_omegas, start=1)
+            order_bounds(row, self.decoys[:j], c[:j], d[:j], omega, 1.0)
+            for j, (row, omega) in enumerate(self.prefix_terms, start=1)
         ]
         q_prefix, b_prefix = (np.array(v) for v in zip(*orders))
         state.update(q_prefix=q_prefix, b_prefix=b_prefix, b1=b_prefix[0], b_src=1)
@@ -292,7 +285,7 @@ class _ScenarioEngine:
         c, d = self._inputs(signal, mu)
         points = self.decoys + (mu,)
         row, omega = terms or (_beta_row(points), self.trial_omega(mu))
-        return _row_bounds(row, points, [*state["c"], c], [*state["d"], d], omega, 1.0)
+        return order_bounds(row, points, [*state["c"], c], [*state["d"], d], omega, 1.0)
 
     def _bounds(self, state: dict, mu):
         """(q1, b1, q1's source, b1's source) for trial signal mu (scalar or array)."""
@@ -318,23 +311,14 @@ class _ScenarioEngine:
     # -- rate evaluation -----------------------------------------------------
 
     def rate(self, state: dict, mu, terms=None):
-        """Signed key rate at trial signal mu (scalar or array) via ``akg_rate``.
+        """Signed key rate at trial signal mu (scalar or array) via ``keyrate._model_rate``.
 
         ``terms`` is the trial's beta row and Omega, when the caller holds them.
         """
         trial = self._trial(state, mu)
         q1, b1, _, _ = self._trial_bounds(state, trial, terms)
         _, _, p_signal, s_signal = trial
-        inputs = RateInputs(
-            mu_signal=mu,
-            q1=_clamp(q1, 1.0),
-            b1=_clamp(b1, 1.0),
-            q0=self.p0 - self.pD,
-            p_signal=p_signal,
-            s_signal=s_signal,
-            pD=self.pD,
-        )
-        return akg_rate(inputs, self.spec.direction)
+        return _model_rate(mu, q1, b1, p_signal, s_signal, self.params, self.spec.direction)
 
     def _grid_rates(self, state: dict, grid: np.ndarray) -> np.ndarray:
         """Rates of every lane on the coarse grid, shape (*lanes, grid.size).
@@ -376,12 +360,8 @@ class _ScenarioEngine:
         state = self._distance_state(length_km)
         return self._rows([length_km], state, *self._optimum(state))[0]
 
-    def optimized_rate(self, length_km: float) -> float:
-        """The signed optimal rate at one distance: the envelope whose sign the bisection reads."""
-        return self._optimum(self._distance_state(length_km))[1]
-
     def settled_rate(self, length_km: float, mu_hint: float) -> float:
-        """The rate at the grid signal nearest ``mu_hint`` if positive, else ``optimized_rate``.
+        """The rate at the grid signal nearest ``mu_hint`` if positive, else the optimum's.
 
         The search returns at least its best grid rate, so a positive grid
         rate gives the optimum's sign, all that the bisection reads.  Both
@@ -409,7 +389,7 @@ def _sweep_key(spec: ScenarioSpec) -> tuple:
     """What an engine for ``spec`` reads: equal keys give bit-equal ``run_scenario`` results.
 
     The dark rate reaches only ``akg_rate``'s vacuum term, as the float
-    (p0 - pD) + pD of ``_ScenarioEngine.rate``'s inputs forward and as pD reverse.
+    (p0 - pD) + pD of ``keyrate._model_rate``'s inputs forward and as pD reverse.
     """
     params = spec.resolved_channel()
     dark = (params.p0 - params.pD) + params.pD if spec.direction == "forward" else params.pD
@@ -428,7 +408,10 @@ def run_scenario(
     is still positive at max_km (range too short) and 0.0 when it is never
     positive.
     """
-    l_min, l_max, step = (float(v) for v in l_range)
+    try:
+        l_min, l_max, step = (_number(v) for v in l_range)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"distance range must be three numbers, got {l_range!r}") from exc
     if not all(math.isfinite(v) for v in (l_min, l_max, step)):
         raise ConfigurationError("distance range and step must be finite")
     if l_min < 0.0:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ def test_observed_stats_validation():
         ObservedStats((0.1, 0.2), (0.1,))  # even length
     with pytest.raises(ValueError):
         ObservedStats((0.1, 1.2, 0.2), (0.1,))  # rate above 1
+    with pytest.raises(ValueError, match="one error rate per intensity"):
+        ObservedStats((0.1, 0.2, 0.2), (0.1, 0.1))
     stats = ObservedStats.symmetric(1e-6, (1e-4, 2e-4), (0.1, 0.1), p_dark=1e-7)
     assert stats.k == 2
     assert stats.p[1] == stats.p[3] and stats.p[2] == stats.p[4]
@@ -124,8 +127,9 @@ def test_table_rows_give_the_from_points_bounds_exactly():
             agg = aggregate(stats, grid, table)
             for j in range(1, k + 1):
                 points, omega = grid.mus[:j], table.omegas[j - 1]
-                q, b = bounds.order_bounds(points, c_key[:j], d[:j], omega, cap)
-                q_plus, _ = bounds.order_bounds(points, c_plus[:j], d[:j], omega, cap)
+                row = [beta(j, i, grid) for i in range(1, j + 1)]  # from the points
+                q, b = bounds.order_bounds(row, points, c_key[:j], d[:j], omega, cap)
+                q_plus, _ = bounds.order_bounds(row, points, c_plus[:j], d[:j], omega, cap)
                 assert agg.q_j_min[j - 1] == q and agg.b_j_max[j - 1] == b
                 assert agg.q_kj_min[j - 1] == q_plus
 
@@ -171,6 +175,10 @@ def test_per_order_relaxed_programs_match_closed_forms():
             assert lp_oracle_b_j_max(j, stats, grid, table) == pytest.approx(
                 agg.b_j_max[j - 1], abs=1e-8
             )
+    for j in (0, grid.k + 1):  # no order-j program outside 1..k
+        for oracle in (lp_oracle_q_j_min, lp_oracle_b_j_max):
+            with pytest.raises(ValueError, match=f"order j={j} must satisfy"):
+                oracle(j, stats, grid, table)
 
 
 def test_lp_reports_infeasible_below_dark_floor(table_cache):
@@ -221,6 +229,11 @@ def test_lp_oracle_solves_through_the_module_hook(monkeypatch):
     monkeypatch.setattr(bounds, "linprog", spy)
     assert lp_oracle_q1_min(stats, grid, table) == expected
     assert calls == ["highs"]
+    # a solver status other than optimal (0) and infeasible (2) is a failure too
+    failed = SimpleNamespace(status=4, success=False, message="numerical difficulties", fun=0.0)
+    monkeypatch.setattr(bounds, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(InfeasibleStatsError, match=r"LP solver failed \(status 4\)"):
+        lp_oracle_q1_min(stats, grid, table)
 
 
 def test_bounds_tighten_with_more_intensities():

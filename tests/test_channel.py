@@ -41,8 +41,9 @@ def test_alpha_of_distance():
     five_db = ChannelParams(theta=0.1, a0=5.0, a1=0.17, p0=4e-7, pD=0.0, s=0.03)
     assert alpha_of_distance(100.0, five_db) == pytest.approx(0.1 * 10 ** (-2.2), rel=1e-13)
     assert alpha_of_distance(50.0, five_db) > alpha_of_distance(51.0, five_db)
-    with pytest.raises(ValueError):
-        alpha_of_distance(-1.0, five_db)
+    for length in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            alpha_of_distance(length, five_db)
 
 
 def test_vacuum_and_signal_limits():
@@ -119,6 +120,9 @@ def test_model_stats_layout():
         assert stats.p[i + grid.k] == stats.p[i]
         expected_s = (params.s * (1.0 - math.exp(-alpha * mu)) + 0.5 * params.p0) / expected_p
         assert stats.s[i - 1] == pytest.approx(expected_s, rel=1e-12)
+    for bad in (0.0, 1.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            model_stats(grid, bad, params)
 
 
 def test_per_photon_mixture_reproduces_pulse_rates():
@@ -144,6 +148,9 @@ def test_epsilon_zero_alpha():
     grid = IntensityGrid((0.1, 0.2, 0.3))
     for j in (1, 2, 3):
         assert epsilon(j, 0.0, grid) == 0.0
+    for bad in (-1e-3, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            epsilon(1, bad, grid)
 
 
 def test_epsilon_alpha_one_is_omega_product(table_cache):

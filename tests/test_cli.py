@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoy_akg import cli
-from decoy_akg.scenarios import DARK_MODES, SCENARIO_NAMES, ConfigurationError
+from decoy_akg.scenarios import (
+    DARK_MODES,
+    SCENARIO_NAMES,
+    ConfigurationError,
+    ScenarioSpec,
+    SweepResult,
+)
 from decoy_akg.cli import CSV_HEADER, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, load_params_file, main
 
 
@@ -136,6 +142,12 @@ def test_gnuplot_format_blocks(tmp_path):
     blocks = [b for b in data.split("\n\n") if b.strip()]
     assert len(blocks) == 2  # one block per scenario
     assert (tmp_path / "k2_forward_pd-zero.dat").exists()
+    # emit refuses an empty result list and a format it cannot write
+    result = SweepResult(ScenarioSpec("k2"), rows=())
+    for results, fmt, message in (([], "csv", "no sweep results"), ([result], "xml", "format")):
+        with pytest.raises(ConfigurationError, match=message):
+            cli.emit(results, fmt, tmp_path / "refused")
+    assert not (tmp_path / "refused").exists()
 
 
 def test_custom_scenario_requires_decoys(tmp_path):
@@ -185,6 +197,11 @@ def test_params_file_roundtrip(tmp_path):
     with pytest.raises(ConfigurationError, match="twice.cfg:3: 'a1' already set on line 1"):
         load_params_file(twice)
     assert _run(["run", "--scenario", "k2", "--params-file", twice, "--out", tmp_path]) == EXIT_CONFIG
+    malformed = tmp_path / "malformed.cfg"
+    for text, message in (("a1 0.2\n", ":1: expected 'key = value'"), ("s = low\n", "float")):
+        malformed.write_text(text)
+        with pytest.raises(ConfigurationError, match=message):
+            load_params_file(malformed)
 
 
 @pytest.mark.parametrize("command", [["run", "--scenario", "k2"], ["figures"]])
@@ -306,6 +323,17 @@ def test_value_error_in_sweep_is_numeric_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", failing_sweep)
     assert _run(["run", "--scenario", "k2", "--l-max", "1", "--out", tmp_path]) == EXIT_NUMERIC
     assert capsys.readouterr().err == "numerical failure: unexpected\n"
+
+
+def test_memory_error_in_sweep_is_config_error(tmp_path, capsys, monkeypatch):
+    # running out of memory during the sweep, not only while allocating the scan
+    def failing_sweep(spec, l_range):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_scenario", failing_sweep)
+    assert _run(["run", "--scenario", "k2", "--l-max", "1", "--out", tmp_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "configuration error: out of memory; shorten the distance scan\n"
 
 
 _ODD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 1e-300, 1e300])

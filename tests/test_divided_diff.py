@@ -89,6 +89,8 @@ def test_power_negative_exponent_rejects_zero_point():
 def test_degenerate_points_rejected():
     with pytest.raises(DegeneratePointsError):
         PointSet([1.0, 1.0 + 1e-12])
+    with pytest.raises(DegeneratePointsError, match="at least one point"):
+        PointSet([])
 
 
 def test_nonfinite_value_rejected():
@@ -155,9 +157,18 @@ def test_permutation_symmetry(pts, rand):
 
 
 def test_oracle_constant_derivative_is_exact():
-    est = simplex_mean_value_oracle(lambda y: 2.5, PointSet([0.3, 0.9]), samples=100, seed=1)
+    pts = PointSet([0.3, 0.9])
+    est = simplex_mean_value_oracle(lambda y: 2.5, pts, samples=100, seed=1)
     assert est.estimate == pytest.approx(2.5, rel=1e-12)
     assert est.standard_error == pytest.approx(0.0, abs=1e-12)
+    # one sample has no spread to estimate: its standard error is 0 by convention
+    one = simplex_mean_value_oracle(lambda y: 6.0 * y, pts, samples=1, seed=1)
+    assert math.isfinite(one.estimate) and one.standard_error == 0.0
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            simplex_mean_value_oracle(lambda y: 2.5, pts, samples=samples)
+    with pytest.raises(EvaluationError, match="non-finite"):
+        simplex_mean_value_oracle(lambda y: np.where(y > 0.6, np.inf, 1.0), pts, 100, seed=1)
 
 
 def test_oracle_matches_exp_divided_difference():

@@ -34,6 +34,15 @@ def test_grid_validation():
     for mus in ((0.1, math.nan), (0.1, math.inf), (math.nan,)):
         with pytest.raises(ValueError, match="finite"):
             IntensityGrid(mus)
+    for mus, min_spacing in (
+        ((True, 2.0), 0.1),
+        (("0.1", "0.2"), 0.1),
+        ((0.1, np.bool_(True)), 0.1),
+        ((0.1, 1.2), True),
+        ((0.1, 0.15), "0.05"),
+    ):  # float() would read them all
+        with pytest.raises(TypeError, match="not a number"):
+            IntensityGrid(mus, min_spacing)
     for min_spacing in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="min_spacing"):
             IntensityGrid((0.3, 0.2) if min_spacing == -1.0 else (0.1, 0.2), min_spacing)
@@ -148,6 +157,9 @@ def test_reconstruction_trivial_terms():
     coeffs = reconstruct_poisson(2, grid, n_max=1)
     assert coeffs[0] == pytest.approx(math.exp(-0.2), rel=1e-14)
     assert coeffs[1] == pytest.approx(0.2 * math.exp(-0.2), rel=1e-14)
+    for i in (0, grid.k + 1):
+        with pytest.raises(ValueError, match="intensity index out of range"):
+            reconstruct_poisson(i, grid, n_max=1)
 
 
 def test_reconstruction_matches_poisson():

@@ -241,6 +241,9 @@ def test_optimizer_returns_best_even_when_negative():
     assert mu == pytest.approx(0.4, abs=1e-4)
     with pytest.raises(ValueError):
         optimize_signal_intensity(lambda m: m, mu_lower=-0.1)
+    for mu_cap in (0.5, 0.4):  # an empty search range
+        with pytest.raises(ValueError, match="mu_cap must exceed mu_lower"):
+            optimize_signal_intensity(lambda m: m, mu_lower=0.5, mu_cap=mu_cap)
 
 
 def _plateau(x, peak, cap):
@@ -343,6 +346,10 @@ def test_derivative_check_report():
         assert len(report.rows) == len(alphas)
         text = report.to_text()
         assert "OK" in text and len(text.splitlines()) == len(alphas) + 2
+    # a tolerance no derivative can meet reports the violation
+    report = optimal_mu_derivative_check(STANDARD_FIBER, alphas, tolerance=-1.0)
+    assert not report.all_nonpositive
+    assert report.to_text().endswith("all non-positive within -1: VIOLATION")
 
 
 def test_universal_rate_decreases_past_one():

@@ -78,6 +78,14 @@ def test_spec_validation():
             ScenarioSpec("custom", decoy_mus=decoys)
     with pytest.raises(ConfigurationError, match="--dark-mode"):
         ScenarioSpec("k2", channel=replace(STANDARD_FIBER, pD=1e-7))  # a dark rate no mode reads
+    for kwargs, message in (
+        (dict(direction="sideways"), "direction must be"),
+        (dict(dark_mode="dim"), "dark_mode must be one of"),
+        (dict(dark_mode="explicit", dark_rate=-1e-9), r"must lie in \[0, p0\]"),
+        (dict(dark_mode="explicit", dark_rate=2.0 * STANDARD_FIBER.p0), r"must lie in \[0, p0\]"),
+    ):
+        with pytest.raises(ConfigurationError, match=message):
+            ScenarioSpec("k2", **kwargs)
     spec = ScenarioSpec("k2", dark_mode="explicit", dark_rate=1e-7)
     assert spec.dark_rate_effective == 1e-7
     assert ScenarioSpec("k4", dark_mode="pd-equals-p0").dark_rate_effective == pytest.approx(4e-7)
@@ -311,6 +319,10 @@ def test_run_scenario_range_edges():
         run_scenario(spec, (0.0, 10.0, 0.0))
     with pytest.raises(ConfigurationError):
         run_scenario(spec, (10.0, 0.0, 1.0))
+    # the range is read by the rule of ScenarioSpec's numbers: no strings or bools
+    for l_range in ((0, True, 1), ("0", "10", "5"), ("a", 1, 1), (0.0, 10.0), (0.0, None, 1.0)):
+        with pytest.raises(ConfigurationError, match="three numbers"):
+            run_scenario(spec, l_range)
     # still positive at the end of a short range: no crossing to report
     short = run_scenario(spec, (0.0, 10.0, 5.0))
     assert short.achievable_km is None
@@ -348,17 +360,6 @@ def test_sweep_bisects_its_own_scan(monkeypatch):
     assert len(result.rows) == 9
     assert len(calls) == 7
     assert all(222.0 < length < 223.0 for length in calls)
-
-
-@pytest.mark.parametrize("dark_mode", DARK_MODES)
-@pytest.mark.parametrize("direction", ["forward", "reverse"])
-@pytest.mark.parametrize("name", [name for name in SCENARIO_NAMES if name != "custom"])
-def test_envelope_is_the_row_rate(name, direction, dark_mode):
-    # the bisection reads the optimum's rate alone: the one-distance row's rate
-    dark_rate = 0.5 * STANDARD_FIBER.p0 if dark_mode == "explicit" else None
-    engine = _ScenarioEngine(ScenarioSpec(name, direction, dark_mode, dark_rate=dark_rate))
-    for length in (0.0, 97.3, 180.0, 241.5):
-        assert engine.optimized_rate(length) == engine.optimized(length).rate_signed
 
 
 @settings(max_examples=50, deadline=None)
@@ -649,7 +650,9 @@ def test_settled_bisection_equals_optimized_bisection(monkeypatch, name):
             result = run_scenario(spec, (200.0 + offset, 250.0 + offset, 2.5))
             lengths = [row.L_km for row in result.rows]
             signed = [row.rate_signed for row in result.rows]
-            reference = find_zero_distance(_ScenarioEngine(spec).optimized_rate, lengths, signed)
+            engine = _ScenarioEngine(spec)
+            optimized = lambda length: engine.optimized(length).rate_signed  # noqa: E731
+            reference = find_zero_distance(optimized, lengths, signed)
             assert repr(result.achievable_km) == repr(reference)
             if channel is _NOISY_FIBER:
                 assert result.achievable_km == 0.0
