@@ -362,6 +362,25 @@ def test_sweep_bisects_its_own_scan(monkeypatch):
     assert all(222.0 < length < 223.0 for length in calls)
 
 
+@pytest.mark.parametrize("dark_mode", DARK_MODES)
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+@pytest.mark.parametrize("name", [name for name in SCENARIO_NAMES if name != "custom"])
+def test_envelope_is_the_row_rate(name, direction, dark_mode):
+    # the bisection's envelope has the sign of the one-distance row's rate,
+    # whatever its hint: the row's rate itself when that is not positive, and
+    # a grid rate no larger than the optimum when it is
+    dark_rate = 0.5 * STANDARD_FIBER.p0 if dark_mode == "explicit" else None
+    engine = _ScenarioEngine(ScenarioSpec(name, direction, dark_mode, dark_rate=dark_rate))
+    for length in (0.0, 97.3, 180.0, 241.5):
+        row = engine.optimized(length)
+        for hint in (engine.grid[0], row.optimal_mu, engine.grid[-1]):
+            rate = engine.settled_rate(length, hint)
+            if row.rate_signed > 0.0:
+                assert 0.0 < rate <= row.rate_signed
+            else:
+                assert rate == row.rate_signed
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.floats(0.101, 0.18), min_size=1, max_size=10),
