@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .divided_diff import _number
 from .expansion import ExpansionTable, IntensityGrid, _beta_row, _exp
 
 
@@ -49,9 +50,9 @@ class ObservedStats:
     p_dark: float = 0.0
 
     def __init__(self, p: Sequence[float], s: Sequence[float], p_dark: float = 0.0):
-        object.__setattr__(self, "p", tuple(float(v) for v in p))
-        object.__setattr__(self, "s", tuple(float(v) for v in s))
-        object.__setattr__(self, "p_dark", float(p_dark))
+        object.__setattr__(self, "p", tuple(v if type(v) is float else _number(v) for v in p))
+        object.__setattr__(self, "s", tuple(v if type(v) is float else _number(v) for v in s))
+        object.__setattr__(self, "p_dark", p_dark if type(p_dark) is float else _number(p_dark))
         if len(self.p) % 2 != 1 or len(self.p) < 3:
             raise ValueError("p must hold the vacuum rate plus 2k per-basis rates")
         if len(self.s) != self.k:
@@ -74,7 +75,7 @@ class ObservedStats:
         cls, p0: float, p_basis: Sequence[float], s_basis: Sequence[float], p_dark: float = 0.0
     ) -> "ObservedStats":
         """Stats with identical counting rates in both bases."""
-        p_basis = tuple(float(v) for v in p_basis)
+        p_basis = tuple(p_basis)
         return cls((p0, *p_basis, *p_basis), s_basis, p_dark)
 
 

@@ -97,11 +97,12 @@ def _describe(spec: ScenarioSpec) -> str:
 
 
 def _rows_lines(result: SweepResult, sep: str) -> list[str]:
+    # one format per row: "%.12g" % x is _fmt(x) and "%d" % j is str(j)
+    template = sep.join(("%s", *["%.12g"] * 6, "%d", "%d"))
     lines = []
     for row in result.rows:
         values = (row.L_km, row.optimal_mu, row.rate, row.rate_signed, row.q1_min, row.b1_max)
-        fields = (result.spec.name, *map(_fmt, values), str(row.q1_source_j), str(row.b1_source_j))
-        lines.append(sep.join(fields))
+        lines.append(template % (result.spec.name, *values, row.q1_source_j, row.b1_source_j))
     return lines
 
 

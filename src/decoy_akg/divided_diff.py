@@ -36,6 +36,13 @@ DEFAULT_MIN_GAP = 1e-9
 DEFAULT_SERIES_TOL = 1e-14
 
 
+def _number(value) -> float:
+    """``float(value)``, refusing strings and bools, which float() would read as numbers."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 class DegeneratePointsError(ValueError):
     """Points coincide or are closer than the configured minimum gap."""
 
@@ -57,7 +64,7 @@ class PointSet:
     points: tuple[float, ...]
 
     def __init__(self, points: Sequence[float]):
-        pts = tuple(sorted(float(x) for x in points))
+        pts = tuple(sorted(x if type(x) is float else _number(x) for x in points))
         if not pts:
             raise DegeneratePointsError("at least one point is required")
         object.__setattr__(self, "points", pts)
@@ -173,34 +180,38 @@ class _PrefixSeries:
 
     def __call__(self, last, weight: Optional[Callable[[int], float]] = None):
         m = len(self.prefix) + 1
-        lanes = isinstance(last, np.ndarray)
-        if lanes:
+        if isinstance(last, np.ndarray):
             top = np.maximum(self.top, last)
-            active = np.ones(top.shape, dtype=bool)
+            # the highest and lowest top; a NaN top is neither, so it ends no other sum
+            high = np.fmax.reduce(top, axis=None, initial=-math.inf)
+            low = np.fmin.reduce(top, axis=None, initial=high)
             total = np.zeros(top.shape)
         else:
-            top = max(self.top, last)
+            if isinstance(last, np.float64):
+                last = float(last)  # only + and * follow, which give numpy's bits
+            top = low = high = max(self.top, last)
             total = 0.0
         prefix, row, column = self.prefix, self._row, self._column
         h = 1.0  # h_d(x_1..x_m) at the current degree d = n - 1 - m
         degree = 0
         n = m + 1
         factorial = float(math.factorial(n))
+        stop = None  # the largest limit so far, once it passes the lowest top
         while True:
             term = (h if weight is None else weight(n) * h) / factorial
-            if lanes:
-                np.add(total, term, out=total, where=active)
-            else:
+            if stop is None:  # every point still sums
                 total += term
+            else:
+                np.add(total, term, out=total, where=top >= stop)
             # the series decays at least geometrically with ratio ~ m*x_top/n once
-            # n is past m*x_top
+            # n is past m*x_top; a point sums term n + 1 while its top reaches
+            # every limit so far
             if n > m + 3:
-                going_on = top >= _top_limit(m, n, factorial)
-                if lanes:
-                    active &= going_on
-                    going_on = active.any()
-                if not going_on:
-                    return total
+                limit = _top_limit(m, n, factorial)
+                if not low >= limit:
+                    stop = limit if stop is None else max(stop, limit)
+                    if not high >= stop:
+                        return total
             if n > 400:  # factorial decay guarantees we never get here for sane points
                 raise RuntimeError("complete-homogeneous series failed to converge")
             n += 1

@@ -26,6 +26,7 @@ import numpy as np
 
 from .divided_diff import (
     PointSet,
+    _number,
     _vandermonde,
     divided_difference,
     divided_difference_recurrence,
@@ -34,13 +35,6 @@ from .divided_diff import (
 
 DEFAULT_N_MAX = 64
 DEFAULT_MIN_SPACING = 0.1
-
-
-def _number(value) -> float:
-    """``float(value)``, refusing strings and bools, which float() would read as numbers."""
-    if isinstance(value, (str, bytes, bool, np.bool_)):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
 
 
 @dataclass(frozen=True)

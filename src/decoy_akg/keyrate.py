@@ -50,7 +50,8 @@ def _check_direction(direction: str) -> None:
 
 def _entropy(p):
     """h(p) = -p log2 p - (1 - p) log2(1 - p) for p in (0, 1/2], a float or an array."""
-    return -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    q = 1.0 - p
+    return -p * np.log2(p) - q * np.log2(q)
 
 
 def binary_entropy_bar(x):
@@ -67,9 +68,11 @@ def binary_entropy_bar(x):
         # h(1/2) = 1 exactly, which is also the saturated value above 1/2
         return float(_entropy(min(x, 0.5))) if x > 0.0 else 0.0
     arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+    # NaN fails both comparisons; an empty array has nothing to check
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ValueError("binary_entropy_bar requires finite arguments in [0, 1]")
-    result = np.where(arr == 0.0, 0.0, _entropy(np.where((arr > 0.0) & (arr < 0.5), arr, 0.5)))
+    positive = arr > 0.0
+    result = np.where(positive, _entropy(np.where(positive, np.minimum(arr, 0.5), 0.5)), 0.0)
     return float(result) if np.ndim(x) == 0 else result
 
 
@@ -96,8 +99,9 @@ def single_photon_credit(q1, b1):
     b = np.asarray(b1, dtype=float)
     if not (np.isfinite(q).all() and np.isfinite(b).all()):
         raise ValueError("single_photon_credit requires finite q1 and b1")
-    safe_q = np.where(q > 0.0, q, 1.0)
-    credit = np.where(q > 0.0, _credit(safe_q, _clamp(b, safe_q)), 0.0)
+    positive = q > 0.0
+    safe_q = np.where(positive, q, 1.0)
+    credit = np.where(positive, _credit(safe_q, _clamp(b, safe_q)), 0.0)
     return float(credit) if np.ndim(q1) == 0 and np.ndim(b1) == 0 else credit
 
 

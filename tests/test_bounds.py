@@ -32,6 +32,16 @@ def test_observed_stats_validation():
         ObservedStats((0.1, 1.2, 0.2), (0.1,))  # rate above 1
     with pytest.raises(ValueError, match="one error rate per intensity"):
         ObservedStats((0.1, 0.2, 0.2), (0.1, 0.1))
+    for args in (
+        (("1e-6", 0.1, 0.2), (0.1,)),
+        ((1e-6, True, 0.2), (0.1,)),
+        ((1e-6, 0.1, 0.2), (np.bool_(False),)),
+        ((1e-6, 0.1, 0.2), (0.1,), "0"),
+    ):  # float() would read them all
+        with pytest.raises(TypeError, match="not a number"):
+            ObservedStats(*args)
+    with pytest.raises(TypeError, match="not a number"):
+        ObservedStats.symmetric(1e-6, (True, 0.2), (0.1, 0.1))
     stats = ObservedStats.symmetric(1e-6, (1e-4, 2e-4), (0.1, 0.1), p_dark=1e-7)
     assert stats.k == 2
     assert stats.p[1] == stats.p[3] and stats.p[2] == stats.p[4]

@@ -91,6 +91,10 @@ def test_degenerate_points_rejected():
         PointSet([1.0, 1.0 + 1e-12])
     with pytest.raises(DegeneratePointsError, match="at least one point"):
         PointSet([])
+    for points in (["0.1", 0.2], [0.1, True], [np.bool_(False), 0.2], [b"0.1"]):
+        with pytest.raises(TypeError, match="not a number"):  # float() would read them all
+            PointSet(points)
+    assert PointSet([np.float64(0.2), 1]).points == (0.2, 1.0)
 
 
 def test_nonfinite_value_rejected():
@@ -201,6 +205,44 @@ def test_h_series_lanes_equal_scalar_calls(prefix, lanes, alpha):
     assert values.shape == (len(lanes),)
     for value, last in zip(values.tolist(), lanes):
         assert value == h_series(points + (last,), weight)
+
+
+def test_h_series_lanes_stop_on_their_own_terms():
+    # over the prefix (0.1, 0.2), a top of 0.2 stops many terms before a top of
+    # 2.0; the lanes call sums each lane's own terms, also in two dimensions
+    prefix = (0.1, 0.2)
+
+    def last_term(last):
+        seen = []
+        h_series(prefix + (last,), lambda n: seen.append(n) or 1.0)
+        return seen[-1]
+
+    assert last_term(2.0) - last_term(0.05) >= 10
+    for lanes in ([0.05, 2.0], [[0.05, 2.0, 0.3], [1.1, 0.01, 0.7]]):
+        values = h_series(prefix + (np.array(lanes),))
+        assert values.shape == np.shape(lanes)
+        for value, last in zip(values.ravel().tolist(), np.ravel(lanes).tolist()):
+            assert value == h_series(prefix + (last,))
+
+
+def test_h_series_nan_and_inf_lanes():
+    # a NaN lane ends no other lane's sum; an inf lane never converges
+    prefix = (0.1, 0.2)
+    values = h_series(prefix + (np.array([0.05, math.nan, 2.0]),))
+    assert math.isnan(values[1])
+    assert [values[0], values[2]] == [h_series(prefix + (0.05,)), h_series(prefix + (2.0,))]
+    assert np.isnan(h_series(prefix + (np.array([math.nan, math.nan]),))).all()
+    # its terms reach inf / inf before the series gives up
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="failed to converge"):
+        h_series(prefix + (np.array([0.3, math.inf]),))
+
+
+def test_h_series_numpy_scalar_is_the_float_call():
+    for points in ((0.1, 0.2, 0.55), (0.7,), (0.1, 1.9)):
+        for weight in (None, lambda n: -math.expm1(n * math.log1p(-0.3))):
+            expected = h_series(points, weight)
+            value = h_series((*points[:-1], np.float64(points[-1])), weight)
+            assert type(value) is float and value.hex() == expected.hex()
 
 
 def test_h_series_needs_a_point():

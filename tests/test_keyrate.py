@@ -64,7 +64,7 @@ _INPUT_KINDS = {
 
 def test_entropy_rejects_non_finite_input():
     for make in _INPUT_KINDS.values():
-        for bad in (math.nan, math.inf, -math.inf, -0.01, 1.01):
+        for bad in (math.nan, math.inf, -math.inf, -0.01, 1.01, -5e-324, math.nextafter(1.0, 2.0)):
             with pytest.raises(ValueError, match=r"in \[0, 1\]"):
                 binary_entropy_bar(make(bad))
     with pytest.raises(ValueError):
@@ -72,8 +72,17 @@ def test_entropy_rejects_non_finite_input():
     assert math.copysign(1.0, binary_entropy_bar(-0.0)) == 1.0  # -0.0 in, +0.0 out
 
 
+def test_entropy_and_credit_of_empty_arrays():
+    for empty in (np.array([]), np.zeros((0, 3))):
+        assert binary_entropy_bar(empty).shape == empty.shape
+        assert single_photon_credit(empty, empty).shape == empty.shape
+
+
 def test_single_photon_credit_rejects_non_finite_input():
-    bad = ((math.nan, 0.01), (math.inf, 0.01), (-math.inf, 0.01), (1e-6, math.nan), (1e-6, math.inf))
+    bad = (
+        (math.nan, 0.01), (math.inf, 0.01), (-math.inf, 0.01),
+        (1e-6, math.nan), (1e-6, math.inf), (1e-6, -math.inf),
+    )
     for make in _INPUT_KINDS.values():
         for args in bad:
             with pytest.raises(ValueError, match="finite q1 and b1"):
@@ -141,6 +150,7 @@ def test_array_inputs_match_scalar_rates():
             assert rates[i] == scalar
     # the two functions inside it, on every kind of one-number input
     xs = [0.0, -0.0, 5e-324, 1e-300, 1e-9, 0.03, 0.25, 0.5 - 1e-9, 0.5, 0.75, 1.0]
+    xs += [math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0)]
     xs += np.linspace(0.0, 1.0, 37).tolist()
     entropies = binary_entropy_bar(np.array(xs))
     pairs = [

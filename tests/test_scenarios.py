@@ -232,8 +232,10 @@ def test_tightest_order_is_one_rule_for_floats_lanes_and_the_trial_step(lanes):
         (q1, q_src), (b1, b_src) = _best(orders[:-1]), _best(orders[:-1], upper=True)
         state = {"q1": q1, "q_src": q_src, "b1": b1, "b_src": b_src}
         trial_order = lambda *_: (orders[-1], orders[-1])  # noqa: E731
+        trial = lambda self, state, mu: (mu, None, None, None)  # noqa: E731
         with mock.patch.object(_ScenarioEngine, "_order_k_bounds", trial_order):
-            stepped = engine._trial_bounds(state, (0.6, None, None, None), None)
+            with mock.patch.object(_ScenarioEngine, "_trial", trial):
+                stepped = engine._bounds(state, 0.6)
         (q1, q_src), (b1, b_src) = _best(orders), _best(orders, upper=True)
         assert all(map(np.array_equal, stepped, (q1, b1, q_src, b_src)))
 
