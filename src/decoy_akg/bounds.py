@@ -109,23 +109,25 @@ def beta(j: int, i: int, grid: IntensityGrid) -> float:
     return _beta_row(grid.mus[:j])[i - 1]
 
 
-def order_bounds(row, points, c, d, omega, cap):
-    """Order-j bounds (q_j_min, b_j_max) over the j = len(points) intensities.
+def order_bounds(row, product, c, d, omega, cap):
+    """Order-j bounds (q_j_min, b_j_max) over the first j = len(row) intensities.
 
-    ``row`` is their beta row beta(j, 1..j), ``c[i]`` = p_i - p_dark -
-    e^(-mu_i)(p_0 - p_dark) and ``d[i]`` = s_i p_i - (p_dark + e^(-mu_i)(p_0 -
-    p_dark))/2 their observed inputs, ``omega`` is Omega_(j+1) over them and
-    ``cap`` = 1 - p_dark the box of every unknown.  Odd orders put the
-    saturation term cap mu_1..mu_j Omega_(j+1) on q, even orders on b.  The
-    last point (with its row entry, c, d and omega) may be a numpy trial
-    signal; the bounds broadcast over it.
+    ``row`` is their beta row beta(j, 1..j) and ``product`` = mu_1..mu_j.
+    ``c[i]`` = p_i - p_dark - e^(-mu_i)(p_0 - p_dark) and ``d[i]`` = s_i p_i -
+    (p_dark + e^(-mu_i)(p_0 - p_dark))/2 are the observed inputs; only their
+    first j entries are read, so every order can take the same lists.
+    ``omega`` is Omega_(j+1) over the j intensities and ``cap`` = 1 - p_dark
+    the box of every unknown.  Odd orders put the saturation term cap
+    mu_1..mu_j Omega_(j+1) on q, even orders on b.  The last intensity (with
+    its row entry, product, c, d and omega) may be a numpy trial signal; the
+    bounds broadcast over it.
     """
     q = b = 0.0
-    for beta_i, c_i, d_i in zip(row, c, d, strict=True):
+    for beta_i, c_i, d_i in zip(row, c, d):  # the row comes first, so it ends the loop
         q += beta_i * c_i
         b += beta_i * d_i
-    saturation = cap * math.prod(points) * omega
-    if len(points) % 2 == 1:
+    saturation = cap * product * omega
+    if len(row) % 2 == 1:
         q -= saturation
     else:
         b += saturation
@@ -205,20 +207,24 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
     """Best available bounds: max of the q lower bounds, min of the b uppers.
 
     The q bounds of both bases participate (orders 1..k each); the error
-    system only constrains the key basis.  Reported values are clamped to
-    the physical range [0, 1 - p_dark].
+    system only constrains the key basis, whose bounds the conjugate basis
+    shares when their inputs are equal (a tie goes to the key basis).
+    Reported values are clamped to the physical range [0, 1 - p_dark].
     """
     _check_inputs(stats, grid, table)
-    k = grid.k
     cap = 1.0 - stats.p_dark
-    c_x, c_plus, d = _observed_inputs(stats, table, 0, k)
-    q_x, q_plus, b_all = [], [], []
-    for j, (row, omega) in enumerate(zip(table.beta_rows, table.omegas), start=1):
-        points = grid.mus[:j]
-        q_j, b_j = order_bounds(row, points, c_x[:j], d[:j], omega, cap)
+    c_x, c_plus, d = _observed_inputs(stats, table, 0, grid.k)
+    conjugate = c_plus != c_x  # equal inputs give the key basis's bounds, bit for bit
+    q_x, b_all = [], []
+    q_plus = [] if conjugate else q_x
+    product = 1  # mu_1..mu_j, multiplied in math.prod's order
+    for row, omega, mu in zip(table.beta_rows, table.omegas, grid.mus):
+        product *= mu
+        q_j, b_j = order_bounds(row, product, c_x, d, omega, cap)
         q_x.append(q_j)
         b_all.append(b_j)
-        q_plus.append(order_bounds(row, points, c_plus[:j], d[:j], omega, cap)[0])
+        if conjugate:
+            q_plus.append(order_bounds(row, product, c_plus, d, omega, cap)[0])
 
     q_raw, q_source = _best(q_x + q_plus)
     b_raw, b_source = _best(b_all, upper=True)

@@ -102,14 +102,14 @@ def model_stats(grid: IntensityGrid, alpha: float, params: ChannelParams) -> Obs
     """Observed statistics the noise model predicts for a grid of intensities.
 
     Counting rates are basis independent, so both basis blocks coincide.
-    Each intensity's transmission is computed once, for both of its rates.
+    One array pass over the intensities computes each transmission once, for
+    both of its rates; numpy's array ufuncs give the bits of their scalar
+    calls, so each rate is the per-intensity ``_model_rates`` value as a float.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    rates = [_model_rates(_transmitted(alpha, mu), params) for mu in grid.mus]
-    p_basis = [float(p) for p, _ in rates]
-    s_basis = [float(s) for _, s in rates]
-    return ObservedStats.symmetric(params.p0, p_basis, s_basis, p_dark=params.pD)
+    p, s = _model_rates(_transmitted(alpha, np.array(grid.mus)), params)
+    return ObservedStats.symmetric(params.p0, p.tolist(), s.tolist(), p_dark=params.pD)
 
 
 def per_photon_rates(n: int, alpha: float, params: ChannelParams) -> tuple[float, float]:

@@ -191,6 +191,8 @@ class _PrefixSeries:
                 last = float(last)  # only + and * follow, which give numpy's bits
             top = low = high = max(self.top, last)
             total = 0.0
+        if high == math.inf:  # its terms grow without end; an array's would reach inf / inf
+            raise RuntimeError("complete-homogeneous series failed to converge")
         prefix, row, column = self.prefix, self._row, self._column
         h = 1.0  # h_d(x_1..x_m) at the current degree d = n - 1 - m
         degree = 0
@@ -237,7 +239,8 @@ def h_series(points: Sequence, weight: Optional[Callable[[int], float]] = None):
     h_d <= C(d+m-1, m-1) x_top^d and the decay of 1/n!.
     The last point may be a numpy array, over which the result broadcasts;
     each element sums exactly the terms that a call with that element
-    alone would sum.  An empty point set raises ValueError.
+    alone would sum.  An empty point set raises ValueError, and an
+    infinite point RuntimeError before the first term.
     """
     if len(points) == 0:
         raise ValueError("h_series needs at least one point, got the empty point set")

@@ -170,8 +170,9 @@ class ExpansionTable:
 
     ``omegas[i-2]`` holds Omega_i for i = 2..k+1, so ``omegas[j-1]`` is the
     Omega_(j+1) of the order-j bounds; ``gammas[(i, n)]`` holds
-    gamma(i, n) for i <= n <= DEFAULT_N_MAX, and ``constraint`` is the grid's
-    counting-rate system, which the LP oracle reads.  ``beta_rows[j-1]`` is
+    gamma(i, n) for i <= n <= DEFAULT_N_MAX, with the bits of
+    :func:`gamma_coefficient` from one point set per i; ``constraint`` is the
+    grid's counting-rate system, which the LP oracle reads.  ``beta_rows[j-1]`` is
     the inversion row beta(j, 1..j) of order j and ``decays[i-1]`` the vacuum
     weight e^(-mu_i); neither depends on observed rates, so the bounds of
     every stats block on the grid read them from here.  ``truncation_tail``
@@ -193,8 +194,9 @@ class ExpansionTable:
         omegas = tuple(omega(i, grid) for i in range(2, grid.k + 2))
         gammas: dict[tuple[int, int], float] = {}
         for i in range(2, grid.k + 2):
+            points = PointSet(mus[: i - 1])  # gamma_coefficient's points, built once per i
             for n in range(i, DEFAULT_N_MAX + 1):
-                gammas[(i, n)] = gamma_coefficient(i, n, grid)
+                gammas[(i, n)] = divided_difference_recurrence(lambda x: x ** (n - 2), points)
         beta_rows = tuple(tuple(_beta_row(mus[:j])) for j in range(1, grid.k + 1))
         decays = tuple(math.exp(-mu) for mu in mus)  # constraint.y's np.exp may differ by an ulp
         mu_top = mus[-1]

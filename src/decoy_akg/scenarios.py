@@ -202,7 +202,8 @@ class _ScenarioEngine:
     per distance, at many; a trial signal is a float, or an array that
     broadcasts against the lanes.  An aggregation's trial beta row and Omega
     depend on the signal alone, so the engine keeps them for its coarse grid,
-    and the row and Omega of each decoy prefix for every distance.
+    and the row, intensity product and Omega of each decoy prefix for every
+    distance.
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -214,7 +215,9 @@ class _ScenarioEngine:
         self.s = self.params.s
         self.decoy_array = np.asarray(self.decoys, dtype=float)
         prefixes = [self.decoys[:j] for j in range(1, len(self.decoys) + 1)]
-        self.prefix_terms = [(_beta_row(points), h_series(points)) for points in prefixes]
+        self.prefix_terms = [
+            (_beta_row(points), math.prod(points), h_series(points)) for points in prefixes
+        ]
         # Omega over the decoys and a trial signal; keeps the decoys' recurrence columns
         self.trial_omega = _PrefixSeries(self.decoys)
         # the coarse grid that the intensity search scans at every distance
@@ -249,8 +252,7 @@ class _ScenarioEngine:
             state.update(q1=q1, b1=b1, q_src=SOURCE_EXACT, b_src=SOURCE_EXACT)
             return state
         orders = [
-            order_bounds(row, self.decoys[:j], c[:j], d[:j], omega, 1.0)
-            for j, (row, omega) in enumerate(self.prefix_terms, start=1)
+            order_bounds(row, prod, c, d, omega, 1.0) for row, prod, omega in self.prefix_terms
         ]
         q_prefix, b_prefix = (np.array(v) for v in zip(*orders))
         state.update(q_prefix=q_prefix, b_prefix=b_prefix, b1=b_prefix[0], b_src=1)
@@ -288,7 +290,7 @@ class _ScenarioEngine:
         c, d = self._inputs(signal, mu)
         points = self.decoys + (mu,)
         row, omega = terms or (_beta_row(points), self.trial_omega(mu))
-        return order_bounds(row, points, [*state["c"], c], [*state["d"], d], omega, 1.0)
+        return order_bounds(row, math.prod(points), [*state["c"], c], [*state["d"], d], omega, 1.0)
 
     def _bounds(self, state: dict, mu):
         """(q1, b1, q1's source, b1's source) for trial signal mu (scalar or array)."""

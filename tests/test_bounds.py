@@ -136,12 +136,50 @@ def test_table_rows_give_the_from_points_bounds_exactly():
             d = [s_i * p_i - 0.5 * (p_dark + v) for s_i, p_i, v in inputs]
             agg = aggregate(stats, grid, table)
             for j in range(1, k + 1):
-                points, omega = grid.mus[:j], table.omegas[j - 1]
+                product, omega = math.prod(grid.mus[:j]), table.omegas[j - 1]
                 row = [beta(j, i, grid) for i in range(1, j + 1)]  # from the points
-                q, b = bounds.order_bounds(row, points, c_key[:j], d[:j], omega, cap)
-                q_plus, _ = bounds.order_bounds(row, points, c_plus[:j], d[:j], omega, cap)
+                q, b = bounds.order_bounds(row, product, c_key[:j], d[:j], omega, cap)
+                q_plus, _ = bounds.order_bounds(row, product, c_plus[:j], d[:j], omega, cap)
                 assert agg.q_j_min[j - 1] == q and agg.b_j_max[j - 1] == b
                 assert agg.q_kj_min[j - 1] == q_plus
+
+
+def test_symmetric_stats_share_the_key_basis_bounds():
+    # equal basis inputs skip the conjugate-basis computation: its bounds are the
+    # key basis's, bit for bit, and a tie still goes to the key basis
+    rng = np.random.default_rng(41)
+    for k in range(1, 11):
+        grid, table, feasible, _, _ = _feasible_instance(rng, k, 1e-5)
+        symmetric = ObservedStats.symmetric(
+            feasible.p[0], feasible.p[1 : k + 1], feasible.s, feasible.p_dark
+        )
+        for stats in (model_stats(grid, 1e-3, STANDARD_FIBER), symmetric):
+            agg = aggregate(stats, grid, table)
+            _, c_plus, d = bounds._observed_inputs(stats, table, 0, k)
+            for j, (row, omega) in enumerate(zip(table.beta_rows, table.omegas), start=1):
+                product, cap = math.prod(grid.mus[:j]), 1.0 - stats.p_dark
+                q_plus = bounds.order_bounds(row, product, c_plus, d, omega, cap)[0]
+                assert agg.q_kj_min[j - 1].hex() == agg.q_j_min[j - 1].hex() == q_plus.hex()
+            assert 1 <= agg.q1_source_j <= k
+
+
+def test_order_bounds_reads_the_first_j_inputs():
+    # every order takes the whole input lists, floats or the engine's lane arrays
+    rng = np.random.default_rng(43)
+    for k in range(1, 11):
+        grid, table, stats, _, _ = _feasible_instance(rng, k, 1e-4)
+        c, _, d = bounds._observed_inputs(stats, table, 0, k)
+        scale = rng.uniform(0.5, 1.5, size=5)
+        c_lanes, d_lanes = np.outer(c, scale), np.outer(d, scale)
+        cap = 1.0 - stats.p_dark
+        for j, (row, omega) in enumerate(zip(table.beta_rows, table.omegas), start=1):
+            product = math.prod(grid.mus[:j])
+            whole = bounds.order_bounds(row, product, c, d, omega, cap)
+            first = bounds.order_bounds(row, product, c[:j], d[:j], omega, cap)
+            assert [v.hex() for v in whole] == [v.hex() for v in first]
+            whole = bounds.order_bounds(row, product, c_lanes, d_lanes, omega, cap)
+            first = bounds.order_bounds(row, product, c_lanes[:j], d_lanes[:j], omega, cap)
+            assert all(np.array_equal(w, f) for w, f in zip(whole, first, strict=True))
 
 
 def test_aggregate_sources_and_clamping(table_cache):

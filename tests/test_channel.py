@@ -125,6 +125,28 @@ def test_model_stats_layout():
             model_stats(grid, bad, params)
 
 
+@pytest.mark.parametrize("params", [STANDARD_FIBER, replace(STANDARD_FIBER, p0=9.8e-4, pD=4e-4)])
+def test_model_stats_are_the_per_intensity_rates(params):
+    # one array pass gives, as floats, the bits of each intensity's own _model_rates call
+    rng = np.random.default_rng(37)
+    for k in range(1, 11):
+        grid = random_grid(rng, k)
+        alpha = alpha_of_distance(float(rng.uniform(0.0, 250.0)), params)
+        for a in (alpha, np.float64(alpha)):
+            stats = model_stats(grid, a, params)
+            assert stats.p[k + 1 :] == stats.p[1 : k + 1]
+            for mu, p_i, s_i in zip(grid.mus, stats.p[1 : k + 1], stats.s, strict=True):
+                p, s = _model_rates(_transmitted(a, mu), params)
+                assert type(p_i) is float and type(s_i) is float
+                assert (p_i.hex(), s_i.hex()) == (float(p).hex(), float(s).hex())
+    # p0 = 0 and a transmission that underflows: nothing clicks, so p = s = 0, with
+    # no division, overflow or invalid-value warning
+    dark = ChannelParams(theta=0.1, a0=5.0, a1=0.17, p0=0.0, pD=0.0, s=0.03)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        stats = model_stats(IntensityGrid((0.1, 0.2, 0.5)), 5e-324, dark)
+    assert stats.p == (0.0,) * 7 and stats.s == (0.0,) * 3
+
+
 def test_per_photon_mixture_reproduces_pulse_rates():
     # 1e-6 and 1e-12 are the transmissions of long fibers (about 2.6e-6 at 240 km)
     mu = 0.45

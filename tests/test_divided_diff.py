@@ -232,9 +232,15 @@ def test_h_series_nan_and_inf_lanes():
     assert math.isnan(values[1])
     assert [values[0], values[2]] == [h_series(prefix + (0.05,)), h_series(prefix + (2.0,))]
     assert np.isnan(h_series(prefix + (np.array([math.nan, math.nan]),))).all()
-    # its terms reach inf / inf before the series gives up
-    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="failed to converge"):
-        h_series(prefix + (np.array([0.3, math.inf]),))
+    # the series refuses an infinite top before its first term, with no numeric warning
+    for points in (
+        prefix + (np.array([0.3, math.inf]),),
+        prefix + (np.array([math.nan, math.inf]),),
+        prefix + (math.inf,),
+        (math.inf, 0.3),
+    ):
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            h_series(points)
 
 
 def test_h_series_numpy_scalar_is_the_float_call():

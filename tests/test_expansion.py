@@ -19,6 +19,7 @@ from decoy_akg import (
     reconstruct_poisson,
     simplex_mean_value_oracle,
 )
+from decoy_akg.expansion import DEFAULT_N_MAX
 from conftest import intensity_grids, random_grid
 
 
@@ -150,6 +151,19 @@ def test_expansion_table_build():
     assert "beta_rows" not in repr(table) and "decays" not in repr(table)
     assert 0.0 < table.truncation_tail < 1e-30
     assert np.array_equal(table.constraint.p, build_matrices(grid).constraint.p)
+
+
+def test_table_gammas_have_the_coefficient_bits():
+    # the table builds one point set per basis index, gamma_coefficient one per call;
+    # every stored gamma(i, n) must keep gamma_coefficient's bits
+    rng = np.random.default_rng(31)
+    for k in range(1, 11):
+        grid = random_grid(rng, k)
+        table = ExpansionTable.build(grid)
+        keys = [(i, n) for i in range(2, k + 2) for n in range(i, DEFAULT_N_MAX + 1)]
+        assert list(table.gammas) == keys
+        for (i, n), value in table.gammas.items():
+            assert value.hex() == gamma_coefficient(i, n, grid).hex()
 
 
 def test_reconstruction_trivial_terms():
