@@ -11,13 +11,8 @@ Usage: python scripts/intensity_audit.py [--l-max 250] [--step 25]
 
 import argparse
 
-from decoy_akg import (
-    STANDARD_FIBER,
-    ScenarioSpec,
-    alpha_of_distance,
-    optimal_mu_derivative_check,
-    run_scenario,
-)
+from decoy_akg import STANDARD_FIBER, ScenarioSpec, alpha_of_distance, run_scenario
+from decoy_akg.reference import optimal_mu_derivative_check
 
 
 def main() -> None:

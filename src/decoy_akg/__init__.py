@@ -3,9 +3,10 @@
 Layers, bottom up: generalized divided differences (``divided_diff``), the
 convex Fock-mixture expansion of phase-randomized pulses (``expansion``),
 closed-form single-photon bounds with an LP oracle (``bounds``), the fiber
-noise model and its bound residuals (``channel``), key-rate formulas and
-optimizers (``keyrate``), and named comparison scenarios with distance
-sweeps (``scenarios``, ``cli``).
+noise model (``channel``), key-rate formulas and optimizers (``keyrate``),
+and named comparison scenarios with distance sweeps (``scenarios``,
+``cli``).  Independent verification routes live in ``decoy_akg.reference``,
+which the package itself never imports.
 """
 
 from .bounds import (
@@ -13,7 +14,6 @@ from .bounds import (
     InfeasibleStatsError,
     ObservedStats,
     aggregate,
-    beta,
     lp_oracle_b1_max,
     lp_oracle_b_j_max,
     lp_oracle_q1_min,
@@ -23,23 +23,15 @@ from .channel import (
     STANDARD_FIBER,
     ChannelParams,
     alpha_of_distance,
-    closed_form_bounds,
     counting_rate,
-    epsilon,
-    epsilon_beta_form,
-    epsilon_simplex_mc,
     error_rate,
     model_stats,
-    per_photon_rates,
 )
 from .divided_diff import (
     DegeneratePointsError,
     EvaluationError,
     PointSet,
-    divided_difference,
     divided_difference_recurrence,
-    power_divided_difference,
-    simplex_mean_value_oracle,
 )
 from .expansion import (
     ConstraintMatrix,
@@ -48,18 +40,13 @@ from .expansion import (
     IntensityGrid,
     build_matrices,
     gamma_coefficient,
-    gamma_coefficient_direct,
     omega,
-    omega_closed_form,
-    reconstruct_poisson,
 )
 from .keyrate import (
-    DerivativeCheckReport,
     RateInputs,
     akg_rate,
     binary_entropy_bar,
     find_zero_distance,
-    optimal_mu_derivative_check,
     optimize_signal_intensity,
     single_photon_credit,
     universal_upper,
@@ -79,7 +66,6 @@ __all__ = [
     "ConstraintMatrix",
     "DecoyMatrices",
     "DegeneratePointsError",
-    "DerivativeCheckReport",
     "EvaluationError",
     "ExpansionTable",
     "InfeasibleStatsError",
@@ -94,34 +80,21 @@ __all__ = [
     "aggregate",
     "akg_rate",
     "alpha_of_distance",
-    "beta",
     "binary_entropy_bar",
     "build_matrices",
-    "closed_form_bounds",
     "counting_rate",
-    "divided_difference",
     "divided_difference_recurrence",
-    "epsilon",
-    "epsilon_beta_form",
-    "epsilon_simplex_mc",
     "error_rate",
     "find_zero_distance",
     "gamma_coefficient",
-    "gamma_coefficient_direct",
     "lp_oracle_b1_max",
     "lp_oracle_b_j_max",
     "lp_oracle_q1_min",
     "lp_oracle_q_j_min",
     "model_stats",
     "omega",
-    "omega_closed_form",
-    "optimal_mu_derivative_check",
     "optimize_signal_intensity",
-    "per_photon_rates",
-    "power_divided_difference",
-    "reconstruct_poisson",
     "run_scenario",
-    "simplex_mean_value_oracle",
     "single_photon_credit",
     "universal_upper",
 ]

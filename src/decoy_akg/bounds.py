@@ -33,6 +33,14 @@ class InfeasibleStatsError(RuntimeError):
     """The observed rates are inconsistent with the constraint system."""
 
 
+def _floats_within(values: tuple, low: float) -> bool:
+    """Whether every one of ``values`` is a float in [low, 1]; a NaN is not."""
+    for v in values:
+        if type(v) is not float or not low <= v <= 1.0:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class ObservedStats:
     """Per-intensity counting and error rates.
@@ -50,20 +58,29 @@ class ObservedStats:
     p_dark: float = 0.0
 
     def __init__(self, p: Sequence[float], s: Sequence[float], p_dark: float = 0.0):
-        object.__setattr__(self, "p", tuple(v if type(v) is float else _number(v) for v in p))
-        object.__setattr__(self, "s", tuple(v if type(v) is float else _number(v) for v in s))
-        object.__setattr__(self, "p_dark", p_dark if type(p_dark) is float else _number(p_dark))
-        if len(self.p) % 2 != 1 or len(self.p) < 3:
+        p, s = tuple(p), tuple(s)
+        # float rates in range, with p at or above the dark floor, take one pass per field;
+        # anything else is read through _number and checked, and a refusal worded, below
+        usual = type(p_dark) is float and 0.0 <= p_dark <= 1.0
+        usual = usual and _floats_within(p, p_dark) and _floats_within(s, 0.0)
+        if not usual:
+            p, s, p_dark = tuple(map(_number, p)), tuple(map(_number, s)), _number(p_dark)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "p_dark", p_dark)
+        if len(p) % 2 != 1 or len(p) < 3:
             raise ValueError("p must hold the vacuum rate plus 2k per-basis rates")
-        if len(self.s) != self.k:
+        if len(s) != self.k:
             raise ValueError("s must hold one error rate per intensity")
-        for name, values in (("p", self.p), ("s", self.s), ("p_dark", (self.p_dark,))):
+        if usual:
+            return
+        for name, values in (("p", p), ("s", s), ("p_dark", (p_dark,))):
             for v in values:
                 if not 0.0 <= v <= 1.0:
                     raise ValueError(f"{name} entries must lie in [0, 1]; got {v}")
-        if min(self.p) < self.p_dark:
+        if min(p) < p_dark:
             raise InfeasibleStatsError(
-                f"counting rates must reach the dark floor p_dark={self.p_dark}; got {min(self.p)}"
+                f"counting rates must reach the dark floor p_dark={p_dark}; got {min(p)}"
             )
 
     @property
@@ -100,13 +117,6 @@ class BoundResult:
     b1_max_raw: float
     q1_source_j: int
     b1_source_j: int
-
-
-def beta(j: int, i: int, grid: IntensityGrid) -> float:
-    """Inversion coefficient beta(j, i) of the order-j triangular solve."""
-    if not 1 <= i <= j <= grid.k:
-        raise ValueError("indices must satisfy 1 <= i <= j <= k")
-    return _beta_row(grid.mus[:j])[i - 1]
 
 
 def order_bounds(row, product, c, d, omega, cap):

@@ -1,4 +1,4 @@
-"""Fiber/detector noise model and its closed-form bound evaluations.
+"""Fiber/detector noise model and the statistics it predicts.
 
 The channel is summarized by a single-photon transmission probability
 alpha = theta * 10^(-(a1 L + a0)/10) over L km of fiber, a vacuum counting
@@ -8,15 +8,9 @@ An intensity-mu pulse then counts with probability p(mu) = 1 - e^(-alpha mu)
 which follows from per-photon-number detection probability
 1 - (1 - alpha)^n + p0.
 
-The residual of the order-j bound inversion on this model is captured by
-
-    eps_j(alpha) = (-1)^(j-1) (sum_i beta(j, i)(1 - e^(-alpha mu_i)) - alpha)
-                 = mu_1..mu_j sum_{n>j} (1 - (1-alpha)^n)/n! *
-                   h_(n-1-j)(mu_1..mu_j)            (h: homogeneous sums)
-
-which is non-negative, monotone in alpha and in every intensity, and at
-alpha = 1 equals mu_1..mu_j Omega_(j+1).  With it the order-j bounds on
-model statistics collapse to closed forms in (alpha, p0, pD, s).
+The eps_j residual of the order-j bound inversion on this model, and the
+closed-form bounds built from it, are verification routes in
+:mod:`decoy_akg.reference`.
 """
 
 from __future__ import annotations
@@ -26,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ObservedStats, _check_order, beta
-from .divided_diff import MonteCarloEstimate, PointSet, h_series, simplex_mean_value_oracle
+from .bounds import ObservedStats
 from .expansion import IntensityGrid
 
 _TINY = np.finfo(float).tiny
@@ -110,112 +103,3 @@ def model_stats(grid: IntensityGrid, alpha: float, params: ChannelParams) -> Obs
         raise ValueError("alpha must lie in (0, 1)")
     p, s = _model_rates(_transmitted(alpha, np.array(grid.mus)), params)
     return ObservedStats.symmetric(params.p0, p.tolist(), s.tolist(), p_dark=params.pD)
-
-
-def per_photon_rates(n: int, alpha: float, params: ChannelParams) -> tuple[float, float]:
-    """Detection and error probability of the n-photon Fock state.
-
-    Synthetic-stats generator for tests: Poisson-mixing these over n
-    reproduces ``counting_rate``/``error_rate`` exactly, including an error
-    rate of 0 where nothing clicks.  Not used at runtime.
-    """
-    signal = _one_minus_decay_pow(alpha, n)
-    detect = signal + params.p0
-    return detect, float((params.s * signal + 0.5 * params.p0) / max(detect, _TINY))
-
-
-def _one_minus_decay_pow(alpha: float, n: int) -> float:
-    """1 - (1 - alpha)^n without cancellation for small alpha."""
-    if alpha >= 1.0:
-        return 0.0 if n == 0 else 1.0
-    return -math.expm1(n * math.log1p(-alpha))
-
-
-def epsilon(j: int, alpha: float, grid: IntensityGrid) -> float:
-    """Series evaluation of eps_j(alpha) over the first j intensities.
-
-    Sums mu_1..mu_j * (1 - (1-alpha)^n) h_(n-1-j)(mu) / n! for n > j until
-    the majorant tail drops below ``DEFAULT_SERIES_TOL``
-    (``divided_diff.h_series`` with weight 1 - (1-alpha)^n).  All terms are
-    non-negative, so the sum is cancellation free; the companion beta form
-    (:func:`epsilon_beta_form`) and a Monte-Carlo simplex form
-    (:func:`epsilon_simplex_mc`) serve as independent cross-checks.
-    """
-    _check_order(j, grid.k)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if alpha == 0.0:
-        return 0.0
-    mus = grid.mus[:j]
-    return math.prod(mus) * h_series(mus, lambda n: _one_minus_decay_pow(alpha, n))
-
-
-def epsilon_beta_form(j: int, alpha: float, grid: IntensityGrid) -> float:
-    """Finite-sum form (-1)^(j-1) (sum_i beta(j,i)(1 - e^(-alpha mu_i)) - alpha)."""
-    _check_order(j, grid.k)
-    total = 0.0
-    for i in range(1, j + 1):
-        total += beta(j, i, grid) * (-math.expm1(-alpha * grid.mus[i - 1]))
-    sign = -1.0 if j % 2 == 0 else 1.0
-    return sign * (total - alpha)
-
-
-def epsilon_simplex_mc(
-    j: int,
-    alpha: float,
-    grid: IntensityGrid,
-    samples: int = 10**6,
-    seed: int | np.random.Generator | None = 0,
-) -> MonteCarloEstimate:
-    """Monte-Carlo simplex-integral form of eps_j(alpha); test oracle.
-
-    Estimates mu_1..mu_j/(j-1)! times the simplex average of
-
-        g(y) = sum_{n>=0} (1 - (1-alpha)^(n+j+1)) / ((n+j+1)(n+j) n!) * y^n
-
-    at y = sum a_i mu_i with a uniform on the (j-1)-simplex, through
-    :func:`~decoy_akg.divided_diff.simplex_mean_value_oracle`.
-    """
-    _check_order(j, grid.k)
-
-    def g(y: np.ndarray) -> np.ndarray:
-        values = np.zeros_like(y)
-        term = np.ones_like(y)  # y^n / n!
-        n = 0
-        while True:
-            coeff = _one_minus_decay_pow(alpha, n + j + 1) / ((n + j + 1) * (n + j))
-            values += coeff * term
-            n += 1
-            term *= y / n
-            if n > 4 and float(term.max()) / ((n + j + 1) * (n + j)) < 1e-18:
-                return values
-
-    mus = grid.mus[:j]
-    estimate, stderr = simplex_mean_value_oracle(g, PointSet(mus), samples, seed)
-    return MonteCarloEstimate(math.prod(mus) * estimate, math.prod(mus) * stderr)
-
-
-def closed_form_bounds(
-    j: int, alpha: float, grid: IntensityGrid, params: ChannelParams
-) -> tuple[float, float]:
-    """(q_j_min, b_j_max) evaluated on model statistics, in closed form.
-
-    Algebraically identical to feeding ``model_stats`` through the bound
-    formulas; kept as an independent computation path:
-
-        odd j:  q = alpha + (p0-pD) + eps_a - (1-p0) eps_1
-                b = s alpha + (p0-pD)/2 + s eps_a + (p0-pD)/2 eps_1
-        even j: q = alpha + (p0-pD) - eps_a - (p0-pD) eps_1
-                b = s alpha + (p0-pD)/2 - s eps_a + (1 - (p0+pD)/2) eps_1
-    """
-    eps_a = epsilon(j, alpha, grid)
-    eps_1 = epsilon(j, 1.0, grid)
-    p0, pd, s = params.p0, params.pD, params.s
-    dark_gap = p0 - pd
-    if j % 2 == 1:
-        q = alpha + dark_gap + eps_a - (1.0 - p0) * eps_1
-        b = s * alpha + 0.5 * dark_gap + s * eps_a + 0.5 * dark_gap * eps_1
-    else:
-        q = alpha + dark_gap - eps_a - dark_gap * eps_1
-        b = s * alpha + 0.5 * dark_gap - s * eps_a + (1.0 - 0.5 * (p0 + pd)) * eps_1
-    return q, b

@@ -9,17 +9,12 @@ It equals (1/n!) times the average of the n-th derivative of f over the
 standard simplex spanned by the points, so for monotone f^(n) the value
 n! * D_f lies between f^(n)(x_1) and f^(n)(x_(n+1)).
 
-Three evaluation routes are provided:
-
-* ``divided_difference``            -- the symmetric sum above,
-* ``divided_difference_recurrence`` -- the Newton-table recurrence, which is
-  the better conditioned default for clustered points,
-* ``power_divided_difference``      -- exact closed forms for f(x) = x**m
-  (complete homogeneous symmetric sums; zero for 0 <= m <= n-2).
-
-``simplex_mean_value_oracle`` is a seeded Monte-Carlo estimate of the
-simplex-average representation, intended purely as an independent test
-oracle for the formulas above.
+The library evaluates divided differences through the Newton-table
+recurrence ``divided_difference_recurrence``, which is better conditioned
+than the symmetric sum for clustered points, and sums the complete
+homogeneous series of the expansion normalizers in ``h_series``.  The
+symmetric sum, the power-function closed forms and a Monte-Carlo simplex
+oracle live in :mod:`decoy_akg.reference`.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,20 +83,6 @@ def _vandermonde(xs: Sequence[float], i: int) -> float:
     return math.prod(xs[i] - x for j, x in enumerate(xs) if j != i)
 
 
-def divided_difference(f: Callable[[float], float], pts: PointSet) -> float:
-    """Symmetric-sum divided difference sum_i f(x_i)/prod_{j!=i}(x_i - x_j).
-
-    For a single point this is f(x_1).  Prefer
-    :func:`divided_difference_recurrence` when points cluster; the direct sum
-    amplifies cancellation between its terms.
-    """
-    xs = pts.points
-    total = 0.0
-    for i, value in enumerate(_values(f, pts)):
-        total += value / _vandermonde(xs, i)
-    return total
-
-
 def divided_difference_recurrence(f: Callable[[float], float], pts: PointSet) -> float:
     """Newton-table evaluation via the recurrence
 
@@ -114,25 +95,6 @@ def divided_difference_recurrence(f: Callable[[float], float], pts: PointSet) ->
         for i in range(n - level):
             table[i] = (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
     return table[0]
-
-
-def complete_homogeneous(degree: int, xs: Sequence[float]):
-    """Complete homogeneous symmetric sum h_degree(xs).
-
-    h_d is the sum of all degree-d monomials in the variables; h_0 = 1 and
-    h_d = 0 for d < 0.  The last variable may be a numpy array, in which case
-    the result broadcasts over it.
-    """
-    if degree < 0:
-        return 0.0
-    m = len(xs)
-    hh = [1.0] * (m + 1)  # hh[l] = h_d(x_1..x_l) at the current degree d
-    for _ in range(degree):
-        new = [0.0] * (m + 1)
-        for l in range(1, m + 1):
-            new[l] = new[l - 1] + xs[l - 1] * hh[l]
-        hh = new
-    return hh[m]
 
 
 @functools.cache
@@ -178,7 +140,7 @@ class _PrefixSeries:
         self._row = [1.0] * (len(self.prefix) + 1)
         self._column = [1.0]  # h_d(x_1..x_(m-1)) for d = 0, 1, ...
 
-    def __call__(self, last, weight: Optional[Callable[[int], float]] = None):
+    def __call__(self, last):
         m = len(self.prefix) + 1
         if isinstance(last, np.ndarray):
             top = np.maximum(self.top, last)
@@ -200,7 +162,7 @@ class _PrefixSeries:
         factorial = float(math.factorial(n))
         stop = None  # the largest limit so far, once it passes the lowest top
         while True:
-            term = (h if weight is None else weight(n) * h) / factorial
+            term = h / factorial
             if stop is None:  # every point still sums
                 total += term
             else:
@@ -229,11 +191,9 @@ class _PrefixSeries:
             h = column[degree] + last * h
 
 
-def h_series(points: Sequence, weight: Optional[Callable[[int], float]] = None):
-    """sum_{n>m} w(n) h_(n-1-m)(x_1..x_m) / n! over m positive points.
+def h_series(points: Sequence):
+    """Omega_(m+1) = sum_{n>m} h_(n-1-m)(x_1..x_m) / n! over m positive points.
 
-    With w = 1 (no ``weight``) this is the expansion normalizer Omega_(m+1);
-    w(n) = 1 - (1-alpha)^n gives the bound residual eps_m / (x_1...x_m).
     All terms are non-negative, so the sum is free of cancellation; it stops
     once the tail is below DEFAULT_SERIES_TOL, bounded through
     h_d <= C(d+m-1, m-1) x_top^d and the decay of 1/n!.
@@ -244,68 +204,4 @@ def h_series(points: Sequence, weight: Optional[Callable[[int], float]] = None):
     """
     if len(points) == 0:
         raise ValueError("h_series needs at least one point, got the empty point set")
-    return _PrefixSeries(points[:-1])(points[-1], weight)
-
-
-def power_divided_difference(exponent: int, pts: PointSet) -> float:
-    """Closed form of the divided difference of f(x) = x**exponent.
-
-    Over n points, with h the complete homogeneous symmetric sums:
-
-    * exponent k >= 0:  h_{k-n+1}(x_1..x_n); identically zero for k <= n-2,
-    * exponent k < 0:   (-1)^(n-1) * h_{-k-1}(1/x_1..1/x_n) / (x_1...x_n),
-      which for k = -1 reduces to (-1)^(n-1)/(x_1...x_n).
-    """
-    xs = pts.points
-    n = len(xs)
-    if exponent >= 0:
-        return float(complete_homogeneous(exponent - n + 1, xs))
-    if any(x == 0.0 for x in xs):
-        raise ValueError("negative exponents require all points to be nonzero")
-    recip = [1.0 / x for x in xs]
-    prod = math.prod(xs)
-    sign = -1.0 if n % 2 == 0 else 1.0
-    return sign * float(complete_homogeneous(-exponent - 1, recip)) / prod
-
-
-class MonteCarloEstimate(NamedTuple):
-    estimate: float
-    standard_error: float
-
-
-def simplex_mean_value_oracle(
-    f_nth_derivative: Callable,
-    pts: PointSet,
-    samples: int,
-    seed: int | np.random.Generator | None = 0,
-) -> MonteCarloEstimate:
-    """Monte-Carlo estimate of (1/n!) * E[ f^(n)(sum_i a_i x_i) ], a ~ simplex.
-
-    n is len(pts.points) - 1 and f_nth_derivative must evaluate the n-th derivative.
-    Returns the estimate together with its standard error; intended as an
-    independent stochastic oracle for divided-difference values, not as a
-    production evaluation route.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    xs = np.asarray(pts.points)
-    n = len(xs) - 1
-    # exponential spacings: normalized iid Exp(1) variates are uniform on the simplex
-    draws = rng.standard_exponential(size=(samples, len(xs)))
-    weights = draws / draws.sum(axis=1, keepdims=True)
-    args = weights @ xs
-    try:
-        vals = np.asarray(f_nth_derivative(args), dtype=float)
-        if vals.shape != args.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(f_nth_derivative(a)) for a in args])
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("derivative evaluations produced non-finite values")
-    scale = 1.0 / math.factorial(n)
-    estimate = scale * float(vals.mean())
-    if samples == 1:
-        return MonteCarloEstimate(estimate, 0.0)
-    stderr = scale * float(vals.std(ddof=1)) / math.sqrt(samples)
-    return MonteCarloEstimate(estimate, stderr)
+    return _PrefixSeries(points[:-1])(points[-1])

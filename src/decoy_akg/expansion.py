@@ -28,7 +28,6 @@ from .divided_diff import (
     PointSet,
     _number,
     _vandermonde,
-    divided_difference,
     divided_difference_recurrence,
     h_series,
 )
@@ -94,12 +93,6 @@ def gamma_coefficient(i: int, n: int, grid: IntensityGrid) -> float:
     return divided_difference_recurrence(lambda x: x ** (n - 2), PointSet(grid.mus[: i - 1]))
 
 
-def gamma_coefficient_direct(i: int, n: int, grid: IntensityGrid) -> float:
-    """gamma(i, n) as the symmetric-sum divided difference of x^(n-2); cross-check use only."""
-    _check_basis_index(i, grid.k, n)
-    return divided_difference(lambda x: x ** (n - 2), PointSet(grid.mus[: i - 1]))
-
-
 def omega(i: int, grid: IntensityGrid) -> float:
     """Normalizer Omega_i = sum_{n>=i} gamma(i, n)/n!.
 
@@ -110,32 +103,6 @@ def omega(i: int, grid: IntensityGrid) -> float:
     """
     _check_basis_index(i, grid.k)
     return h_series(grid.mus[: i - 1])
-
-
-def _exp_tail(x: float, first_order: int) -> float:
-    """sum_{m >= first_order} x^m / m!, summed directly to avoid cancellation."""
-    term = x**first_order / math.factorial(first_order)
-    total = 0.0
-    m = first_order
-    while term > 1e-30 * (1.0 + total) and m < 400:
-        total += term
-        m += 1
-        term *= x / m
-    return total
-
-
-def omega_closed_form(i: int, grid: IntensityGrid) -> float:
-    """Omega_i as the (i-1)-point divided difference of the remainder function
-
-        g_i(x) = (e^x - sum_{m<i} x^m/m!) / x^2.
-
-    For i = 2 this is the familiar (e^mu - 1 - mu)/mu^2; for larger i it is
-    the same expression with more Taylor terms removed and divided
-    differences over the first i-1 intensities.
-    """
-    _check_basis_index(i, grid.k)
-    pts = PointSet(grid.mus[: i - 1])
-    return divided_difference_recurrence(lambda x: _exp_tail(x, i) / (x * x), pts)
 
 
 def _exp(x):
@@ -202,37 +169,6 @@ class ExpansionTable:
         mu_top = mus[-1]
         tail = math.exp(mu_top) * mu_top**DEFAULT_N_MAX / math.factorial(DEFAULT_N_MAX)
         return cls(grid, omegas, gammas, constraint_matrix(mus, omegas), beta_rows, decays, tail)
-
-
-def reconstruct_poisson(i: int, grid: IntensityGrid, n_max: int = DEFAULT_N_MAX) -> list[float]:
-    """Reassemble the Poisson weights of intensity mu_i from the expansion.
-
-    Returns the coefficient of |n><n| for n = 0..n_max computed as
-
-        e^(-mu_i) [ d_(n,0) + mu_i d_(n,1)
-                    + sum_{m=2}^{i+1} mu_i^2 prod_{t<=m-2}(mu_i - mu_t)
-                      * gamma(m, n)/n! ]
-
-    (the Omega_m normalizers cancel against the rho_m weights).  Each entry
-    must equal e^(-mu_i) mu_i^n / n!; tests assert this identity.
-    """
-    if not 1 <= i <= grid.k:
-        raise ValueError("intensity index out of range")
-    mu_i = grid.mus[i - 1]
-    products = _difference_products(grid.mus)[i - 1].tolist()  # the constraint's products
-    coeffs = []
-    for n in range(n_max + 1):
-        if n == 0:
-            inner = 1.0
-        elif n == 1:
-            inner = mu_i
-        else:
-            inner = 0.0
-            for m in range(2, min(i + 1, n) + 1):  # gamma(m, n) = 0 for m > n
-                weight = mu_i**2 * products[m - 2]  # mu_i^2 prod_{t<=m-2}(mu_i - mu_t)
-                inner += weight * gamma_coefficient(m, n, grid) / math.factorial(n)
-        coeffs.append(math.exp(-mu_i) * inner)
-    return coeffs
 
 
 @dataclass(frozen=True)

@@ -306,45 +306,3 @@ def find_zero_distance(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class DerivativeCheckReport:
-    """Finite-difference audit of the universal-bound intensity optimum."""
-
-    rows: tuple[tuple[float, float, float], ...]  # (alpha, d_forward, d_reverse)
-    tolerance: float
-    all_nonpositive: bool
-
-    def to_text(self) -> str:
-        lines = ["alpha           dI/dmu fwd      dI/dmu rev"]
-        for alpha, dfwd, drev in self.rows:
-            lines.append(f"{alpha:<15.6e} {dfwd:<15.6e} {drev:<15.6e}")
-        verdict = "OK" if self.all_nonpositive else "VIOLATION"
-        lines.append(f"all non-positive within {self.tolerance:g}: {verdict}")
-        return "\n".join(lines)
-
-
-def optimal_mu_derivative_check(
-    params: ChannelParams,
-    alpha_grid,
-    step: float = 1e-6,
-    tolerance: float = 1e-12,
-) -> DerivativeCheckReport:
-    """Check d(universal rate)/d mu <= 0 at mu = 1 across channel strengths.
-
-    Central finite differences with the given step; the sign property is what
-    confines the optimal signal intensity of the universal bounds to (0, 1].
-    """
-    rows = []
-    ok = True
-    for alpha in alpha_grid:
-        derivs = []
-        for direction in DIRECTIONS:
-            hi = universal_upper(1.0 + step, alpha, params, direction)
-            lo = universal_upper(1.0 - step, alpha, params, direction)
-            derivs.append((hi - lo) / (2.0 * step))
-        rows.append((float(alpha), derivs[0], derivs[1]))
-        if derivs[0] > tolerance or derivs[1] > tolerance:
-            ok = False
-    return DerivativeCheckReport(rows=tuple(rows), tolerance=tolerance, all_nonpositive=ok)

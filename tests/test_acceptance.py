@@ -18,17 +18,19 @@ from decoy_akg import (
     aggregate,
     alpha_of_distance,
     build_matrices,
-    epsilon,
-    epsilon_beta_form,
-    epsilon_simplex_mc,
     gamma_coefficient,
     lp_oracle_b1_max,
     lp_oracle_q1_min,
     omega,
+    run_scenario,
+)
+from decoy_akg.reference import (
+    epsilon,
+    epsilon_beta_form,
+    epsilon_simplex_mc,
     omega_closed_form,
     optimal_mu_derivative_check,
     reconstruct_poisson,
-    run_scenario,
 )
 from conftest import feasible_instance, random_grid
 

@@ -11,7 +11,6 @@ from decoy_akg import (
     ObservedStats,
     aggregate,
     alpha_of_distance,
-    beta,
     build_matrices,
     lp_oracle_b1_max,
     lp_oracle_b_j_max,
@@ -21,6 +20,7 @@ from decoy_akg import (
 )
 from decoy_akg import bounds
 from decoy_akg.channel import STANDARD_FIBER
+from decoy_akg.reference import beta
 from conftest import feasible_instance as _feasible_instance
 from conftest import random_grid
 
@@ -42,6 +42,20 @@ def test_observed_stats_validation():
             ObservedStats(*args)
     with pytest.raises(TypeError, match="not a number"):
         ObservedStats.symmetric(1e-6, (True, 0.2), (0.1, 0.1))
+    # every rate is held to [0, 1], a NaN in any place too, and the first refused one named
+    for args, name, got in (
+        (((0.1, 0.2, math.nan), (0.1,)), "p", "nan"),
+        (((0.1, 0.2, 0.2, 0.3, 0.3), (0.1, math.nan)), "s", "nan"),
+        (((0.1, 0.2, 0.2), (0.1,), math.nan), "p_dark", "nan"),
+        (((0.1, 0.05, 0.2), (0.1,), -1e-9), "p_dark", "-1e-09"),
+        (((0.1, math.inf, -0.5), (0.1,), 2.0), "p", "inf"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{name} entries must lie in \[0, 1\]; got {got}$"):
+            ObservedStats(*args)
+    with pytest.raises(InfeasibleStatsError, match=r"p_dark=0.06; got 0.05$"):
+        ObservedStats((0.1, 0.05, 0.2), (0.1,), 0.06)
+    stats = ObservedStats((np.float64(0.1), 0.2, 1), (np.float32(0.5),), np.float64(0.0))
+    assert all(type(v) is float for v in (*stats.p, *stats.s, stats.p_dark))
     stats = ObservedStats.symmetric(1e-6, (1e-4, 2e-4), (0.1, 0.1), p_dark=1e-7)
     assert stats.k == 2
     assert stats.p[1] == stats.p[3] and stats.p[2] == stats.p[4]

@@ -12,17 +12,19 @@ from decoy_akg import (
     IntensityGrid,
     aggregate,
     alpha_of_distance,
-    closed_form_bounds,
     counting_rate,
-    epsilon,
-    epsilon_beta_form,
-    epsilon_simplex_mc,
     error_rate,
     model_stats,
     omega,
-    per_photon_rates,
 )
 from decoy_akg.channel import _model_rates, _transmitted
+from decoy_akg.reference import (
+    closed_form_bounds,
+    epsilon,
+    epsilon_beta_form,
+    epsilon_simplex_mc,
+    per_photon_rates,
+)
 from conftest import random_grid
 
 

@@ -55,18 +55,24 @@ def test_run_writes_schema_and_is_deterministic(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_cli_start_does_not_load_scipy():
-    # SciPy serves only the LP oracle; importing the CLI must not pay for it
+def test_cli_start_does_not_load_scipy(tmp_path):
+    # SciPy serves only the LP oracle and decoy_akg.reference only the tests and
+    # scripts; neither starting the CLI nor a figures run may load them
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import decoy_akg.cli; "
         "decoy_akg.cli._build_parser(); "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "assert decoy_akg.cli.main(['figures', '--l-step', '50', '--out', sys.argv[2]]) == 0; "
+        "print(sorted(m for m in sys.modules if m in ('scipy', 'decoy_akg.reference') "
+        "or m.startswith('scipy.')))"
     )
     src = Path(cli.__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, str(src), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines()[-1] == "[]"  # after the tables figures prints
 
 
 @pytest.mark.parametrize(

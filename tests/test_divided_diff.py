@@ -10,12 +10,15 @@ from decoy_akg import (
     DegeneratePointsError,
     EvaluationError,
     PointSet,
-    divided_difference,
     divided_difference_recurrence,
+)
+from decoy_akg import divided_diff
+from decoy_akg.divided_diff import DEFAULT_SERIES_TOL, _top_limit, h_series
+from decoy_akg.reference import (
+    divided_difference,
     power_divided_difference,
     simplex_mean_value_oracle,
 )
-from decoy_akg.divided_diff import DEFAULT_SERIES_TOL, _top_limit, h_series
 
 
 def test_single_point_is_function_value():
@@ -195,26 +198,29 @@ def test_oracle_matches_cubic_second_derivative():
 @given(
     st.lists(st.floats(0.05, 2.0), max_size=8),
     st.lists(st.floats(0.05, 2.0), min_size=1, max_size=30),
-    st.sampled_from([None, 0.3, 0.9]),
 )
-def test_h_series_lanes_equal_scalar_calls(prefix, lanes, alpha):
+def test_h_series_lanes_equal_scalar_calls(prefix, lanes):
     # each element of an array last point sums the terms a scalar call would
-    weight = None if alpha is None else (lambda n: -math.expm1(n * math.log1p(-alpha)))
     points = tuple(sorted(prefix))
-    values = h_series(points + (np.array(lanes),), weight)
+    values = h_series(points + (np.array(lanes),))
     assert values.shape == (len(lanes),)
     for value, last in zip(values.tolist(), lanes):
-        assert value == h_series(points + (last,), weight)
+        assert value == h_series(points + (last,))
 
 
-def test_h_series_lanes_stop_on_their_own_terms():
+def test_h_series_lanes_stop_on_their_own_terms(monkeypatch):
     # over the prefix (0.1, 0.2), a top of 0.2 stops many terms before a top of
     # 2.0; the lanes call sums each lane's own terms, also in two dimensions
     prefix = (0.1, 0.2)
+    seen = []  # the n of every term whose tail limit the series reads, the last one too
+    top_limit = divided_diff._top_limit
+    monkeypatch.setattr(
+        divided_diff, "_top_limit", lambda m, n, factorial: seen.append(n) or top_limit(m, n, factorial)
+    )
 
     def last_term(last):
-        seen = []
-        h_series(prefix + (last,), lambda n: seen.append(n) or 1.0)
+        seen.clear()
+        h_series(prefix + (last,))
         return seen[-1]
 
     assert last_term(2.0) - last_term(0.05) >= 10
@@ -245,10 +251,9 @@ def test_h_series_nan_and_inf_lanes():
 
 def test_h_series_numpy_scalar_is_the_float_call():
     for points in ((0.1, 0.2, 0.55), (0.7,), (0.1, 1.9)):
-        for weight in (None, lambda n: -math.expm1(n * math.log1p(-0.3))):
-            expected = h_series(points, weight)
-            value = h_series((*points[:-1], np.float64(points[-1])), weight)
-            assert type(value) is float and value.hex() == expected.hex()
+        expected = h_series(points)
+        value = h_series((*points[:-1], np.float64(points[-1])))
+        assert type(value) is float and value.hex() == expected.hex()
 
 
 def test_h_series_needs_a_point():

@@ -9,17 +9,21 @@ from decoy_akg import (
     ExpansionTable,
     IntensityGrid,
     PointSet,
-    beta,
     build_matrices,
     gamma_coefficient,
-    gamma_coefficient_direct,
     omega,
+)
+from decoy_akg.divided_diff import DEFAULT_SERIES_TOL
+from decoy_akg.expansion import DEFAULT_N_MAX
+from decoy_akg.reference import (
+    beta,
+    epsilon,
+    gamma_coefficient_direct,
     omega_closed_form,
     power_divided_difference,
     reconstruct_poisson,
     simplex_mean_value_oracle,
 )
-from decoy_akg.expansion import DEFAULT_N_MAX
 from conftest import intensity_grids, random_grid
 
 
@@ -133,6 +137,18 @@ def test_omega_matches_gamma_series():
     for i in (2, 3, 4):
         partial = sum(gamma_coefficient(i, n, grid) / math.factorial(n) for n in range(i, 45))
         assert omega(i, grid) == pytest.approx(partial, rel=1e-12)
+
+
+def test_omega_series_meets_its_tail_bound():
+    # the production series stops once its tail is below DEFAULT_SERIES_TOL;
+    # reference.epsilon at alpha = 1 sums the same Omega on its own, with a
+    # relative stop near 1e-17, so the gap is the production tail plus rounding
+    for base in (0.1, 0.5):
+        for k in range(1, 11):
+            grid = IntensityGrid([base * i for i in range(1, k + 1)])
+            for j in range(1, k + 1):
+                oracle = epsilon(j, 1.0, grid) / math.prod(grid.mus[:j])
+                assert abs(oracle - omega(j + 1, grid)) <= DEFAULT_SERIES_TOL
 
 
 def test_expansion_table_build():

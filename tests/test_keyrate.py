@@ -16,12 +16,12 @@ from decoy_akg import (
     counting_rate,
     error_rate,
     find_zero_distance,
-    optimal_mu_derivative_check,
     optimize_signal_intensity,
     single_photon_credit,
     universal_upper,
 )
 from decoy_akg.keyrate import _golden_section_max
+from decoy_akg.reference import optimal_mu_derivative_check
 
 
 def test_entropy_endpoints_and_saturation():
