@@ -218,13 +218,15 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
 
     The q bounds of both bases participate (orders 1..k each); the error
     system only constrains the key basis, whose bounds the conjugate basis
-    shares when their inputs are equal (a tie goes to the key basis).
+    shares when their counting rates are equal (a tie goes to the key basis).
     Reported values are clamped to the physical range [0, 1 - p_dark].
     """
     _check_inputs(stats, grid, table)
     cap = 1.0 - stats.p_dark
-    c_x, c_plus, d = _observed_inputs(stats, table, 0, grid.k)
-    conjugate = c_plus != c_x  # equal inputs give the key basis's bounds, bit for bit
+    # equal rates give the key basis's inputs and bounds, bit for bit
+    conjugate = stats.p[1 : grid.k + 1] != stats.p[grid.k + 1 :]
+    offsets = (0, grid.k) if conjugate else (0,)
+    c_x, *c_plus, d = _observed_inputs(stats, table, *offsets)
     q_x, b_all = [], []
     q_plus = [] if conjugate else q_x
     product = 1  # mu_1..mu_j, multiplied in math.prod's order
@@ -234,7 +236,7 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
         q_x.append(q_j)
         b_all.append(b_j)
         if conjugate:
-            q_plus.append(order_bounds(row, product, c_plus, d, omega, cap)[0])
+            q_plus.append(order_bounds(row, product, c_plus[0], d, omega, cap)[0])
 
     q_raw, q_source = _best(q_x + q_plus)
     b_raw, b_source = _best(b_all, upper=True)

@@ -38,6 +38,11 @@ DEFAULT_MU_CAP = 2.0
 DEFAULT_COARSE_STEP = 0.01
 DEFAULT_MU_TOL = 1e-6
 DISTANCE_TOL_KM = 0.01
+# margin of the box bound, relative to its terms.  A rate's terms are of the
+# order of the signal's counting rate p(mu), and rounding in them is about
+# 1e-16 p; a float order bound lies within 4.3e-13 relative of its exact
+# value up to k = 10 (against 60-digit mpmath).  1e-9 covers both.
+_ENVELOPE_RTOL = 1e-9
 
 Direction = str  # one of DIRECTIONS
 DIRECTIONS = ("forward", "reverse")
@@ -165,6 +170,28 @@ def _universal_bounds(alpha, params: ChannelParams):
     return alpha + params.p0, params.s * alpha + 0.5 * params.p0
 
 
+def _universal_box_bound(alpha, q1, lows, highs, params: ChannelParams, direction: Direction):
+    """A ceiling on a rate for mu in [lows, highs] whose q1 is at most ``q1`` (broadcast).
+
+    0.5 [max(mu e^-mu) C + V(low) - p(low) hbar(s(high))] plus ``_ENVELOPE_RTOL``
+    of the terms, with C the clamped credit of ``q1`` and the universal b1,
+    which every sound b1 is above; V, the vacuum term, falls with mu, p(mu)
+    rises and s(mu) falls toward s <= 1/2.
+    """
+    b1 = _universal_bounds(alpha, params)[1]
+    credit = single_photon_credit(_clamp(q1, 1.0), _clamp(b1, 1.0))
+    # mu e^-mu rises to its peak 1/e at mu = 1 and falls after it
+    peak = np.where(highs < 1.0, highs, np.maximum(lows, 1.0))
+    p_low = _model_rates(_transmitted(alpha, lows), params)[0]
+    s_high = _model_rates(_transmitted(alpha, highs), params)[1]
+    # the vacuum term as _model_rate builds it: e^-mu ((p0 - pD) + pD) forward, pD reverse
+    forward = direction == "forward"
+    vacuum = np.exp(-lows) * ((params.p0 - params.pD) + params.pD) if forward else params.pD
+    gain = peak * np.exp(-peak) * credit + vacuum
+    penalty = p_low * binary_entropy_bar(s_high)
+    return 0.5 * ((1.0 + _ENVELOPE_RTOL) * gain - (1.0 - _ENVELOPE_RTOL) * penalty)
+
+
 def universal_upper(
     mu: float, alpha: float, params: ChannelParams, direction: Direction = "forward"
 ) -> float:
@@ -227,7 +254,9 @@ def optimize_lanes(
     """Maximize rates over signal intensities in (mu_lower, mu_cap], lane by lane.
 
     ``grid_fn(grid)`` gives every lane's rates on the coarse grid (step
-    ``DEFAULT_COARSE_STEP``), shape (*lanes, grid.size); the golden section then
+    ``DEFAULT_COARSE_STEP``), shape (*lanes, grid.size), or -inf at a point
+    proven strictly below its lane's best, which leaves the first maximum,
+    its bracket and every byte of the result unchanged.  The golden section then
     refines each lane's best bracket through ``rate_fn``, which maps one
     trial signal per lane (shape ``lanes``) to the rates there; with one
     lane (``lanes`` = ()) it is called with floats.  Returns the optimal

@@ -26,6 +26,12 @@ reverse rate reads pD itself.  The reference comparison tables are
 defined under this convention; propagating the dark rate into the
 estimators instead would shift the reverse achievable distances by several
 kilometres.
+
+A sound estimate cannot beat perfect knowledge of the channel, so a sweep
+skips coarse-grid points under that envelope: ``keyrate._universal_box_bound``
+bounds the rate over a box of grid signals from its ends, with a margin of
+1e-9 of its terms, far above rounding.  A skipped point lies strictly below
+its lane's best, so every row and output byte is the full grid's.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .keyrate import (
     _coarse_grid,
     _model_rate,
     _universal_bounds,
+    _universal_box_bound,
     find_zero_distance,
     optimize_lanes,
     optimize_signal_intensity,
@@ -75,6 +82,13 @@ DARK_MODES = ("pd-zero", "pd-equals-p0", "explicit")
 # 3.11, numpy 2.4.6, median of 9): 2048 -> 90.2, 4096 -> 84.9, 8192 -> 81.5,
 # 16384 -> 82.1, one chunk per sweep -> 87.6
 _EVAL_ELEMENTS = 8192
+# a sweep's grid runs on every lane up to this signal, then in boxes of this
+# many points where the envelope reaches a lane's best.  CPU time of the 11
+# default figures grids over the full grid's (2-CPU host, min of 25, 2-5
+# runs): boxes of 20 -> 0.53-0.62, of 10 -> 0.58-0.64, of 5 -> 0.69-0.76; a
+# band up to 0.4, 0.5 or 0.7 instead of 0.6 reads within that spread
+_FIRST_BAND_MU = 0.6
+_BOX_POINTS = 20
 
 # source_j codes for estimators that are not an aggregation order
 SOURCE_EXACT = 0  # universal scenario: parameters known, nothing estimated
@@ -246,6 +260,9 @@ class _ScenarioEngine:
         decoys = self.decoy_array.reshape((-1,) + (1,) * len(shape))  # the lanes across
         signal = _transmitted(alpha, decoys)
         c, d = self._inputs(signal, decoys)
+        one = not shape  # one distance runs on Python floats, the bits of the array elements
+        if one:
+            alpha, c, d = float(alpha), c.tolist(), d.tolist()
         state = {"alpha": alpha, "c": c, "d": d}
         if self.kind == "universal":
             q1, b1 = _universal_bounds(alpha, self.params)
@@ -254,12 +271,13 @@ class _ScenarioEngine:
         orders = [
             order_bounds(row, prod, c, d, omega, 1.0) for row, prod, omega in self.prefix_terms
         ]
-        q_prefix, b_prefix = (np.array(v) for v in zip(*orders))
+        q_prefix, b_prefix = ((list if one else np.array)(v) for v in zip(*orders))
         state.update(q_prefix=q_prefix, b_prefix=b_prefix, b1=b_prefix[0], b_src=1)
         if self.kind == "wang":
             state.update(q1=q_prefix[1], q_src=2)
         elif self.kind == "ma":
-            state.update(q_src=SOURCE_MA, ma_p=_model_rates(signal, self.params)[0])
+            ma_p = _model_rates(signal, self.params)[0]
+            state.update(q_src=SOURCE_MA, ma_p=ma_p.tolist() if one else ma_p)
         else:
             (q1, q_src), (b1, b_src) = _best(q_prefix), _best(b_prefix, upper=True)
             state.update(q1=q1, q_src=q_src, b1=b1, b_src=b_src)
@@ -327,12 +345,15 @@ class _ScenarioEngine:
         _, _, p_signal, s_signal = trial
         return _model_rate(mu, q1, b1, p_signal, s_signal, self.params, self.spec.direction)
 
-    def _grid_rates(self, state: dict, grid: np.ndarray) -> np.ndarray:
-        """Rates of every lane on the coarse grid, shape (*lanes, grid.size).
+    def _grid_rates(self, state: dict, grid: np.ndarray, columns=slice(None)) -> np.ndarray:
+        """Rates of every lane on the coarse grid's ``columns``, shape (*lanes, columns).
 
-        The engine's grid reads its kept terms; lanes go in chunks of whole grids.
+        The engine's grid reads its kept terms; lanes go in chunks, each with every column.
         """
         terms = self.grid_terms if np.array_equal(grid, self.grid) else None
+        grid = grid[columns]
+        if terms:
+            terms = ([beta_i[columns] for beta_i in terms[0]], terms[1][columns])
         if np.ndim(state["alpha"]) == 0:  # one distance
             return self.rate(state, grid, terms)
         if terms:
@@ -343,6 +364,49 @@ class _ScenarioEngine:
             for start in range(0, state["alpha"].size, per_chunk)
         ]
         return np.concatenate(chunks, axis=1).T
+
+    def _q1_reach(self, state: dict, highs):
+        """A ceiling on the lanes' q1 for trial signals up to ``highs``, shape (lanes, highs).
+
+        The model's yields 1 - (1 - alpha)^n + p0 pass the order bounds' cap 1
+        by up to p0, so an odd order j can pass alpha + p0 by p0 mu_1..mu_j
+        Omega_(j+1); the state's q1 holds the decoy prefixes' own.
+        """
+        alpha = state["alpha"][:, None]
+        reach = alpha + self.p0
+        if "q1" in state:
+            reach = np.maximum(reach, state["q1"][:, None])
+        if self.kind == "aggregate" and len(self.decoys) % 2 == 0:  # the trial order is odd
+            saturation = math.prod(self.decoys) * highs * self.trial_omega(highs)
+            reach = np.maximum(reach, alpha + self.p0 + self.p0 * saturation)
+        return reach
+
+    def _pruned_grid_rates(self, state: dict, grid: np.ndarray) -> np.ndarray:
+        """:meth:`_grid_rates` of many lanes, -inf where the envelope is below a lane's best.
+
+        The columns up to ``_FIRST_BAND_MU`` (at least one) run on every lane;
+        each later box of ``_BOX_POINTS`` only on the lanes where its bound
+        reaches the best rate so far.
+        """
+        band = max(1, int(np.searchsorted(grid, _FIRST_BAND_MU, side="right")))
+        starts = np.arange(band, grid.size, _BOX_POINTS)
+        ends = np.minimum(starts + _BOX_POINTS, grid.size)
+        highs = grid[ends - 1]
+        q1 = self._q1_reach(state, highs)
+        ceilings = _universal_box_bound(
+            state["alpha"][:, None], q1, grid[starts], highs, self.params, self.spec.direction
+        )
+        values = np.full((state["alpha"].size, grid.size), -np.inf)
+        values[:, :band] = self._grid_rates(state, grid, slice(0, band))
+        best = values[:, :band].max(axis=1)
+        for start, end, ceiling in zip(starts, ends, ceilings.T):
+            live = np.flatnonzero(~(ceiling < best))  # a NaN ceiling skips nothing
+            if live.size:
+                lanes = slice(live[0], live[-1] + 1)  # the lanes between: views of the state
+                box = self._grid_rates(self._lanes(state, lanes), grid, slice(start, end))
+                values[lanes, start:end] = box
+                best[lanes] = np.maximum(best[lanes], box.max(axis=1))
+        return values
 
     def _rows(self, lengths, state: dict, mu, rate) -> list[SweepRow]:
         """Rows at the optimal signals ``mu`` and rates, in the lanes' shape."""
@@ -386,7 +450,8 @@ class _ScenarioEngine:
             block = lengths[start : start + _EVAL_ELEMENTS]
             state = self._distance_state(np.asarray(block))
             mu, rate = optimize_lanes(
-                partial(self.rate, state), partial(self._grid_rates, state), self.spec.signal_lower
+                partial(self.rate, state), partial(self._pruned_grid_rates, state),
+                self.spec.signal_lower,
             )
             rows += self._rows(block, state, mu, rate)
         return rows

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from decoy_akg import (
@@ -23,7 +23,13 @@ from decoy_akg.bounds import _best, ma_q1_lower
 from decoy_akg.channel import STANDARD_FIBER, ChannelParams, counting_rate
 from decoy_akg.divided_diff import h_series
 from decoy_akg.expansion import _beta_row
-from decoy_akg.keyrate import DEFAULT_MU_CAP, DEFAULT_MU_TOL, _coarse_grid, find_zero_distance
+from decoy_akg.keyrate import (
+    DEFAULT_MU_CAP,
+    DEFAULT_MU_TOL,
+    _coarse_grid,
+    _universal_box_bound,
+    find_zero_distance,
+)
 from decoy_akg.scenarios import DARK_MODES, SCENARIO_NAMES, _ScenarioEngine
 
 
@@ -571,6 +577,110 @@ def test_grid_rates_are_scalar_rates(case):
         scalar = np.array([engine.rate(state, float(g)) for g in engine.grid])
         assert np.array_equal(scalar, engine._grid_rates(state, engine.grid))
         assert np.array_equal(scalar, lane)
+
+
+def _lane_grid(case):
+    """(engine, lengths, lane state, the lanes' full coarse-grid rates) of a ``lane_cases`` case."""
+    spec, (l_min, l_max, step) = case
+    engine = _ScenarioEngine(spec)
+    lengths = np.arange(l_min, l_max + 0.5 * step, step)
+    state = engine._distance_state(lengths)
+    return engine, lengths, state, engine._grid_rates(state, engine.grid)
+
+
+# corners of the envelope: nothing transmitted with p0 = 0 (zero credit and
+# the 0/0 floor of s(mu)), s = 1/2, where hbar(s(mu)) = 1, and a lossless
+# channel, whose model yields 1 - (1 - alpha)^n + p0 pass 1 near alpha = 1
+_DARK_FREE = replace(STANDARD_FIBER, a0=4000.0, p0=0.0)
+_HALF_ERROR = replace(STANDARD_FIBER, p0=0.0, s=0.5)
+_LOSSLESS = replace(STANDARD_FIBER, theta=1.0, a0=0.0, a1=0.2, p0=1e-3)
+_CORNER_CASES = [
+    (ScenarioSpec("k3-ma", channel=_DARK_FREE), (0.0, 100.0, 50.0)),
+    (ScenarioSpec("k3-ma", "reverse", "pd-equals-p0", _HALF_ERROR), (0.0, 100.0, 50.0)),
+    (ScenarioSpec("k4", "reverse", "pd-equals-p0", _NOISY_FIBER), (60.0, 120.0, 30.0)),
+    (ScenarioSpec("k3-ours", channel=_LOSSLESS), (0.0, 0.09, 0.03)),  # order 1 passes alpha + p0
+    (ScenarioSpec("k3-ours", channel=_LOSSLESS), (1.0, 4.0, 1.5)),  # the trial's order 3 does
+    (ScenarioSpec("k4", "reverse", "pd-equals-p0", _LOSSLESS), (0.0, 0.09, 0.03)),
+    (ScenarioSpec("custom", decoy_mus=(0.2, 0.5, 0.8)), (0.0, 200.0, 100.0)),
+    # a one-point grid above the first band, which then holds that point
+    (ScenarioSpec("custom", decoy_mus=(1.7, 1.85), signal_lower=1.995), (0.0, 200.0, 100.0)),
+]
+
+
+def _corner_examples(test):
+    for case in _CORNER_CASES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=25, deadline=None)
+@given(lane_cases())
+@_corner_examples
+def test_decoy_grid_rates_never_beat_perfect_knowledge(case):
+    # what the sweep's pruning rests on.  At every coarse-grid signal of every
+    # lane a decoy q1 at most alpha + p0 gives a rate at most the universal
+    # one, up to rounding far below the rate's terms (of the order of p(mu)).
+    # A q1 above alpha + p0 stays below the engine's ceiling for it.
+    engine, lengths, state, decoy = _lane_grid(case)
+    spec, grid = engine.spec, engine.grid
+    dark_rate = spec.dark_rate
+    universal = _ScenarioEngine(
+        ScenarioSpec("universal", spec.direction, spec.dark_mode, spec.channel, dark_rate=dark_rate)
+    )
+    perfect = universal.rate(universal._distance_state(lengths), grid[:, None]).T
+    p_signal = counting_rate(grid[:, None], state["alpha"], engine.params).T
+    q1 = np.broadcast_to(engine._bounds(state, grid[:, None])[0], grid.shape + lengths.shape).T
+    physical = q1 <= (state["alpha"] + engine.p0)[:, None]
+    assert np.all((decoy <= perfect + 1e-12 * p_signal) | ~physical)
+    reach = engine._q1_reach(state, grid)
+    assert np.all(q1 <= reach + 1e-12 * reach)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lane_cases())
+@_corner_examples
+def test_box_bound_covers_every_grid_rate_in_its_box(case):
+    # a box of up to _BOX_POINTS grid signals, bounded from its two ends, lies
+    # above every rate of every lane in it: checked on every run of grid points
+    engine, _, state, values = _lane_grid(case)
+    grid = engine.grid
+    for width in range(1, min(scenarios._BOX_POINTS, grid.size) + 1):
+        runs = np.lib.stride_tricks.sliding_window_view(values, width, axis=1).max(axis=-1)
+        lows, highs = grid[: grid.size - width + 1], grid[width - 1 :]
+        ceilings = _universal_box_bound(
+            state["alpha"][:, None],
+            engine._q1_reach(state, highs),
+            lows,
+            highs,
+            engine.params,
+            engine.spec.direction,
+        )
+        assert np.all(runs <= ceilings), width
+
+
+@settings(max_examples=25, deadline=None)
+@given(lane_cases())
+@_corner_examples
+def test_pruned_grid_keeps_every_lane_optimum(case):
+    # a sweep reads its grid pruned: every point it evaluates has the full
+    # grid's bits, and every point it skips lies strictly below its lane's
+    # best, so the first maximum and its value are the full grid's
+    engine, _, state, full = _lane_grid(case)
+    pruned = engine._pruned_grid_rates(state, engine.grid)
+    evaluated = pruned != -np.inf
+    best = np.max(full, axis=1)
+    assert np.array_equal(pruned[evaluated], full[evaluated])
+    assert np.all(evaluated | (full < best[:, None]))
+    assert np.array_equal(np.argmax(pruned, axis=1), np.argmax(full, axis=1))
+    assert np.array_equal(np.max(pruned, axis=1), best)
+
+
+@pytest.mark.parametrize("name", _PRESETS)
+def test_sweep_prunes_most_of_its_grid(name):
+    # over 0-250 km on the standard fiber the envelope skips over half of the grid
+    engine = _ScenarioEngine(ScenarioSpec(name))
+    pruned = engine._pruned_grid_rates(engine._distance_state(np.arange(0.0, 251.0)), engine.grid)
+    assert np.mean(pruned == -np.inf) > 0.5
 
 
 @st.composite
