@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bounds import InfeasibleStatsError
 from .channel import STANDARD_FIBER, ChannelParams
@@ -106,12 +106,18 @@ def _rows_lines(result: SweepResult, sep: str) -> list[str]:
     return lines
 
 
-def emit(results: Sequence[SweepResult], fmt: str, out_dir: Path) -> list[Path]:
+def emit(
+    results: Sequence[SweepResult],
+    fmt: str,
+    out_dir: Path,
+    lines: Optional[Sequence[list[str]]] = None,
+) -> list[Path]:
     """Write one file per scenario plus a combined file; returns the paths.
 
     ``fmt`` is 'csv' or 'gnuplot-data'.  gnuplot data uses whitespace
     separated columns with one blank-line-separated block per scenario.
-    Output is deterministic for identical inputs.
+    ``lines``, if given, holds each result's rows as ``_rows_lines`` formats
+    them for ``fmt``.  Output is deterministic for identical inputs.
     """
     if not results:
         raise ConfigurationError("nothing to emit: no sweep results")
@@ -123,7 +129,8 @@ def emit(results: Sequence[SweepResult], fmt: str, out_dir: Path) -> list[Path]:
     written = []
     combined = [header if fmt == "csv" else f"# {header}"]
     for index, result in enumerate(results):
-        spec, rows = result.spec, _rows_lines(result, sep)
+        spec = result.spec
+        rows = lines[index] if lines is not None else _rows_lines(result, sep)
         path = out_dir / f"{spec.name}_{spec.direction}_{spec.dark_mode}{suffix}"
         path.write_text("\n".join([f"# {_describe(spec)}", header, *rows]) + "\n")
         written.append(path)
@@ -241,19 +248,24 @@ def _cmd_figures(args) -> int:
     channel = load_params_file(args.params_file) if args.params_file else STANDARD_FIBER
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    # sweep key -> result: a spec whose engine reads what an earlier one read
-    # (the forward pD = p0 set) reuses its sweep under its own spec
-    sweeps: dict[tuple, SweepResult] = {}
+    sep = _FORMATS[args.format][0]
+    # sweep key -> (result, its formatted rows): a spec whose engine reads what
+    # an earlier one read (the forward pD = p0 set) reuses both under its own
+    # spec; the rows read only the spec's name, which the key holds
+    sweeps: dict[tuple, tuple[SweepResult, list[str]]] = {}
     for direction, dark_mode, names in _FIGURE_SETS:
-        results = []
+        results, lines = [], []
         for name in names:
             spec = ScenarioSpec(name, direction, dark_mode, channel)
             key = _sweep_key(spec)
             if key not in sweeps:
-                sweeps[key] = run_scenario(spec, (args.l_min, args.l_max, args.l_step))
-            results.append(replace(sweeps[key], spec=spec))
+                result = run_scenario(spec, (args.l_min, args.l_max, args.l_step))
+                sweeps[key] = (result, _rows_lines(result, sep))
+            result, rows = sweeps[key]
+            results.append(replace(result, spec=spec))
+            lines.append(rows)
         tag = f"{direction}_{dark_mode}"
-        emit(results, args.format, out / f"rates_{tag}")
+        emit(results, args.format, out / f"rates_{tag}", lines)
         _emit_distance_table(results, out / f"distances_{tag}.csv")
         if direction == "reverse":
             _emit_intensity_profile(results, out / f"optimal_intensity_{tag}.csv")

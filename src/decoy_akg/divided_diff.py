@@ -136,6 +136,9 @@ class _PrefixSeries:
     def __init__(self, prefix: Sequence):
         self.prefix = tuple(prefix)
         self.top = max(self.prefix, default=-math.inf)
+        # the first term 1/(m+1)!, to which a sum from 0.0 adds only non-negative
+        # terms: with rounding monotone, no float sum of the series is below it
+        self.first_term = 1.0 / float(math.factorial(len(self.prefix) + 2))
         # h_d(x_1..x_l) for l = 0..m-1 at the highest degree d reached so far
         self._row = [1.0] * (len(self.prefix) + 1)
         self._column = [1.0]  # h_d(x_1..x_(m-1)) for d = 0, 1, ...

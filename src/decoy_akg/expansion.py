@@ -19,6 +19,7 @@ and the structural matrices used by the counting-rate constraint system.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -59,6 +60,11 @@ class IntensityGrid:
             raise ValueError("at least one intensity is required")
         if not all(0.0 < m < math.inf for m in values):
             raise ValueError(f"intensities must be positive and finite; got {values}")
+        if not all(m * m >= sys.float_info.min for m in values):  # _beta_row divides by mu^2
+            raise ValueError(
+                f"intensities must be at least {math.sqrt(sys.float_info.min):.3g}, "
+                f"whose square is a normal float; got {values}"
+            )
         for lo, hi in zip(values, values[1:]):
             if hi - lo < self.min_spacing - 1e-12:
                 raise ValueError(

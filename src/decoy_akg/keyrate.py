@@ -135,34 +135,36 @@ def akg_rate(inputs: RateInputs, direction: Direction = "forward"):
     fields of ``inputs`` may be numpy arrays that broadcast together; the
     rate is a float for scalar inputs and an array otherwise.
     """
+    return _rate(
+        inputs.mu_signal,
+        inputs.q1,
+        inputs.b1,
+        inputs.q0,
+        inputs.p_signal,
+        inputs.s_signal,
+        inputs.pD,
+        direction,
+    )
+
+
+def _rate(mu, q1, b1, q0, p_signal, s_signal, p_dark, direction: Direction):
+    """The key-rate formula of :func:`akg_rate` on its unpacked inputs."""
     _check_direction(direction)
-    mu = inputs.mu_signal
     decay = np.exp(-mu)
-    credit = single_photon_credit(inputs.q1, inputs.b1)
-    penalty = inputs.p_signal * binary_entropy_bar(inputs.s_signal)
-    if direction == "forward":
-        vacuum_term = decay * (inputs.q0 + inputs.pD)
-    else:
-        vacuum_term = inputs.pD
+    credit = single_photon_credit(q1, b1)
+    penalty = p_signal * binary_entropy_bar(s_signal)
+    vacuum_term = decay * (q0 + p_dark) if direction == "forward" else p_dark
     rate = 0.5 * (mu * decay * credit + vacuum_term - penalty)
     return float(rate) if np.ndim(rate) == 0 else rate
 
 
 def _model_rate(mu, q1, b1, p_signal, s_signal, params: ChannelParams, direction: Direction):
-    """:func:`akg_rate` of bounds q1, b1 clamped to [0, 1] and the signal's own p(mu), s(mu).
+    """:func:`_rate` of bounds q1, b1 clamped to [0, 1] and the signal's own p(mu), s(mu).
 
     The vacuum yield is q0 = p0 - pD and the dark rate pD, both of ``params``.
     """
-    inputs = RateInputs(
-        mu_signal=mu,
-        q1=_clamp(q1, 1.0),
-        b1=_clamp(b1, 1.0),
-        q0=params.p0 - params.pD,
-        p_signal=p_signal,
-        s_signal=s_signal,
-        pD=params.pD,
-    )
-    return akg_rate(inputs, direction)
+    q0, p_dark = params.p0 - params.pD, params.pD
+    return _rate(mu, _clamp(q1, 1.0), _clamp(b1, 1.0), q0, p_signal, s_signal, p_dark, direction)
 
 
 def _universal_bounds(alpha, params: ChannelParams):

@@ -32,6 +32,12 @@ skips coarse-grid points under that envelope: ``keyrate._universal_box_bound``
 bounds the rate over a box of grid signals from its ends, with a margin of
 1e-9 of its terms, far above rounding.  A skipped point lies strictly below
 its lane's best, so every row and output byte is the full grid's.
+
+A trial order's bound counts only where it beats the decoy prefixes', and
+its Omega enters only the saturated side (q for an odd order, b for an
+even one).  So the engine sums the trial Omega series only where that side,
+formed with the series' first term, a float floor of its sum, could still
+win; elsewhere the exact bound loses as well, and every byte stands.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -186,8 +192,7 @@ class ScenarioSpec:
         return replace(self.channel, pD=self.dark_rate_effective)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     L_km: float
     optimal_mu: float
     rate: float  # clamped at zero
@@ -301,14 +306,29 @@ class _ScenarioEngine:
         return (mu, signal, *_model_rates(signal, self.params))
 
     def _order_k_bounds(self, state: dict, mu, signal, terms):
-        """Order-k bounds with the trial signal as the k-th intensity.
+        """Order-k bounds with the trial signal as the k-th intensity, or a pair that loses.
 
         ``terms`` is its beta row and Omega, or None to compute them here.
+        Omega enters only the saturation term, on q for odd k and on b for
+        even k, so the pair is first formed with Omega's float floor
+        ``trial_omega.first_term``: that q is at least, that b at most, the
+        exact one.  The series is summed only if, on some lane, that bound
+        still beats the state's q1 (b1), or either is NaN.  Otherwise the
+        exact bound loses too, and ``_trial_bounds`` keeps the state's bound
+        and source, so no byte moves.
         """
         c, d = self._inputs(signal, mu)
         points = self.decoys + (mu,)
-        row, omega = terms or (_beta_row(points), self.trial_omega(mu))
-        return order_bounds(row, math.prod(points), [*state["c"], c], [*state["d"], d], omega, 1.0)
+        c, d, product = [*state["c"], c], [*state["d"], d], math.prod(points)
+        if terms:
+            row, omega = terms
+            return order_bounds(row, product, c, d, omega, 1.0)
+        row = _beta_row(points)
+        q, b = order_bounds(row, product, c, d, self.trial_omega.first_term, 1.0)
+        lost = q <= state["q1"] if len(points) % 2 else b >= state["b1"]
+        if not (lost.all() if isinstance(lost, np.ndarray) else lost):
+            q, b = order_bounds(row, product, c, d, self.trial_omega(mu), 1.0)
+        return q, b
 
     def _bounds(self, state: dict, mu):
         """(q1, b1, q1's source, b1's source) for trial signal mu (scalar or array)."""
@@ -460,7 +480,7 @@ class _ScenarioEngine:
 def _sweep_key(spec: ScenarioSpec) -> tuple:
     """What an engine for ``spec`` reads: equal keys give bit-equal ``run_scenario`` results.
 
-    The dark rate reaches only ``akg_rate``'s vacuum term, as the float
+    The dark rate reaches only ``keyrate._rate``'s vacuum term, as the float
     (p0 - pD) + pD of ``keyrate._model_rate``'s inputs forward and as pD reverse.
     """
     params = spec.resolved_channel()

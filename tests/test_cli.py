@@ -255,6 +255,31 @@ def test_figures_sweeps_each_sweep_key_once(tmp_path, monkeypatch):
         assert rows == twin.read_text().splitlines()[1:]
 
 
+def test_figures_formats_each_sweep_once(tmp_path, monkeypatch):
+    # a figures call formats the rows of each of its 11 distinct sweeps once
+    # and hands them to emit; each call formats its own (no memo across calls),
+    # and the files are those of emit formatting all 16 results itself
+    calls, rows_lines, emit = [], cli._rows_lines, cli.emit
+
+    def spy(result, sep):
+        calls.append(result.spec)
+        return rows_lines(result, sep)
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    monkeypatch.setattr(cli, "_rows_lines", spy)
+    for count, out in ((11, "reused"), (22, "again")):
+        assert _run(["figures", "--l-step", "50", "--out", tmp_path / out]) == EXIT_OK
+        assert len(calls) == count
+    monkeypatch.setattr(cli, "emit", lambda results, fmt, out, lines: emit(results, fmt, out))
+    assert _run(["figures", "--l-step", "50", "--out", tmp_path / "formatted"]) == EXIT_OK
+    assert len(calls) == 22 + 11 + 16  # the 11 sweeps, then emit all 16 results again
+    reused = tree(tmp_path / "reused")
+    assert len(reused) == 23
+    assert reused == tree(tmp_path / "again") == tree(tmp_path / "formatted")
+
+
 def test_non_finite_loss_in_params_file_is_config_error(tmp_path):
     for value in ("nan", "inf"):
         params_file = tmp_path / f"{value}.cfg"
@@ -309,6 +334,10 @@ def test_crossing_beyond_float_resolution_ends(tmp_path):
         ["run", "--scenario", "custom", "--decoys", "0.1,abc"],
         ["run", "--scenario", "k2", "--signal-lower", "nan"],
         ["run", "--scenario", "custom", "--decoys", "0.1,nan", "--signal-lower", "0.5"],
+        # an intensity whose square is not a normal float
+        ["run", "--scenario", "custom", "--decoys", "1e-160", "--l-max", "1"],
+        ["run", "--scenario", "custom", "--decoys", "1e-300", "--l-max", "1"],
+        ["run", "--scenario", "universal", "--signal-lower", "1e-160", "--l-max", "1"],
         # inputs that would be silently ignored: a dark rate without the explicit
         # mode, decoys without a custom scenario, a name whose file is written twice
         ["run", "--scenario", "k2", "--dark-rate", "1e-7", "--l-max", "1"],

@@ -51,6 +51,10 @@ def test_grid_validation():
     for min_spacing in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="min_spacing"):
             IntensityGrid((0.3, 0.2) if min_spacing == -1.0 else (0.1, 0.2), min_spacing)
+    for mus in ((1e-160,), (1e-300, 0.2)):  # mu^2 would be subnormal or 0
+        with pytest.raises(ValueError, match="normal float"):
+            IntensityGrid(mus)
+    IntensityGrid((1e-150, 0.2))
     IntensityGrid((0.1, 0.15), min_spacing=0.05)  # relaxed spacing is fine
     grid = IntensityGrid((0.1, 0.2, 0.5))
     assert grid.k == 3 and grid.signal == 0.5

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -19,13 +20,14 @@ from decoy_akg import (
     universal_upper,
 )
 from decoy_akg import scenarios
-from decoy_akg.bounds import _best, ma_q1_lower
+from decoy_akg.bounds import _best, _pick, ma_q1_lower, order_bounds
 from decoy_akg.channel import STANDARD_FIBER, ChannelParams, counting_rate
 from decoy_akg.divided_diff import h_series
 from decoy_akg.expansion import _beta_row
 from decoy_akg.keyrate import (
     DEFAULT_MU_CAP,
     DEFAULT_MU_TOL,
+    DISTANCE_TOL_KM,
     _coarse_grid,
     _universal_box_bound,
     find_zero_distance,
@@ -95,6 +97,20 @@ def test_spec_validation():
     spec = ScenarioSpec("k2", dark_mode="explicit", dark_rate=1e-7)
     assert spec.dark_rate_effective == 1e-7
     assert ScenarioSpec("k4", dark_mode="pd-equals-p0").dark_rate_effective == pytest.approx(4e-7)
+
+
+def test_intensity_with_a_subnormal_square_is_refused():
+    # the beta rows divide by mu^2, which below 1.49e-154 is subnormal: 1e-160
+    # silently gave a q1_min above the true q1 and 1e-300 divided by zero
+    for decoy in (1e-160, 1e-300):
+        with pytest.raises(ConfigurationError, match="normal float"):
+            ScenarioSpec("custom", decoy_mus=(decoy,))
+    with pytest.raises(ConfigurationError, match="normal float"):
+        ScenarioSpec("universal", signal_lower=1e-160)
+    universal = run_scenario(ScenarioSpec("universal")).achievable_km
+    for decoy in (1e-150, 1e-12):  # a vanishing decoy is the vacuum again
+        reach = run_scenario(ScenarioSpec("custom", decoy_mus=(decoy,))).achievable_km
+        assert reach == pytest.approx(universal, abs=DISTANCE_TOL_KM)
 
 
 def test_spec_decoys_are_read_as_a_float_tuple():
@@ -681,6 +697,68 @@ def test_sweep_prunes_most_of_its_grid(name):
     engine = _ScenarioEngine(ScenarioSpec(name))
     pruned = engine._pruned_grid_rates(engine._distance_state(np.arange(0.0, 251.0)), engine.grid)
     assert np.mean(pruned == -np.inf) > 0.5
+
+
+_AGGREGATES = tuple(name for name, (_, kind) in scenarios._SCENARIOS.items() if kind == "aggregate")
+
+
+def _trial_bounds_by_exact_omega(engine, lengths) -> list[int]:
+    """Check ``_trial_bounds`` at every coarse-grid signal against the exact Omega's bounds.
+
+    On the lanes of ``lengths`` (one signal across them) and on each
+    length's one-distance state (float signals), the trial bounds must be
+    those of ``order_bounds`` with the exact ``trial_omega(mu)``, bit for
+    bit.  Returns how many calls summed the series, one count per state,
+    the lanes first.
+    """
+    series = engine.trial_omega
+    states = [engine._distance_state(np.asarray(lengths))]
+    states += [engine._distance_state(length) for length in lengths]
+    exact = []
+    for state in states:
+        spy = mock.Mock(wraps=series, first_term=series.first_term)
+        for mu in engine.grid.tolist():
+            trial = engine._trial(state, np.full(len(lengths), mu) if state is states[0] else mu)
+            with mock.patch.object(engine, "trial_omega", spy):
+                got = engine._trial_bounds(state, trial, None)
+            mu, signal = trial[:2]
+            c, d = engine._inputs(signal, mu)
+            points = engine.decoys + (mu,)
+            c, d = [*state["c"], c], [*state["d"], d]
+            q_k, b_k = order_bounds(_beta_row(points), math.prod(points), c, d, series(mu), 1.0)
+            q1, b1 = state["q1"], state["b1"]
+            q_new, b_new = q_k > q1, b_k < b1
+            expected = (_pick(q_new, q_k, q1), _pick(b_new, b_k, b1), q_new, b_new)
+            for value, want in zip(got, expected, strict=True):
+                assert repr(np.asarray(value).tolist()) == repr(np.asarray(want).tolist())
+        exact.append(spy.call_count)
+    return exact
+
+
+@settings(max_examples=25, deadline=None)
+@given(lane_cases(names=_AGGREGATES))
+@example((ScenarioSpec("k3-ours", channel=_LOSSLESS), (75.0, 125.0, 25.0)))
+@example((ScenarioSpec("k3-ours", channel=_LOSSLESS), (0.0, 0.09, 0.03)))
+def test_omega_floor_keeps_the_exact_trial_bounds(case):
+    # the trial order's saturated bound is first formed with Omega's first
+    # term, a float floor of the series; it is summed only where that bound
+    # could still win, so every trial bound is the exact Omega's
+    spec, (l_min, l_max, step) = case
+    _trial_bounds_by_exact_omega(_ScenarioEngine(spec), np.arange(l_min, l_max + 0.5 * step, step))
+
+
+def test_omega_floor_takes_both_paths():
+    # on the lossless channel k3-ours' saturated trial q (order 3) beats the
+    # decoy orders at some signals, so the series is summed there on floats
+    # and on lanes.  On the standard fiber past 100 km, where the sweeps'
+    # crossings lie, the floor settles every signal of every preset
+    lossless = _ScenarioEngine(ScenarioSpec("k3-ours", channel=_LOSSLESS))
+    lanes, *floats = _trial_bounds_by_exact_omega(lossless, [75.0, 100.0, 125.0])
+    signals = lossless.grid.size
+    assert 0 < lanes < signals and 0 < sum(floats) < len(floats) * signals
+    for name in ("k2", "k3-ours", "k4"):
+        engine = _ScenarioEngine(ScenarioSpec(name))
+        assert _trial_bounds_by_exact_omega(engine, [125.0, 250.0]) == [0, 0, 0]
 
 
 @st.composite
