@@ -156,8 +156,9 @@ def _emit_distance_table(results: Iterable[SweepResult], path: Path) -> None:
 def _emit_intensity_profile(results: Iterable[SweepResult], path: Path) -> None:
     lines = ["scenario,L_km,optimal_mu"]
     for result in results:
-        for row in result.rows:
-            lines.append(f"{result.spec.name},{_fmt(row.L_km)},{_fmt(row.optimal_mu)}")
+        # "%.12g" % x is _fmt(x), as in _rows_lines
+        name = result.spec.name
+        lines += ["%s,%.12g,%.12g" % (name, row.L_km, row.optimal_mu) for row in result.rows]
     path.write_text("\n".join(lines) + "\n")
 
 

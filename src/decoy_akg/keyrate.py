@@ -246,6 +246,44 @@ def _coarse_grid(mu_lower: float, mu_cap: float) -> np.ndarray:
     return grid if grid.size else np.array([0.5 * (mu_lower + mu_cap)])
 
 
+def _grid_brackets(
+    grid_fn: Callable[[np.ndarray], np.ndarray],
+    mu_lower: float,
+    mu_cap: float = DEFAULT_MU_CAP,
+    tol: float = DEFAULT_MU_TOL,
+):
+    """Step one of :func:`optimize_lanes`: each lane's best coarse-grid point and its bracket.
+
+    Returns (best grid signal, its rate, bracket low, bracket high), shape
+    ``lanes``; the bracket ends are floats for one lane.
+    """
+    if mu_lower <= 0.0:
+        raise ValueError("mu_lower must be positive")
+    if mu_cap <= mu_lower:
+        raise ValueError("mu_cap must exceed mu_lower")
+    coarse_step = DEFAULT_COARSE_STEP
+    grid = _coarse_grid(mu_lower, mu_cap)
+    values = np.asarray(grid_fn(grid))
+    best = np.argmax(values, axis=-1)
+    best_value = np.take_along_axis(values, np.expand_dims(best, -1), -1)[..., 0]
+    # bracket ends of each grid point: its neighbours, or the search range
+    lower_ends = np.concatenate(([max(mu_lower + 0.25 * tol, grid[0] - coarse_step)], grid[:-1]))
+    upper_ends = np.concatenate((grid[1:], [mu_cap]))
+    lo, hi = lower_ends[best], upper_ends[best]
+    if values.ndim == 1:  # one lane: the golden section runs in floats
+        lo, hi = float(lo), float(hi)
+    return grid[best], best_value, lo, hi
+
+
+def _refined(rate_fn: Callable, brackets, tol: float = DEFAULT_MU_TOL):
+    """Step two of :func:`optimize_lanes`: the golden section on ``_grid_brackets``' brackets."""
+    grid_mu, grid_rate, lo, hi = brackets
+    mu_opt, rate_opt = _golden_section_max(rate_fn, lo, hi, tol)
+    # the bracket interior can lose to the best grid point in flat regions
+    flat = grid_rate > rate_opt
+    return _pick(flat, grid_mu, mu_opt), _pick(flat, grid_rate, rate_opt)
+
+
 def optimize_lanes(
     rate_fn: Callable[[np.ndarray], np.ndarray],
     grid_fn: Callable[[np.ndarray], np.ndarray],
@@ -264,27 +302,11 @@ def optimize_lanes(
     lane (``lanes`` = ()) it is called with floats.  Returns the optimal
     signals and rates, shape ``lanes``.  The best point is returned
     even when the rate is negative everywhere, which distance root finding
-    relies on.
+    relies on.  The two steps are ``_grid_brackets`` and ``_refined``; a
+    caller may join the brackets of several grid steps into one refinement,
+    since every lane narrows its own.
     """
-    if mu_lower <= 0.0:
-        raise ValueError("mu_lower must be positive")
-    if mu_cap <= mu_lower:
-        raise ValueError("mu_cap must exceed mu_lower")
-    coarse_step = DEFAULT_COARSE_STEP
-    grid = _coarse_grid(mu_lower, mu_cap)
-    values = np.asarray(grid_fn(grid))
-    best = np.argmax(values, axis=-1)
-    best_value = np.take_along_axis(values, np.expand_dims(best, -1), -1)[..., 0]
-    # bracket ends of each grid point: its neighbours, or the search range
-    lower_ends = np.concatenate(([max(mu_lower + 0.25 * tol, grid[0] - coarse_step)], grid[:-1]))
-    upper_ends = np.concatenate((grid[1:], [mu_cap]))
-    lo, hi = lower_ends[best], upper_ends[best]
-    if values.ndim == 1:  # one lane: the golden section runs in floats
-        lo, hi = float(lo), float(hi)
-    mu_opt, rate_opt = _golden_section_max(rate_fn, lo, hi, tol)
-    # the bracket interior can lose to the best grid point in flat regions
-    flat = best_value > rate_opt
-    return _pick(flat, grid[best], mu_opt), _pick(flat, best_value, rate_opt)
+    return _refined(rate_fn, _grid_brackets(grid_fn, mu_lower, mu_cap, tol), tol)
 
 
 def optimize_signal_intensity(
@@ -305,6 +327,37 @@ def optimize_signal_intensity(
         vector_fn = lambda grid: np.array([rate_fn(m) for m in grid])  # noqa: E731
     mu_opt, rate_opt = optimize_lanes(rate_fn, vector_fn, mu_lower, mu_cap, tol)
     return float(mu_opt), float(rate_opt)
+
+
+def _midpoint(lo: float, hi: float) -> Optional[float]:
+    """The bisection's next distance in the bracket [lo, hi], or None where it stops.
+
+    It stops once the bracket is no wider than ``DISTANCE_TOL_KM`` or holds
+    no float strictly inside (far out, floats are over 0.01 apart).
+    """
+    if not hi - lo > DISTANCE_TOL_KM:
+        return None
+    mid = 0.5 * (lo + hi)
+    return mid if lo < mid < hi else None
+
+
+def _bisection_midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """Every distance that the first ``levels`` steps of bisecting [lo, hi] may evaluate.
+
+    Level n holds up to 2^(n-1) midpoints, formed with :func:`find_zero_distance`'s
+    float operations and stop rules, so its steps evaluate only these,
+    whatever signs they read.
+    """
+    brackets, midpoints = [(float(lo), float(hi))], []
+    for _ in range(levels):
+        halves = []
+        for low, high in brackets:
+            mid = _midpoint(low, high)
+            if mid is not None:
+                midpoints.append(mid)
+                halves += [(low, mid), (mid, high)]
+        brackets = halves
+    return midpoints
 
 
 def find_zero_distance(
@@ -328,10 +381,7 @@ def find_zero_distance(
     if last_pos == len(values) - 1:
         return None
     lo, hi = float(lengths[last_pos]), float(lengths[last_pos + 1])
-    while hi - lo > DISTANCE_TOL_KM:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # no float left inside: far out, floats are over 0.01 apart
-            break
+    while (mid := _midpoint(lo, hi)) is not None:
         if envelope(mid) > 0.0:
             lo = mid
         else:

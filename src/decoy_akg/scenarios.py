@@ -38,6 +38,16 @@ its Omega enters only the saturated side (q for an odd order, b for an
 even one).  So the engine sums the trial Omega series only where that side,
 formed with the series' first term, a float floor of its sum, could still
 win; elsewhere the exact bound loses as well, and every byte stands.
+
+The achievable distance bisects the scan's last sign change, and a sweep
+answers its first ``_BISECTION_LANE_LEVELS`` levels itself.  After the
+coarse grid it predicts the bracket: the last row with a positive best grid
+rate has a positive optimum.  The midpoints that bisecting that bracket can
+reach join the golden section as extra lanes.  Each lane has the bits of a
+one-distance optimization, ``settled_rate`` has the optimum's sign, and the
+bisection reads only signs, so no byte moves.  A step at any other distance
+(a wrong prediction, a deeper level, a scan of several blocks) calls
+``settled_rate`` as before.
 """
 
 from __future__ import annotations
@@ -57,12 +67,14 @@ from .expansion import DEFAULT_MIN_SPACING, IntensityGrid, _beta_row
 from .keyrate import (
     DEFAULT_MU_CAP,
     DIRECTIONS,
+    _bisection_midpoints,
     _coarse_grid,
+    _grid_brackets,
     _model_rate,
+    _refined,
     _universal_bounds,
     _universal_box_bound,
     find_zero_distance,
-    optimize_lanes,
     optimize_signal_intensity,
 )
 # unused: perfbench/spans.py wraps both names here and raises MissingEntryPoint without them
@@ -95,6 +107,17 @@ _EVAL_ELEMENTS = 8192
 # band up to 0.4, 0.5 or 0.7 instead of 0.6 reads within that spread
 _FIRST_BAND_MU = 0.6
 _BOX_POINTS = 20
+# most distances in one scan.  A `run` of one scenario peaks about 450 bytes
+# higher per distance (80000 against 20000 distances of k4, k3-ma and
+# universal: 430-445 bytes), so a full scan stays near 0.5 GB a scenario
+_MAX_DISTANCES = 1_000_000
+# bisection levels whose midpoints a sweep optimizes as extra lanes of its
+# golden section: 2^n - 1 lanes that answer the first n steps of a correctly
+# predicted bracket.  A 1 km scan bisects in 7 levels.  Default figures
+# ops_per_s at depth 6 over depth 0 (2-CPU Linux host, 20 s runs): +13-18%, and
+# +22% at depth 7; but depth 7 leaves the default figures call no fallback
+# optimization, which the traced benchmark must reach
+_BISECTION_LANE_LEVELS = 6
 
 # source_j codes for estimators that are not an aggregation order
 SOURCE_EXACT = 0  # universal scenario: parameters known, nothing estimated
@@ -293,6 +316,14 @@ class _ScenarioEngine:
         # a source code shared by every lane stays one number
         return {key: value[..., lanes] if np.ndim(value) else value for key, value in state.items()}
 
+    @staticmethod
+    def _joined(state: dict, extra: dict) -> dict:
+        """The lanes of ``state`` followed by those of ``extra``, a state of the same engine."""
+        return {
+            key: np.concatenate((value, extra[key]), axis=-1) if np.ndim(value) else value
+            for key, value in state.items()
+        }
+
     # -- estimator evaluation ----------------------------------------------
 
     def _trial(self, state: dict, mu):
@@ -456,25 +487,62 @@ class _ScenarioEngine:
 
         The search returns at least its best grid rate, so a positive grid
         rate gives the optimum's sign, all that the bisection reads.  Both
-        rates read one distance state.
+        rates read one distance state.  Bisection steps that the sweep's
+        lanes answered (``sweep``) do not come here.
         """
         state = self._distance_state(length_km)
         mu = float(self.grid[np.argmin(np.abs(self.grid - mu_hint))])
         rate = self.rate(state, mu)
         return rate if rate > 0.0 else self._optimum(state)[1]
 
-    def sweep(self, lengths: list[float]) -> list[SweepRow]:
-        """The rows at every distance, optimized at once with one lane each."""
-        rows = []
+    def _brackets(self, state: dict):
+        """``keyrate._grid_brackets`` of the lanes of ``state`` on their pruned coarse grid."""
+        return _grid_brackets(partial(self._pruned_grid_rates, state), self.spec.signal_lower)
+
+    def sweep(self, lengths: list[float]):
+        """The rows at every distance, optimized at once with one lane each, and lane-answered steps.
+
+        Returns the rows and a dict from distance to optimized signed rate
+        for the midpoints of the first ``_BISECTION_LANE_LEVELS`` bisection
+        levels of the predicted bracket (``_predicted_row``).  They join the
+        scan's lanes after the coarse grid, with their own distance state and
+        grid, and all lanes share one golden section; every lane narrows its
+        own bracket, so each has the bits of a one-distance optimization.  A
+        scan longer than one block of ``_EVAL_ELEMENTS`` answers none.
+        """
+        rows, answered = [], {}
         for start in range(0, len(lengths), _EVAL_ELEMENTS):
             block = lengths[start : start + _EVAL_ELEMENTS]
             state = self._distance_state(np.asarray(block))
-            mu, rate = optimize_lanes(
-                partial(self.rate, state), partial(self._pruned_grid_rates, state),
-                self.spec.signal_lower,
-            )
-            rows += self._rows(block, state, mu, rate)
-        return rows
+            brackets = self._brackets(state)
+            row = _predicted_row(brackets[1]) if len(block) == len(lengths) else None
+            midpoints = []
+            if row is not None:
+                midpoints = _bisection_midpoints(*block[row : row + 2], _BISECTION_LANE_LEVELS)
+            lanes = state
+            if midpoints:
+                extra = self._distance_state(np.asarray(midpoints))
+                lanes = self._joined(state, extra)
+                brackets = [np.concatenate(pair) for pair in zip(brackets, self._brackets(extra))]
+            mu, rate = _refined(partial(self.rate, lanes), brackets)
+            size = len(block)
+            rows += self._rows(block, state, mu[:size], rate[:size])
+            answered.update(zip(midpoints, rate[size:].tolist()))
+        return rows, answered
+
+
+def _predicted_row(grid_rates: np.ndarray) -> Optional[int]:
+    """The scan row predicted to open the bisection's bracket, or None if no row follows it.
+
+    The last row with a positive best grid rate has a positive optimum, since
+    the search returns at least that rate; the prediction is that no later
+    row's optimum is positive.  If one is, the bisection runs on another
+    bracket and its steps fall back to ``settled_rate``.
+    """
+    positive = np.flatnonzero(grid_rates > 0.0)
+    if positive.size and positive[-1] + 1 < grid_rates.size:
+        return int(positive[-1])
+    return None
 
 
 def _sweep_key(spec: ScenarioSpec) -> tuple:
@@ -493,12 +561,14 @@ def run_scenario(
 ) -> SweepResult:
     """Sweep distances, optimizing the signal intensity at each point.
 
-    ``l_range`` is (min_km, max_km, step_km).  All distances of the scan are
-    optimized together, as lanes of one array.  The rows are the scan that
-    ``find_zero_distance`` turns into the achievable distance: bisected
-    inside the last sign change of the optimized rate, None when the rate
-    is still positive at max_km (range too short) and 0.0 when it is never
-    positive.
+    ``l_range`` is (min_km, max_km, step_km), of at most ``_MAX_DISTANCES``
+    distances.  All distances of the scan are optimized together, as lanes
+    of one array.  The rows are the scan that ``find_zero_distance`` turns
+    into the achievable distance: bisected inside the last sign change of
+    the optimized rate, None when the rate is still positive at max_km
+    (range too short) and 0.0 when it is never positive.  A bisection step
+    at a midpoint that the sweep optimized as a lane reads that lane's rate;
+    any other step reads ``settled_rate``, which has the same sign.
     """
     try:
         l_min, l_max, step = (_number(v) for v in l_range)
@@ -512,15 +582,22 @@ def run_scenario(
         raise ConfigurationError("distance step must be positive")
     if l_max < l_min:
         raise ConfigurationError("l_max must not be below l_min")
-    try:
-        lengths = np.arange(l_min, l_max + 0.5 * step, step).tolist()
-    except (ValueError, MemoryError) as exc:  # more distances than an array can hold
-        raise ConfigurationError(f"distance scan is too long: {exc}") from exc
+    # np.arange's length, counted before anything is allocated
+    count = (l_max + 0.5 * step - l_min) / step
+    if count > _MAX_DISTANCES:
+        raise ConfigurationError(
+            f"distance scan is too long: more than {_MAX_DISTANCES} distances "
+            "(each holds about 450 bytes until the output is written)"
+        )
+    lengths = np.arange(l_min, l_max + 0.5 * step, step).tolist()
     engine = _ScenarioEngine(spec)
-    rows = tuple(engine.sweep(lengths))
+    rows, answered = engine.sweep(lengths)
+    rows = tuple(rows)
     signed = [row.rate_signed for row in rows]
 
     def envelope(length_km: float) -> float:
+        if length_km in answered:
+            return answered[length_km]
         # the optimal signal of the scan row just below hints at a positive grid rate
         return engine.settled_rate(length_km, rows[bisect_left(lengths, length_km) - 1].optimal_mu)
 

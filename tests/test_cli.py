@@ -343,6 +343,8 @@ def test_crossing_beyond_float_resolution_ends(tmp_path):
         ["run", "--scenario", "k2", "--dark-rate", "1e-7", "--l-max", "1"],
         ["run", "--scenario", "k2,k4", "--decoys", "0.1,0.3", "--l-max", "1"],
         ["run", "--scenario", "k2,k2", "--l-max", "1"],
+        # a billion distances, refused before any is allocated
+        ["run", "--scenario", "k2", "--l-max", "1", "--l-step", "1e-9"],
     ],
 )
 def test_bad_range_or_decoys_is_config_error(tmp_path, capsys, argv):

@@ -28,6 +28,7 @@ from decoy_akg.keyrate import (
     DEFAULT_MU_CAP,
     DEFAULT_MU_TOL,
     DISTANCE_TOL_KM,
+    _bisection_midpoints,
     _coarse_grid,
     _universal_box_bound,
     find_zero_distance,
@@ -361,8 +362,8 @@ def test_beyond_range_is_none_in_both_apis():
 
 
 def test_sweep_bisects_its_own_scan(monkeypatch):
-    calls, sweeps = [], []
-    find_zero, sweep = scenarios.find_zero_distance, _ScenarioEngine.sweep
+    calls, sweeps, refinements = [], [], []
+    find_zero, sweep, refined = scenarios.find_zero_distance, _ScenarioEngine.sweep, scenarios._refined
 
     def counted(envelope, lengths, values):
         def spy(length_km):
@@ -372,18 +373,31 @@ def test_sweep_bisects_its_own_scan(monkeypatch):
         return find_zero(spy, lengths, values)
 
     def lanes(self, lengths):
-        sweeps.append(list(lengths))
-        return sweep(self, lengths)
+        rows, answered = sweep(self, lengths)
+        sweeps.append((list(lengths), list(answered)))
+        return rows, answered
+
+    def refinement(rate_fn, brackets, *args):
+        refinements.append(np.shape(brackets[2]))
+        return refined(rate_fn, brackets, *args)
 
     monkeypatch.setattr(scenarios, "find_zero_distance", counted)
     monkeypatch.setattr(_ScenarioEngine, "sweep", lanes)
+    monkeypatch.setattr(scenarios, "_refined", refinement)
     result = run_scenario(ScenarioSpec("k2"), (218.0, 226.0, 1.0))
-    # the 9 scan rows come from one lane sweep; the 7 bisection steps each
-    # read the envelope at one distance strictly inside the last sign change
-    assert sweeps == [[row.L_km for row in result.rows]]
+    # the 9 scan rows and the 63 midpoints of the first six bisection levels
+    # of their last sign change are the lanes of one golden section; the 7
+    # bisection steps each read the envelope at one distance strictly inside
+    # that sign change, the first six at a lane's
+    levels = scenarios._BISECTION_LANE_LEVELS
+    candidates = _bisection_midpoints(222.0, 223.0, levels)
+    assert levels == 6 and len(candidates) == 63
+    assert sweeps == [([row.L_km for row in result.rows], candidates)]
+    assert refinements == [(9 + 63,)]
     assert len(result.rows) == 9
     assert len(calls) == 7
     assert all(222.0 < length < 223.0 for length in calls)
+    assert [length in candidates for length in calls] == [True] * 6 + [False]
 
 
 @pytest.mark.parametrize("dark_mode", DARK_MODES)
@@ -824,12 +838,14 @@ def test_grid_terms_are_fresh_terms(spec):
 
 @pytest.mark.parametrize("name", _PRESETS)
 def test_settled_bisection_equals_optimized_bisection(monkeypatch, name):
-    # a step settled by one positive grid rate calls no optimizer, a step
-    # that falls back calls it once, and either builds one distance state.
-    # The bisection ends where it ends on the optimized rate alone.  The
-    # noisy channel is never positive, so there the scan alone decides (0.0).
+    # a step answered by a lane of the sweep builds no distance state and
+    # calls no optimizer; of the later steps, one settled by one positive grid
+    # rate calls no optimizer, one that falls back calls it once, and either
+    # builds one distance state.  The bisection ends where it ends on the
+    # optimized rate alone.  The noisy channel is never positive, so there the
+    # scan alone decides (0.0).
     optimize, distance_state = scenarios.optimize_signal_intensity, _ScenarioEngine._distance_state
-    optimizations, states, steps = [], [], []
+    optimizations, states, bisections = [], [], []
 
     def counted(*args, **kwargs):
         optimizations.append(args)
@@ -840,6 +856,9 @@ def test_settled_bisection_equals_optimized_bisection(monkeypatch, name):
         return distance_state(self, lengths)
 
     def spied(envelope, lengths, values):
+        steps = []
+        bisections.append(steps)
+
         def step(length_km):
             before = len(optimizations), len(states)
             rate = envelope(length_km)
@@ -867,7 +886,101 @@ def test_settled_bisection_equals_optimized_bisection(monkeypatch, name):
                 assert result.achievable_km == 0.0
             else:
                 assert lengths[0] < result.achievable_km < lengths[-1]
-    settled = [rate for calls, _, rate in steps if not calls]
+    # a 2.5 km bracket bisects in 8 levels: 6 answered by lanes, then 2 steps
+    levels = scenarios._BISECTION_LANE_LEVELS
+    runs = [steps for steps in bisections if steps]  # the standard fiber's
+    assert len(runs) == 2 * len(DARK_MODES) * 3
+    assert all(len(run) == 8 for run in runs)
+    assert all(calls == built_states == 0 for run in runs for calls, built_states, _ in run[:levels])
+    later = [step for run in runs for step in run[levels:]]
+    settled = [rate for calls, _, rate in later if not calls]
     assert settled and all(rate > 0.0 for rate in settled)
-    assert len(settled) < len(steps)
-    assert all(calls <= 1 and built_states == 1 for calls, built_states, _ in steps)
+    assert len(settled) < len(later)
+    assert all(calls <= 1 and built_states == 1 for calls, built_states, _ in later)
+
+
+def _without_lanes(spec, l_range):
+    with mock.patch.object(scenarios, "_BISECTION_LANE_LEVELS", 0):
+        return run_scenario(spec, l_range)
+
+
+# a window of distances around every preset's sign change on each channel
+_BISECTION_WINDOWS = ((STANDARD_FIBER, 195.0), (_NOISY_FIBER, 0.0), (_LOSSLESS, 70.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_PRESETS),
+    st.sampled_from(["forward", "reverse"]),
+    st.sampled_from(DARK_MODES),
+    st.sampled_from(_BISECTION_WINDOWS),
+    st.sampled_from([0.5, 1.0, 2.5, 7.0]),
+    st.floats(0.0, 1.0),
+)
+def test_lane_answered_bisection_equals_sequential_bisection(
+    name, direction, dark_mode, window, step, offset
+):
+    # the midpoints answered by lanes of the sweep leave every row and the
+    # achievable distance as the one-distance steps give them
+    channel, l_min = window
+    dark_rate = 0.5 * channel.p0 if dark_mode == "explicit" else None
+    spec = ScenarioSpec(name, direction, dark_mode, channel, dark_rate=dark_rate)
+    l_range = (l_min + offset * step, l_min + 50.0 + offset * step, step)
+    result, reference = run_scenario(spec, l_range), _without_lanes(spec, l_range)
+    assert result.rows == reference.rows
+    assert repr(result.achievable_km) == repr(reference.achievable_km)
+
+
+@pytest.mark.parametrize("name", _PRESETS)
+def test_wrong_bracket_prediction_falls_back(monkeypatch, name):
+    # lanes on another bracket answer none of the bisection's steps, which all
+    # go to settled_rate, and the result stays the sequential bisection's
+    settled_rate, predicted = _ScenarioEngine.settled_rate, scenarios._predicted_row
+    calls, steps = [], []
+
+    def counted(self, length_km, mu_hint):
+        calls.append(length_km)
+        return settled_rate(self, length_km, mu_hint)
+
+    def spied(envelope, lengths, values):
+        def step(length_km):
+            steps.append(length_km)
+            return envelope(length_km)
+
+        return find_zero_distance(step, lengths, values)
+
+    monkeypatch.setattr(_ScenarioEngine, "settled_rate", counted)
+    monkeypatch.setattr(scenarios, "find_zero_distance", spied)
+    spec, l_range = ScenarioSpec(name), (190.0, 240.0, 1.0)
+    reference = _without_lanes(spec, l_range)
+    for shift in (-1, -5, 1):
+        monkeypatch.setattr(scenarios, "_predicted_row", lambda rates: predicted(rates) + shift)
+        calls.clear(), steps.clear()
+        result = run_scenario(spec, l_range)
+        assert result.rows == reference.rows
+        assert repr(result.achievable_km) == repr(reference.achievable_km)
+        assert len(steps) == 7 and calls == steps
+
+
+def test_default_scan_bisects_with_one_sequential_step(monkeypatch):
+    # the first six of the seven bisection levels of a 1 km scan are lanes
+    # of its sweep, so only the last step reads a one-distance rate
+    settled_rate, calls = _ScenarioEngine.settled_rate, []
+
+    def counted(self, length_km, mu_hint):
+        calls.append(length_km)
+        return settled_rate(self, length_km, mu_hint)
+
+    monkeypatch.setattr(_ScenarioEngine, "settled_rate", counted)
+    result = run_scenario(ScenarioSpec("k2"))
+    assert len(result.rows) == 251
+    assert 222.0 < result.achievable_km < 223.0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("l_range", [(0.0, 1.0, 1e-9), (0.0, 1e6, 1.0)])
+def test_too_many_distances_are_refused(l_range):
+    # counted before np.arange allocates anything; the second scan holds one
+    # distance more than the limit
+    with pytest.raises(ConfigurationError, match="too long: more than 1000000 distances"):
+        run_scenario(ScenarioSpec("k2"), l_range)
