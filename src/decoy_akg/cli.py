@@ -26,6 +26,7 @@ from .scenarios import (
     ConfigurationError,
     ScenarioSpec,
     SweepResult,
+    _checked_range,
     _sweep_key,
     run_scenario,
 )
@@ -230,7 +231,9 @@ def _cmd_run(args) -> int:
         )
         for name in names
     ]
-    results = [run_scenario(spec, (args.l_min, args.l_max, args.l_step)) for spec in specs]
+    l_range = (args.l_min, args.l_max, args.l_step)
+    _checked_range(l_range, len(specs))
+    results = [run_scenario(spec, l_range) for spec in specs]
     paths = emit(results, args.format, args.out)
     for result in results:
         _print_reach(f"{result.spec.name} ({result.spec.direction})", result)
@@ -247,6 +250,12 @@ _FIGURE_SETS = (
 
 def _cmd_figures(args) -> int:
     channel = load_params_file(args.params_file) if args.params_file else STANDARD_FIBER
+    figure_sets = [
+        (direction, dark_mode, [ScenarioSpec(n, direction, dark_mode, channel) for n in names])
+        for direction, dark_mode, names in _FIGURE_SETS
+    ]
+    l_range = (args.l_min, args.l_max, args.l_step)
+    _checked_range(l_range, len({_sweep_key(spec) for *_, specs in figure_sets for spec in specs}))
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     sep = _FORMATS[args.format][0]
@@ -254,13 +263,12 @@ def _cmd_figures(args) -> int:
     # an earlier one read (the forward pD = p0 set) reuses both under its own
     # spec; the rows read only the spec's name, which the key holds
     sweeps: dict[tuple, tuple[SweepResult, list[str]]] = {}
-    for direction, dark_mode, names in _FIGURE_SETS:
+    for direction, dark_mode, specs in figure_sets:
         results, lines = [], []
-        for name in names:
-            spec = ScenarioSpec(name, direction, dark_mode, channel)
+        for spec in specs:
             key = _sweep_key(spec)
             if key not in sweeps:
-                result = run_scenario(spec, (args.l_min, args.l_max, args.l_step))
+                result = run_scenario(spec, l_range)
                 sweeps[key] = (result, _rows_lines(result, sep))
             result, rows = sweeps[key]
             results.append(replace(result, spec=spec))

@@ -73,11 +73,15 @@ def binary_entropy_bar(x):
         # h(1/2) = 1 exactly, which is also the saturated value above 1/2
         return float(_entropy(min(x, 0.5))) if x > 0.0 else 0.0
     arr = np.asarray(x, dtype=float)
-    # NaN fails both comparisons; an empty array has nothing to check
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+    low = arr.min() if arr.size else 1.0  # an empty array has nothing to check or mask
+    # NaN fails both comparisons
+    if arr.size and not (low >= 0.0 and arr.max() <= 1.0):
         raise ValueError("binary_entropy_bar requires finite arguments in [0, 1]")
-    positive = arr > 0.0
-    result = np.where(positive, _entropy(np.where(positive, np.minimum(arr, 0.5), 0.5)), 0.0)
+    if low > 0.0:  # no zero to mask: np.where(True, x, y) is x
+        result = _entropy(np.minimum(arr, 0.5))
+    else:
+        positive = arr > 0.0
+        result = np.where(positive, _entropy(np.where(positive, np.minimum(arr, 0.5), 0.5)), 0.0)
     return float(result) if np.ndim(x) == 0 else result
 
 
@@ -104,9 +108,12 @@ def single_photon_credit(q1, b1):
     b = np.asarray(b1, dtype=float)
     if not (np.isfinite(q).all() and np.isfinite(b).all()):
         raise ValueError("single_photon_credit requires finite q1 and b1")
-    positive = q > 0.0
-    safe_q = np.where(positive, q, 1.0)
-    credit = np.where(positive, _credit(safe_q, _clamp(b, safe_q)), 0.0)
+    if q.size and q.min() > 0.0:  # no yield to mask: np.where(True, x, y) is x
+        credit = _credit(q, _clamp(b, q))
+    else:
+        positive = q > 0.0
+        safe_q = np.where(positive, q, 1.0)
+        credit = np.where(positive, _credit(safe_q, _clamp(b, safe_q)), 0.0)
     return float(credit) if np.ndim(q1) == 0 and np.ndim(b1) == 0 else credit
 
 
@@ -212,21 +219,24 @@ def _golden_section_max(fn: Callable, lo, hi, tol: float):
 
     ``lo`` and ``hi`` are arrays of brackets, one per lane, or two floats
     for one lane, which the search then narrows in floats; ``fn`` maps trial
-    points of that shape to the rates there.  Each lane narrows its own
-    bracket while it is wider than ``tol``; a lane that is done keeps its
-    bracket while the others go on.
+    points of that shape to the rates there, elementwise, so lanes also
+    take a stack of two points each: the first pair goes in one call.  Each
+    lane narrows its own bracket while it is wider than ``tol``; a lane that
+    is done keeps its bracket while the others go on.
     """
     invphi = GOLDEN_RATIO_CONJUGATE
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
+    lanes = isinstance(a, np.ndarray)
+    fc, fd = fn(np.stack((c, d))) if lanes else (fn(c), fn(d))
     active = b - a > tol
-    while active.any() if isinstance(active, np.ndarray) else active:
+    while active.any() if lanes else active:
         left = fc >= fd  # the maximum is in [a, d]
-        # a lane that is done keeps its bracket; its inner points no longer matter
-        a = _pick(left, a, _pick(active, c, a))
-        b = _pick(left, _pick(active, d, b), b)
+        if lanes and not active.all():
+            # a lane that is done keeps its bracket; its inner points no longer matter
+            c, d = np.where(active, c, a), np.where(active, d, b)
+        a, b = _pick(left, a, c), _pick(left, d, b)
         width = b - a
         step = invphi * width
         x = _pick(left, b - step, a + step)
@@ -246,8 +256,15 @@ def _coarse_grid(mu_lower: float, mu_cap: float) -> np.ndarray:
     return grid if grid.size else np.array([0.5 * (mu_lower + mu_cap)])
 
 
+def _first_max(values):
+    """(index, value) of the first maximum along the last axis of ``values``: ``np.argmax``'s."""
+    values = np.asarray(values)
+    best = np.argmax(values, axis=-1)
+    return best, np.take_along_axis(values, np.expand_dims(best, -1), -1)[..., 0]
+
+
 def _grid_brackets(
-    grid_fn: Callable[[np.ndarray], np.ndarray],
+    grid_fn: Callable[[np.ndarray], tuple],
     mu_lower: float,
     mu_cap: float = DEFAULT_MU_CAP,
     tol: float = DEFAULT_MU_TOL,
@@ -263,14 +280,12 @@ def _grid_brackets(
         raise ValueError("mu_cap must exceed mu_lower")
     coarse_step = DEFAULT_COARSE_STEP
     grid = _coarse_grid(mu_lower, mu_cap)
-    values = np.asarray(grid_fn(grid))
-    best = np.argmax(values, axis=-1)
-    best_value = np.take_along_axis(values, np.expand_dims(best, -1), -1)[..., 0]
+    best, best_value = grid_fn(grid)
     # bracket ends of each grid point: its neighbours, or the search range
     lower_ends = np.concatenate(([max(mu_lower + 0.25 * tol, grid[0] - coarse_step)], grid[:-1]))
     upper_ends = np.concatenate((grid[1:], [mu_cap]))
     lo, hi = lower_ends[best], upper_ends[best]
-    if values.ndim == 1:  # one lane: the golden section runs in floats
+    if np.ndim(best) == 0:  # one lane: the golden section runs in floats
         lo, hi = float(lo), float(hi)
     return grid[best], best_value, lo, hi
 
@@ -286,19 +301,22 @@ def _refined(rate_fn: Callable, brackets, tol: float = DEFAULT_MU_TOL):
 
 def optimize_lanes(
     rate_fn: Callable[[np.ndarray], np.ndarray],
-    grid_fn: Callable[[np.ndarray], np.ndarray],
+    grid_fn: Callable[[np.ndarray], tuple],
     mu_lower: float,
     mu_cap: float = DEFAULT_MU_CAP,
     tol: float = DEFAULT_MU_TOL,
 ):
     """Maximize rates over signal intensities in (mu_lower, mu_cap], lane by lane.
 
-    ``grid_fn(grid)`` gives every lane's rates on the coarse grid (step
-    ``DEFAULT_COARSE_STEP``), shape (*lanes, grid.size), or -inf at a point
-    proven strictly below its lane's best, which leaves the first maximum,
-    its bracket and every byte of the result unchanged.  The golden section then
-    refines each lane's best bracket through ``rate_fn``, which maps one
-    trial signal per lane (shape ``lanes``) to the rates there; with one
+    ``grid_fn(grid)`` gives each lane's first maximum on the coarse grid
+    (step ``DEFAULT_COARSE_STEP``) as (index, rate), shape ``lanes``: the
+    ``np.argmax`` of its rates there and the rate at that index, as
+    ``_first_max`` reads them off a full grid.  It may skip a point proven
+    strictly below its lane's best, which leaves the first maximum, its
+    bracket and every byte of the result unchanged.  The golden section then
+    refines each lane's best bracket through ``rate_fn``, which maps trial
+    signals, one per lane (shape ``lanes``) or a stack of two (shape
+    (2, *lanes)), to the rates there, elementwise; with one
     lane (``lanes`` = ()) it is called with floats.  Returns the optimal
     signals and rates, shape ``lanes``.  The best point is returned
     even when the rate is negative everywhere, which distance root finding
@@ -325,7 +343,8 @@ def optimize_signal_intensity(
     """
     if vector_fn is None:
         vector_fn = lambda grid: np.array([rate_fn(m) for m in grid])  # noqa: E731
-    mu_opt, rate_opt = optimize_lanes(rate_fn, vector_fn, mu_lower, mu_cap, tol)
+    grid_fn = lambda grid: _first_max(vector_fn(grid))  # noqa: E731
+    mu_opt, rate_opt = optimize_lanes(rate_fn, grid_fn, mu_lower, mu_cap, tol)
     return float(mu_opt), float(rate_opt)
 
 

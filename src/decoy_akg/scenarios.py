@@ -31,7 +31,9 @@ A sound estimate cannot beat perfect knowledge of the channel, so a sweep
 skips coarse-grid points under that envelope: ``keyrate._universal_box_bound``
 bounds the rate over a box of grid signals from its ends, with a margin of
 1e-9 of its terms, far above rounding.  A skipped point lies strictly below
-its lane's best, so every row and output byte is the full grid's.
+its lane's best.  Each lane keeps only its first maximum's index and rate,
+which a later box replaces where its own is strictly greater, so every row
+and output byte is the full grid's.
 
 A trial order's bound counts only where it beats the decoy prefixes', and
 its Omega enters only the saturated side (q for an odd order, b for an
@@ -69,6 +71,7 @@ from .keyrate import (
     DIRECTIONS,
     _bisection_midpoints,
     _coarse_grid,
+    _first_max,
     _grid_brackets,
     _model_rate,
     _refined,
@@ -107,9 +110,11 @@ _EVAL_ELEMENTS = 8192
 # band up to 0.4, 0.5 or 0.7 instead of 0.6 reads within that spread
 _FIRST_BAND_MU = 0.6
 _BOX_POINTS = 20
-# most distances in one scan.  A `run` of one scenario peaks about 450 bytes
-# higher per distance (80000 against 20000 distances of k4, k3-ma and
-# universal: 430-445 bytes), so a full scan stays near 0.5 GB a scenario
+# most distances in one scan, and in all scans of one command (`run` sweeps
+# each scenario, `figures` 11 distinct ones).  A `run` of one scenario peaks
+# about 450 bytes higher per distance (80000 against 20000 distances of k4,
+# k3-ma and universal: 430-445 bytes), `figures` about 7.1 KB over its 11
+# sweeps, so a full budget stays near 0.5-0.7 GB
 _MAX_DISTANCES = 1_000_000
 # bisection levels whose midpoints a sweep optimizes as extra lanes of its
 # golden section: 2^n - 1 lanes that answer the first n steps of a correctly
@@ -432,12 +437,15 @@ class _ScenarioEngine:
             reach = np.maximum(reach, alpha + self.p0 + self.p0 * saturation)
         return reach
 
-    def _pruned_grid_rates(self, state: dict, grid: np.ndarray) -> np.ndarray:
-        """:meth:`_grid_rates` of many lanes, -inf where the envelope is below a lane's best.
+    def _pruned_grid_max(self, state: dict, grid: np.ndarray):
+        """Each lane's first maximum on the coarse grid, (index, rate), read off pruned boxes.
 
         The columns up to ``_FIRST_BAND_MU`` (at least one) run on every lane;
         each later box of ``_BOX_POINTS`` only on the lanes where its bound
-        reaches the best rate so far.
+        reaches the best rate so far.  A box takes over a lane's maximum only
+        where its own is strictly greater, ``np.argmax``'s first-occurrence
+        rule, so the pair is ``keyrate._first_max`` of the full grid (a rate
+        is never NaN: the credit and the entropy reject one).
         """
         band = max(1, int(np.searchsorted(grid, _FIRST_BAND_MU, side="right")))
         starts = np.arange(band, grid.size, _BOX_POINTS)
@@ -447,17 +455,18 @@ class _ScenarioEngine:
         ceilings = _universal_box_bound(
             state["alpha"][:, None], q1, grid[starts], highs, self.params, self.spec.direction
         )
-        values = np.full((state["alpha"].size, grid.size), -np.inf)
-        values[:, :band] = self._grid_rates(state, grid, slice(0, band))
-        best = values[:, :band].max(axis=1)
+        index, best = _first_max(self._grid_rates(state, grid, slice(0, band)))
         for start, end, ceiling in zip(starts, ends, ceilings.T):
             live = np.flatnonzero(~(ceiling < best))  # a NaN ceiling skips nothing
             if live.size:
                 lanes = slice(live[0], live[-1] + 1)  # the lanes between: views of the state
-                box = self._grid_rates(self._lanes(state, lanes), grid, slice(start, end))
-                values[lanes, start:end] = box
-                best[lanes] = np.maximum(best[lanes], box.max(axis=1))
-        return values
+                box_index, box_best = _first_max(
+                    self._grid_rates(self._lanes(state, lanes), grid, slice(start, end))
+                )
+                better = box_best > best[lanes]
+                np.copyto(index[lanes], start + box_index, where=better)
+                np.copyto(best[lanes], box_best, where=better)
+        return index, best
 
     def _rows(self, lengths, state: dict, mu, rate) -> list[SweepRow]:
         """Rows at the optimal signals ``mu`` and rates, in the lanes' shape."""
@@ -497,7 +506,7 @@ class _ScenarioEngine:
 
     def _brackets(self, state: dict):
         """``keyrate._grid_brackets`` of the lanes of ``state`` on their pruned coarse grid."""
-        return _grid_brackets(partial(self._pruned_grid_rates, state), self.spec.signal_lower)
+        return _grid_brackets(partial(self._pruned_grid_max, state), self.spec.signal_lower)
 
     def sweep(self, lengths: list[float]):
         """The rows at every distance, optimized at once with one lane each, and lane-answered steps.
@@ -556,19 +565,12 @@ def _sweep_key(spec: ScenarioSpec) -> tuple:
     return (spec.name, spec.decoy_mus, spec.signal_lower, spec.direction, spec.channel, dark)
 
 
-def run_scenario(
-    spec: ScenarioSpec, l_range: tuple[float, float, float] = (0.0, 250.0, 1.0)
-) -> SweepResult:
-    """Sweep distances, optimizing the signal intensity at each point.
+def _checked_range(l_range, sweeps: int = 1) -> tuple[float, float, float]:
+    """``l_range`` = (min_km, max_km, step_km) as numbers, for ``sweeps`` scans of it.
 
-    ``l_range`` is (min_km, max_km, step_km), of at most ``_MAX_DISTANCES``
-    distances.  All distances of the scan are optimized together, as lanes
-    of one array.  The rows are the scan that ``find_zero_distance`` turns
-    into the achievable distance: bisected inside the last sign change of
-    the optimized rate, None when the rate is still positive at max_km
-    (range too short) and 0.0 when it is never positive.  A bisection step
-    at a midpoint that the sweep optimized as a lane reads that lane's rate;
-    any other step reads ``settled_rate``, which has the same sign.
+    The scans may hold at most ``_MAX_DISTANCES`` distances in all, counted
+    before anything is allocated; a command of several sweeps checks its
+    whole scan before the first one starts.
     """
     try:
         l_min, l_max, step = (_number(v) for v in l_range)
@@ -584,11 +586,30 @@ def run_scenario(
         raise ConfigurationError("l_max must not be below l_min")
     # np.arange's length, counted before anything is allocated
     count = (l_max + 0.5 * step - l_min) / step
-    if count > _MAX_DISTANCES:
+    if count * sweeps > _MAX_DISTANCES:
+        scans = f" over {sweeps} sweeps" if sweeps > 1 else ""
         raise ConfigurationError(
-            f"distance scan is too long: more than {_MAX_DISTANCES} distances "
-            "(each holds about 450 bytes until the output is written)"
+            f"distance scan is too long: more than {_MAX_DISTANCES} distances{scans} "
+            "(each distance of a sweep holds about 0.5 KB until the output is written)"
         )
+    return l_min, l_max, step
+
+
+def run_scenario(
+    spec: ScenarioSpec, l_range: tuple[float, float, float] = (0.0, 250.0, 1.0)
+) -> SweepResult:
+    """Sweep distances, optimizing the signal intensity at each point.
+
+    ``l_range`` is (min_km, max_km, step_km), of at most ``_MAX_DISTANCES``
+    distances.  All distances of the scan are optimized together, as lanes
+    of one array.  The rows are the scan that ``find_zero_distance`` turns
+    into the achievable distance: bisected inside the last sign change of
+    the optimized rate, None when the rate is still positive at max_km
+    (range too short) and 0.0 when it is never positive.  A bisection step
+    at a midpoint that the sweep optimized as a lane reads that lane's rate;
+    any other step reads ``settled_rate``, which has the same sign.
+    """
+    l_min, l_max, step = _checked_range(l_range)
     lengths = np.arange(l_min, l_max + 0.5 * step, step).tolist()
     engine = _ScenarioEngine(spec)
     rows, answered = engine.sweep(lengths)

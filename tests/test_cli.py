@@ -345,12 +345,22 @@ def test_crossing_beyond_float_resolution_ends(tmp_path):
         ["run", "--scenario", "k2,k2", "--l-max", "1"],
         # a billion distances, refused before any is allocated
         ["run", "--scenario", "k2", "--l-max", "1", "--l-step", "1e-9"],
+        # scans each within the limit whose command is not: 833,334 distances in
+        # each of the 11 figures sweeps (about 6 GB), 500,001 in each of 2 scenarios
+        ["figures", "--l-step", "0.0003"],
+        ["run", "--scenario", "k2,k4", "--l-step", "0.0005"],
     ],
 )
-def test_bad_range_or_decoys_is_config_error(tmp_path, capsys, argv):
+def test_bad_range_or_decoys_is_config_error(tmp_path, capsys, monkeypatch, argv):
+    def sweep(spec, l_range):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(cli, "run_scenario", sweep)  # every case is refused before the first
     assert _run(argv + ["--out", tmp_path]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
+    if "--l-step" in argv and float(argv[argv.index("--l-step") + 1]) < 1e-3:
+        assert err.startswith("configuration error: distance scan is too long")
 
 
 def test_value_error_in_sweep_is_numeric_failure(tmp_path, capsys, monkeypatch):

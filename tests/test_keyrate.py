@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decoy_akg import (
@@ -163,6 +164,32 @@ def test_array_inputs_match_scalar_rates():
             _assert_matches_element(binary_entropy_bar(make(x)), kind, expected)
         for (q1, b1), expected in zip(pairs, credits.tolist()):
             _assert_matches_element(single_photon_credit(make(q1), make(b1)), kind, expected)
+    # an array without a zero skips the masks (no np.where) and one with a zero
+    # keeps them; either way each element has the float path's bits
+    positive_xs = [x for x in xs if x > 0.0]
+    positive_pairs = [(q1, b1) for q1, b1 in pairs if q1 > 0.0 and b1 > 0.0]
+    for values, masked in ((xs, True), (positive_xs, False)):
+        result, used = _masks(binary_entropy_bar, np.array(values))
+        assert used == masked
+        assert [v.hex() for v in result.tolist()] == [binary_entropy_bar(x).hex() for x in values]
+    for values, masked in ((pairs, True), (positive_pairs, False)):
+        result, used = _masks(single_photon_credit, *(np.array(v) for v in zip(*values)))
+        assert used == masked
+        floats = [single_photon_credit(q1, b1).hex() for q1, b1 in values]
+        assert [v.hex() for v in result.tolist()] == floats
+    # lanes against a column of signals, as the engine broadcasts them
+    q1s = np.array([q1 for q1, _ in positive_pairs])
+    b1s = np.array([b1 for _, b1 in positive_pairs])
+    result, used = _masks(single_photon_credit, q1s[:, None], b1s)
+    assert not used
+    floats = [[single_photon_credit(q1, b1).hex() for b1 in b1s.tolist()] for q1 in q1s.tolist()]
+    assert [[v.hex() for v in row] for row in result.tolist()] == floats
+
+
+def _masks(fn, *args):
+    """(``fn(*args)``, whether it called ``np.where``)."""
+    with mock.patch.object(np, "where", wraps=np.where) as where:
+        return fn(*args), where.called
 
 
 def test_clean_channel_reduction():
@@ -280,6 +307,38 @@ def test_golden_section_in_floats_is_its_one_lane_array(lo, width, tol, peak, ca
     lane_mu, lane_rate = _golden_section_max(fn, np.array([lo]), np.array([hi]), tol)
     assert type(mu) is float and type(rate) is float
     assert (mu.hex(), rate.hex()) == (float(lane_mu[0]).hex(), float(lane_rate[0]).hex())
+
+
+_CAPS = st.sampled_from([math.inf, -0.0625]) | st.floats(-1.0, -1e-6)
+_TOLS = st.sampled_from([1e-6, 1e-4, 0.05]) | st.floats(1e-9, 1.0)
+
+
+@st.composite
+def golden_lanes(draw):
+    """A tolerance and up to six lanes (lo, hi, peak, cap), some already narrower than it."""
+    tol = draw(_TOLS)
+    lanes = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo = draw(st.floats(0.0, 2.0))
+        width = draw(st.sampled_from([0.0, 0.5 * tol, tol]) | st.floats(0.0, 2.0))
+        lanes.append((lo, lo + width, draw(st.floats(-1.0, 3.0)), draw(_CAPS)))
+    return tol, lanes
+
+
+@settings(max_examples=200, deadline=None)
+@given(golden_lanes())
+@example((1e-6, [(0.3, 0.3, 0.5, math.inf), (0.2, 1.7, 0.9, math.inf), (0.4, 0.41, 0.0, -0.0625)]))
+@example((1e-4, [(0.1, 1.1, 0.6, math.inf), (0.5, 0.9, 0.7, -0.5)]))
+def test_golden_section_lanes_are_one_lane_runs(case):
+    # lanes that start done, and lanes that finish at different steps, leave
+    # every other lane's search as it would run alone: the all-active steps
+    # and the steps with done lanes both keep each lane's bits
+    tol, lanes = case
+    lo, hi, peak, cap = (np.array(column) for column in zip(*lanes))
+    mu, rate = _golden_section_max(lambda x: _plateau(x, peak, cap), lo, hi, tol)
+    for i, (lo_i, hi_i, peak_i, cap_i) in enumerate(lanes):
+        one = _golden_section_max(lambda x: _plateau(x, peak_i, cap_i), lo_i, hi_i, tol)
+        assert (mu[i].hex(), rate[i].hex()) == (one[0].hex(), one[1].hex()), i
 
 
 def _scan(envelope, lengths):

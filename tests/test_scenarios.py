@@ -688,6 +688,30 @@ def test_box_bound_covers_every_grid_rate_in_its_box(case):
         assert np.all(runs <= ceilings), width
 
 
+def _pruned_grid(engine, state):
+    """``_pruned_grid_max`` of ``state``, and each (lane, signal) rate that it evaluated.
+
+    A spy on ``_grid_rates`` records every evaluation; the rates read NaN
+    where none was made.
+    """
+    lanes = state["alpha"].size
+    state = {**state, "lane": np.arange(lanes)}  # sliced with the lanes, so each call names its own
+    seen = np.full((lanes, engine.grid.size), np.nan)
+    evaluations = []
+    grid_rates = engine._grid_rates
+
+    def spy(lane_state, grid, columns=slice(None)):
+        values = grid_rates(lane_state, grid, columns)
+        evaluations.append(values.size)
+        seen[lane_state["lane"][:, None], np.arange(grid.size)[columns]] = values
+        return values
+
+    with mock.patch.object(engine, "_grid_rates", spy):
+        first_max = engine._pruned_grid_max(state, engine.grid)
+    assert sum(evaluations) == np.count_nonzero(~np.isnan(seen))  # no element twice
+    return first_max, seen
+
+
 @settings(max_examples=25, deadline=None)
 @given(lane_cases())
 @_corner_examples
@@ -696,21 +720,23 @@ def test_pruned_grid_keeps_every_lane_optimum(case):
     # grid's bits, and every point it skips lies strictly below its lane's
     # best, so the first maximum and its value are the full grid's
     engine, _, state, full = _lane_grid(case)
-    pruned = engine._pruned_grid_rates(state, engine.grid)
-    evaluated = pruned != -np.inf
+    (index, value), seen = _pruned_grid(engine, state)
+    evaluated = ~np.isnan(seen)
     best = np.max(full, axis=1)
-    assert np.array_equal(pruned[evaluated], full[evaluated])
+    assert np.array_equal(seen[evaluated], full[evaluated])
     assert np.all(evaluated | (full < best[:, None]))
-    assert np.array_equal(np.argmax(pruned, axis=1), np.argmax(full, axis=1))
-    assert np.array_equal(np.max(pruned, axis=1), best)
+    first = np.argmax(full, axis=1)
+    assert np.array_equal(index, first)
+    assert np.array_equal(value, best)
+    assert value.tobytes() == full[np.arange(full.shape[0]), first].tobytes()
 
 
 @pytest.mark.parametrize("name", _PRESETS)
 def test_sweep_prunes_most_of_its_grid(name):
     # over 0-250 km on the standard fiber the envelope skips over half of the grid
     engine = _ScenarioEngine(ScenarioSpec(name))
-    pruned = engine._pruned_grid_rates(engine._distance_state(np.arange(0.0, 251.0)), engine.grid)
-    assert np.mean(pruned == -np.inf) > 0.5
+    _, seen = _pruned_grid(engine, engine._distance_state(np.arange(0.0, 251.0)))
+    assert np.mean(np.isnan(seen)) > 0.5
 
 
 _AGGREGATES = tuple(name for name, (_, kind) in scenarios._SCENARIOS.items() if kind == "aggregate")
