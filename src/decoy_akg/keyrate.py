@@ -33,11 +33,15 @@ import numpy as np
 from .bounds import _clamp, _pick
 from .channel import ChannelParams, _model_rates, _transmitted
 
-GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_MU_CAP = 2.0
 DEFAULT_COARSE_STEP = 0.01
 DEFAULT_MU_TOL = 1e-6
 DISTANCE_TOL_KM = 0.01
+# SciPy fminbound's constants: the golden section's smaller part, its sqrt(eps)
+# and its default cap on evaluations
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_MAX_EVALS = 500
 # margin of the box bound, relative to its terms.  A rate's terms are of the
 # order of the signal's counting rate p(mu), and rounding in them is about
 # 1e-16 p; a float order bound lies within 4.3e-13 relative of its exact
@@ -214,39 +218,112 @@ def universal_upper(
     return _model_rate(mu, q1, b1, float(p_signal), float(s_signal), params, direction)
 
 
-def _golden_section_max(fn: Callable, lo, hi, tol: float):
-    """Golden-section maxima of ``fn`` on every bracket [lo, hi] at once.
+def _brent_steps(fn: Callable, a, b, xf, fx, tol: float, active):
+    """SciPy ``fminbound``'s steps on the brackets [a, b] from the evaluated point xf, maximizing.
+
+    Brent's bounded search (*Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5): a step to the vertex of the parabola through
+    the three best points when it is less than half the step before last
+    and stays inside the bracket, a golden-section step into the larger part
+    otherwise, and each step at least tol1 = sqrt(2.2e-16) |xf| + tol / 3
+    long.  It ends once both bracket ends lie within 2 tol1 of xf.  The
+    comparisons are ``fminbound``'s on -fn, so the steps are its steps.
+
+    Floats run in floats; arrays run as lanes, each with its own mask, so a
+    lane that is done keeps its state (and evaluates its best point) while
+    the others go on, and every lane takes the steps of its one-lane run.
+    Lanes not in ``active`` are done from the start.  Returns (xf, fx).
+    """
+    lanes = isinstance(a, np.ndarray)
+    pair = np.stack if lanes else tuple
+    # (point, rate) of the best, second best and previous second best, SciPy's
+    # (xf, fx), (nfc, fnfc) and (fulc, ffulc); lanes stack each as (2, lanes)
+    best = second = third = pair((xf, fx))
+    e = rat = 0.0  # the steps before last and last
+    for _ in range(_MAX_EVALS - 1):
+        (xf, fx), (nfc, fnfc), (fulc, ffulc) = best, second, third
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + tol / 3.0
+        tol2 = 2.0 * tol1
+        to_mid = xm - xf
+        active = active & (abs(to_mid) > tol2 - 0.5 * (b - a))
+        if not (active.any() if lanes else active):
+            break
+        # the parabola through the three points: its step is p / q
+        to_nfc, to_fulc, to_a, to_b = xf - nfc, xf - fulc, a - xf, b - xf
+        r = to_nfc * (fx - ffulc)
+        q = to_fulc * (fx - fnfc)
+        p = to_fulc * q - to_nfc * r
+        q = 2.0 * (q - r)
+        p = _pick(q > 0.0, -p, p)
+        q = abs(q)
+        e_size = abs(e)
+        # a fit has q > 0, so only a fit divides by q
+        fits = (e_size > tol1) & (abs(p) < 0.5 * q * e_size) & (p > q * to_a) & (p < q * to_b)
+        step = (p + 0.0) / _pick(fits, q, 1.0)
+        x = xf + step
+        near = (x - a < tol2) | (b - x < tol2)  # then tol1 toward the midpoint
+        step = _pick(near, _pick(to_mid >= 0.0, tol1, -tol1), step)
+        golden = _pick(to_mid <= 0.0, to_a, to_b)
+        e, rat = _pick(fits, rat, golden), _pick(fits, step, _GOLDEN_MEAN * golden)
+        size = abs(rat)
+        size = _pick(size > tol1, size, tol1)
+        x = xf + _pick(rat >= 0.0, size, -size)
+        if lanes:  # a lane that is done evaluates its best point, inside its bracket
+            x = np.where(active, x, xf)
+        fu = fn(x)
+        up = active & (fu >= fx)
+        down = active ^ up
+        # the worse of x and xf becomes the bracket's end on its side; a lane
+        # that is done evaluated xf, so neither end moves
+        right = x >= xf
+        end = _pick(up, xf, x)
+        a, b = _pick(up == right, end, a), _pick(down == right, end, b)
+        to_second = down & ((fu >= fnfc) | (nfc == xf))
+        to_third = (down ^ to_second) & ((fu >= ffulc) | (fulc == xf) | (fulc == nfc))
+        new = pair((x, fu))
+        best, second, third = (
+            _pick(up, new, best),
+            _pick(up, best, _pick(to_second, new, second)),
+            _pick(up | to_second, second, _pick(to_third, new, third)),
+        )
+    xf, fx = best
+    return xf, fx
+
+
+def _brent_max(fn: Callable, lo, hi, tol: float, edge: float, singular: bool = False):
+    """Maxima of ``fn`` on every bracket [lo, hi] at once: an edge check, then Brent's steps.
+
+    ``edge`` is the search's lower end.  A lane whose bracket starts there
+    first evaluates ``edge`` and ``edge + tol``.  If the edge is not lower,
+    a unimodal rate peaks within ``tol`` of it, and the lane is done there.
+    With ``singular`` the rate is undefined at ``edge`` and may have a
+    second mode beside it: every lane evaluates the first float above
+    ``edge``, runs its search, and keeps the better of the two.
 
     ``lo`` and ``hi`` are arrays of brackets, one per lane, or two floats
-    for one lane, which the search then narrows in floats; ``fn`` maps trial
-    points of that shape to the rates there, elementwise, so lanes also
-    take a stack of two points each: the first pair goes in one call.  Each
-    lane narrows its own bracket while it is wider than ``tol``; a lane that
-    is done keeps its bracket while the others go on.
+    for one lane, which then runs in floats and calls ``fn`` with one float
+    at a time.  Lanes evaluate Brent's first point and the edge points in
+    one call, on a stack of shape (2 or 3, lanes), since rates are
+    elementwise.
     """
-    invphi = GOLDEN_RATIO_CONJUGATE
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    lanes = isinstance(a, np.ndarray)
-    fc, fd = fn(np.stack((c, d))) if lanes else (fn(c), fn(d))
-    active = b - a > tol
-    while active.any() if lanes else active:
-        left = fc >= fd  # the maximum is in [a, d]
-        if lanes and not active.all():
-            # a lane that is done keeps its bracket; its inner points no longer matter
-            c, d = np.where(active, c, a), np.where(active, d, b)
-        a, b = _pick(left, a, c), _pick(left, d, b)
-        width = b - a
-        step = invphi * width
-        x = _pick(left, b - step, a + step)
-        fx = fn(x)
-        # c stays on as the new d on the left, d as the new c on the right
-        c, d = _pick(left, x, d), _pick(left, c, x)
-        fc, fd = _pick(left, fx, fd), _pick(left, fc, fx)
-        active = width > tol
-    mid = 0.5 * (a + b)
-    return mid, fn(mid)
+    x0 = lo + _GOLDEN_MEAN * (hi - lo)
+    point = math.nextafter(edge, math.inf) if singular else edge
+    if isinstance(lo, np.ndarray):
+        trials = (point,) if singular else (point, point + tol)
+        rates = fn(np.stack((x0, *(np.full_like(x0, t) for t in trials))))
+        f_edge = rates[1]
+        done = np.zeros_like(lo, dtype=bool) if singular else (lo == edge) & (f_edge >= rates[2])
+        mu, rate = _brent_steps(fn, lo, hi, x0, rates[0], tol, ~done)
+    else:
+        checked = singular or lo == edge
+        f_edge = fn(point) if checked else -math.inf
+        done = not singular and checked and f_edge >= fn(point + tol)
+        if done:
+            return point, f_edge
+        mu, rate = _brent_steps(fn, lo, hi, x0, fn(x0), tol, True)
+    use_edge = f_edge >= rate if singular else done
+    return _pick(use_edge, point, mu), _pick(use_edge, f_edge, rate)
 
 
 def _coarse_grid(mu_lower: float, mu_cap: float) -> np.ndarray:
@@ -264,36 +341,39 @@ def _first_max(values):
 
 
 def _grid_brackets(
-    grid_fn: Callable[[np.ndarray], tuple],
-    mu_lower: float,
-    mu_cap: float = DEFAULT_MU_CAP,
-    tol: float = DEFAULT_MU_TOL,
+    grid_fn: Callable[[np.ndarray], tuple], mu_lower: float, mu_cap: float = DEFAULT_MU_CAP
 ):
     """Step one of :func:`optimize_lanes`: each lane's best coarse-grid point and its bracket.
 
     Returns (best grid signal, its rate, bracket low, bracket high), shape
-    ``lanes``; the bracket ends are floats for one lane.
+    ``lanes``; the bracket ends are floats for one lane.  The first grid
+    point's bracket starts at ``mu_lower`` itself.
     """
     if mu_lower <= 0.0:
         raise ValueError("mu_lower must be positive")
     if mu_cap <= mu_lower:
         raise ValueError("mu_cap must exceed mu_lower")
-    coarse_step = DEFAULT_COARSE_STEP
     grid = _coarse_grid(mu_lower, mu_cap)
     best, best_value = grid_fn(grid)
     # bracket ends of each grid point: its neighbours, or the search range
-    lower_ends = np.concatenate(([max(mu_lower + 0.25 * tol, grid[0] - coarse_step)], grid[:-1]))
+    lower_ends = np.concatenate(([mu_lower], grid[:-1]))
     upper_ends = np.concatenate((grid[1:], [mu_cap]))
     lo, hi = lower_ends[best], upper_ends[best]
-    if np.ndim(best) == 0:  # one lane: the golden section runs in floats
+    if np.ndim(best) == 0:  # one lane: the search runs in floats
         lo, hi = float(lo), float(hi)
     return grid[best], best_value, lo, hi
 
 
-def _refined(rate_fn: Callable, brackets, tol: float = DEFAULT_MU_TOL):
-    """Step two of :func:`optimize_lanes`: the golden section on ``_grid_brackets``' brackets."""
+def _refined(
+    rate_fn: Callable,
+    brackets,
+    mu_lower: float,
+    tol: float = DEFAULT_MU_TOL,
+    singular_lower: bool = False,
+):
+    """Step two of :func:`optimize_lanes`: the edge check and Brent's search on the brackets."""
     grid_mu, grid_rate, lo, hi = brackets
-    mu_opt, rate_opt = _golden_section_max(rate_fn, lo, hi, tol)
+    mu_opt, rate_opt = _brent_max(rate_fn, lo, hi, tol, mu_lower, singular_lower)
     # the bracket interior can lose to the best grid point in flat regions
     flat = grid_rate > rate_opt
     return _pick(flat, grid_mu, mu_opt), _pick(flat, grid_rate, rate_opt)
@@ -305,26 +385,39 @@ def optimize_lanes(
     mu_lower: float,
     mu_cap: float = DEFAULT_MU_CAP,
     tol: float = DEFAULT_MU_TOL,
+    *,
+    singular_lower: bool = False,
 ):
-    """Maximize rates over signal intensities in (mu_lower, mu_cap], lane by lane.
+    """Maximize rates over signal intensities in [mu_lower, mu_cap], lane by lane.
 
     ``grid_fn(grid)`` gives each lane's first maximum on the coarse grid
     (step ``DEFAULT_COARSE_STEP``) as (index, rate), shape ``lanes``: the
     ``np.argmax`` of its rates there and the rate at that index, as
     ``_first_max`` reads them off a full grid.  It may skip a point proven
     strictly below its lane's best, which leaves the first maximum, its
-    bracket and every byte of the result unchanged.  The golden section then
-    refines each lane's best bracket through ``rate_fn``, which maps trial
-    signals, one per lane (shape ``lanes``) or a stack of two (shape
-    (2, *lanes)), to the rates there, elementwise; with one
-    lane (``lanes`` = ()) it is called with floats.  Returns the optimal
-    signals and rates, shape ``lanes``.  The best point is returned
-    even when the rate is negative everywhere, which distance root finding
-    relies on.  The two steps are ``_grid_brackets`` and ``_refined``; a
-    caller may join the brackets of several grid steps into one refinement,
-    since every lane narrows its own.
+    bracket and every byte of the result unchanged.  A lane whose best grid
+    point is the first then evaluates ``mu_lower`` and ``mu_lower + tol``
+    and, if ``mu_lower`` is not lower, is done there.  Every other lane is
+    refined by Brent's bounded search (SciPy's ``fminbound`` steps, to
+    ``tol``) on its best bracket, through ``rate_fn``, which maps trial
+    signals, one per lane (shape ``lanes``) or a stack of them (shape
+    (n, *lanes)), to the rates there, elementwise; with one lane
+    (``lanes`` = ()) it is called with floats.  The search assumes a rate
+    with one mode.
+
+    ``singular_lower`` is for a rate that is undefined at ``mu_lower`` and
+    may have a second mode beside it (Ma's ratio estimator at mu1 + mu2):
+    the range is then open at ``mu_lower``, every lane evaluates the first
+    float above it as well as its search, and keeps the better.
+
+    Returns the optimal signals and rates, shape ``lanes``.  The best point
+    is returned even when the rate is negative everywhere, which distance
+    root finding relies on.  The two steps are ``_grid_brackets`` and
+    ``_refined``; a caller may join the brackets of several grid steps into
+    one refinement, since every lane searches its own.
     """
-    return _refined(rate_fn, _grid_brackets(grid_fn, mu_lower, mu_cap, tol), tol)
+    brackets = _grid_brackets(grid_fn, mu_lower, mu_cap)
+    return _refined(rate_fn, brackets, mu_lower, tol, singular_lower)
 
 
 def optimize_signal_intensity(
@@ -333,18 +426,23 @@ def optimize_signal_intensity(
     mu_cap: float = DEFAULT_MU_CAP,
     tol: float = DEFAULT_MU_TOL,
     vector_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    *,
+    singular_lower: bool = False,
 ) -> tuple[float, float]:
-    """Maximize a rate over signal intensities in (mu_lower, mu_cap].
+    """Maximize a rate over signal intensities in [mu_lower, mu_cap].
 
     One lane of :func:`optimize_lanes`: a coarse grid scan (step
-    ``DEFAULT_COARSE_STEP``) followed by golden-section refinement of the best
-    bracket, calling ``rate_fn`` with one float at a time.  ``vector_fn``,
-    when given, evaluates the whole coarse grid in one call.
+    ``DEFAULT_COARSE_STEP``), the lower-edge check and Brent's search on the
+    best bracket, calling ``rate_fn`` with one float at a time.
+    ``vector_fn``, when given, evaluates the whole coarse grid in one call.
+    ``singular_lower`` opens the range at ``mu_lower``, as in ``optimize_lanes``.
     """
     if vector_fn is None:
         vector_fn = lambda grid: np.array([rate_fn(m) for m in grid])  # noqa: E731
     grid_fn = lambda grid: _first_max(vector_fn(grid))  # noqa: E731
-    mu_opt, rate_opt = optimize_lanes(rate_fn, grid_fn, mu_lower, mu_cap, tol)
+    mu_opt, rate_opt = optimize_lanes(
+        rate_fn, grid_fn, mu_lower, mu_cap, tol, singular_lower=singular_lower
+    )
     return float(mu_opt), float(rate_opt)
 
 

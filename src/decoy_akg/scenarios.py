@@ -45,7 +45,7 @@ The achievable distance bisects the scan's last sign change, and a sweep
 answers its first ``_BISECTION_LANE_LEVELS`` levels itself.  After the
 coarse grid it predicts the bracket: the last row with a positive best grid
 rate has a positive optimum.  The midpoints that bisecting that bracket can
-reach join the golden section as extra lanes.  Each lane has the bits of a
+reach join the intensity search as extra lanes.  Each lane has the bits of a
 one-distance optimization, ``settled_rate`` has the optimum's sign, and the
 bisection reads only signs, so no byte moves.  A step at any other distance
 (a wrong prediction, a deeper level, a scan of several blocks) calls
@@ -68,6 +68,7 @@ from .divided_diff import _PrefixSeries, _number, h_series
 from .expansion import DEFAULT_MIN_SPACING, IntensityGrid, _beta_row
 from .keyrate import (
     DEFAULT_MU_CAP,
+    DEFAULT_MU_TOL,
     DIRECTIONS,
     _bisection_midpoints,
     _coarse_grid,
@@ -98,7 +99,7 @@ DARK_MODES = ("pd-zero", "pd-equals-p0", "explicit")
 
 # most trial signals in one rate evaluation of a sweep, which bounds its
 # temporaries: the coarse grid is evaluated for as many distances as fit,
-# and the golden section optimizes at most this many distances at once.
+# and the intensity search optimizes at most this many distances at once.
 # CPU ms of one default figures call by this size (2-CPU Linux host, Python
 # 3.11, numpy 2.4.6, median of 9): 2048 -> 90.2, 4096 -> 84.9, 8192 -> 81.5,
 # 16384 -> 82.1, one chunk per sweep -> 87.6
@@ -117,7 +118,7 @@ _BOX_POINTS = 20
 # sweeps, so a full budget stays near 0.5-0.7 GB
 _MAX_DISTANCES = 1_000_000
 # bisection levels whose midpoints a sweep optimizes as extra lanes of its
-# golden section: 2^n - 1 lanes that answer the first n steps of a correctly
+# intensity search: 2^n - 1 lanes that answer the first n steps of a correctly
 # predicted bracket.  A 1 km scan bisects in 7 levels.  Default figures
 # ops_per_s at depth 6 over depth 0 (2-CPU Linux host, 20 s runs): +13-18%, and
 # +22% at depth 7; but depth 7 leaves the default figures call no fallback
@@ -201,7 +202,12 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"signal_lower must lie in (0, {DEFAULT_MU_CAP}), the intensity search range"
             )
-        if self.name == "k3-ma" and sum(self.decoy_mus) > self.signal_lower:
+        # a floor one float below mu1 + mu2 is their decimal sum (0.3 < 0.1 + 0.2):
+        # rounding the decoys and their sum moves the float sum less than 1.4
+        # units in its last place off the decimal one, rounding the floor half a
+        # unit, so the two lie at most one float apart.  The search then starts
+        # just above mu1 + mu2 (the engine's ``lower``).
+        if self.name == "k3-ma" and math.nextafter(sum(self.decoy_mus), 0.0) > self.signal_lower:
             raise ConfigurationError("the ratio estimator needs mu1 + mu2 <= signal_lower")
 
     @property
@@ -267,8 +273,15 @@ class _ScenarioEngine:
         ]
         # Omega over the decoys and a trial signal; keeps the decoys' recurrence columns
         self.trial_omega = _PrefixSeries(self.decoys)
+        # the intensity search's lower end.  Ma's ratio estimator is undefined at
+        # mu1 + mu2, which a floor may lie below by the sum's rounding, so its
+        # search is open there (``keyrate.optimize_lanes``' singular_lower)
+        self.singular = self.kind == "ma"
+        self.lower = spec.signal_lower
+        if self.singular:
+            self.lower = max(self.lower, sum(self.decoys))
         # the coarse grid that the intensity search scans at every distance
-        self.grid = _coarse_grid(spec.signal_lower, DEFAULT_MU_CAP)
+        self.grid = _coarse_grid(self.lower, DEFAULT_MU_CAP)
         self.grid_terms = None
         if self.kind == "aggregate":
             self.grid_terms = (_beta_row(self.decoys + (self.grid,)), self.trial_omega(self.grid))
@@ -483,7 +496,10 @@ class _ScenarioEngine:
     def _optimum(self, state: dict):
         """(optimal signal, signed rate) at a distance state, via ``optimize_signal_intensity``."""
         return optimize_signal_intensity(
-            partial(self.rate, state), self.spec.signal_lower, vector_fn=partial(self._grid_rates, state)
+            partial(self.rate, state),
+            self.lower,
+            vector_fn=partial(self._grid_rates, state),
+            singular_lower=self.singular,
         )
 
     def optimized(self, length_km: float) -> SweepRow:
@@ -506,7 +522,7 @@ class _ScenarioEngine:
 
     def _brackets(self, state: dict):
         """``keyrate._grid_brackets`` of the lanes of ``state`` on their pruned coarse grid."""
-        return _grid_brackets(partial(self._pruned_grid_max, state), self.spec.signal_lower)
+        return _grid_brackets(partial(self._pruned_grid_max, state), self.lower)
 
     def sweep(self, lengths: list[float]):
         """The rows at every distance, optimized at once with one lane each, and lane-answered steps.
@@ -515,9 +531,9 @@ class _ScenarioEngine:
         for the midpoints of the first ``_BISECTION_LANE_LEVELS`` bisection
         levels of the predicted bracket (``_predicted_row``).  They join the
         scan's lanes after the coarse grid, with their own distance state and
-        grid, and all lanes share one golden section; every lane narrows its
-        own bracket, so each has the bits of a one-distance optimization.  A
-        scan longer than one block of ``_EVAL_ELEMENTS`` answers none.
+        grid, and all lanes share one intensity search; every lane searches
+        its own bracket, so each has the bits of a one-distance optimization.
+        A scan longer than one block of ``_EVAL_ELEMENTS`` answers none.
         """
         rows, answered = [], {}
         for start in range(0, len(lengths), _EVAL_ELEMENTS):
@@ -533,7 +549,9 @@ class _ScenarioEngine:
                 extra = self._distance_state(np.asarray(midpoints))
                 lanes = self._joined(state, extra)
                 brackets = [np.concatenate(pair) for pair in zip(brackets, self._brackets(extra))]
-            mu, rate = _refined(partial(self.rate, lanes), brackets)
+            mu, rate = _refined(
+                partial(self.rate, lanes), brackets, self.lower, DEFAULT_MU_TOL, self.singular
+            )
             size = len(block)
             rows += self._rows(block, state, mu[:size], rate[:size])
             answered.update(zip(midpoints, rate[size:].tolist()))

@@ -18,6 +18,7 @@ from decoy_akg.scenarios import (
     ConfigurationError,
     ScenarioSpec,
     SweepResult,
+    _MAX_DISTANCES,
 )
 from decoy_akg.cli import CSV_HEADER, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, load_params_file, main
 
@@ -100,8 +101,9 @@ def test_module_entry_point_exit_codes(tmp_path, argv, code):
 
 
 def test_scan_too_large_to_allocate_is_config_error(tmp_path):
-    # 2.5e8 distances need 2 GB; under a 1.5 GB address-space limit the scan
-    # fails to allocate, which must be a configuration error, not a traceback
+    # 2.5e8 distances would need 2 GB.  The distance count refuses them before
+    # anything is allocated, so the 1.5 GB address-space limit is never
+    # reached: a configuration error, not a traceback
     pytest.importorskip("resource")  # POSIX only
     code = (
         "import resource, sys; sys.path.insert(0, sys.argv[1]); "
@@ -119,6 +121,34 @@ def test_scan_too_large_to_allocate_is_config_error(tmp_path):
     assert done.returncode == EXIT_CONFIG, done.stderr
     assert done.stderr.startswith("configuration error: distance scan is too long")
     assert "Traceback" not in done.stderr
+
+
+def test_sweep_out_of_memory_is_config_error(tmp_path):
+    # 500,001 distances pass the distance count, and their scan fits in 32 MB
+    # above the imported process; under that address-space cap the sweep runs
+    # out of memory (in its first block's coarse grid, seen with numpy 2.4),
+    # which cli.main reports as exit 2 and not as a traceback
+    pytest.importorskip("resource")  # POSIX only
+    if not Path("/proc/self/statm").exists():
+        pytest.skip("needs /proc/self/statm to read the process's size")
+    assert 500_001 < _MAX_DISTANCES
+    code = (
+        "import resource, sys; sys.path.insert(0, sys.argv[1]); "
+        "from decoy_akg import cli; "
+        "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize(); "
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+        "resource.setrlimit(resource.RLIMIT_AS, (size + 32 * 2**20, hard)); "
+        "sys.exit(cli.main(['run', '--scenario', 'k2', '--l-step', '5e-4', '--out', sys.argv[2]]))"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert done.stderr == "configuration error: out of memory; shorten the distance scan\n"
 
 
 def test_run_multiple_scenarios_combined(tmp_path):

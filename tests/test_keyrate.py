@@ -21,7 +21,7 @@ from decoy_akg import (
     single_photon_credit,
     universal_upper,
 )
-from decoy_akg.keyrate import _golden_section_max
+from decoy_akg.keyrate import _brent_max
 from decoy_akg.reference import optimal_mu_derivative_check
 
 
@@ -289,56 +289,151 @@ def _plateau(x, peak, cap):
     return np.minimum(rate, cap) if isinstance(rate, np.ndarray) else min(rate, cap)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.floats(0.0, 2.0),
-    st.floats(0.0, 2.0),
-    st.sampled_from([1e-6, 1e-4, 0.05]) | st.floats(1e-9, 1.0),
-    st.floats(-1.0, 3.0),
-    st.sampled_from([math.inf, -0.0625]) | st.floats(-1.0, -1e-6),
-)
-def test_golden_section_in_floats_is_its_one_lane_array(lo, width, tol, peak, cap):
-    # two float bracket ends run the search in floats with the bits of a
-    # one-element lane; the cap draws flat tops and, below the bracket's
-    # rates, functions that are flat everywhere
-    hi = lo + width
-    fn = lambda x: _plateau(x, peak, cap)  # noqa: E731
-    mu, rate = _golden_section_max(fn, lo, hi, tol)
-    lane_mu, lane_rate = _golden_section_max(fn, np.array([lo]), np.array([hi]), tol)
-    assert type(mu) is float and type(rate) is float
-    assert (mu.hex(), rate.hex()) == (float(lane_mu[0]).hex(), float(lane_rate[0]).hex())
-
-
 _CAPS = st.sampled_from([math.inf, -0.0625]) | st.floats(-1.0, -1e-6)
 _TOLS = st.sampled_from([1e-6, 1e-4, 0.05]) | st.floats(1e-9, 1.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.0, 2.0),
+    st.sampled_from([0.0, 1e-6]) | st.floats(0.0, 2.0),
+    _TOLS,
+    st.floats(-1.0, 3.0),
+    _CAPS,
+    st.booleans(),
+    st.booleans(),
+)
+@example(0.3, 0.01, 1e-6, 0.0, math.inf, True, False)  # stops at the edge
+@example(0.3, 0.01, 1e-6, 0.3 + 4e-7, math.inf, True, False)  # peaks within tol of it
+@example(0.3, 0.01, 1e-6, 0.5, -0.0625, True, True)  # a flat rate: the edge wins a tie
+def test_brent_in_floats_is_its_one_lane_array(lo, width, tol, peak, cap, at_edge, singular):
+    # two float bracket ends run the search in floats with the bits of a
+    # one-element lane; the cap draws flat tops and, below the bracket's
+    # rates, functions that are flat everywhere
+    hi, edge = lo + width, lo if at_edge else lo - 0.5
+    fn = lambda x: _plateau(x, peak, cap)  # noqa: E731
+    mu, rate = _brent_max(fn, lo, hi, tol, edge, singular)
+    lane_mu, lane_rate = _brent_max(fn, np.array([lo]), np.array([hi]), tol, edge, singular)
+    assert type(mu) is float and type(rate) is float
+    assert (mu.hex(), rate.hex()) == (float(lane_mu[0]).hex(), float(lane_rate[0]).hex())
+
+
 @st.composite
-def golden_lanes(draw):
-    """A tolerance and up to six lanes (lo, hi, peak, cap), some already narrower than it."""
+def brent_lanes(draw):
+    """A tolerance, an edge, whether it is singular, and up to six lanes (lo, hi, peak, cap).
+
+    Some lanes start at the edge and some are already narrower than the tolerance.
+    """
     tol = draw(_TOLS)
     lanes = []
     for _ in range(draw(st.integers(1, 6))):
         lo = draw(st.floats(0.0, 2.0))
         width = draw(st.sampled_from([0.0, 0.5 * tol, tol]) | st.floats(0.0, 2.0))
         lanes.append((lo, lo + width, draw(st.floats(-1.0, 3.0)), draw(_CAPS)))
-    return tol, lanes
+    lows = [lo for lo, *_ in lanes]
+    edge = draw(st.sampled_from(lows) | st.just(min(lows) - 0.5))
+    for i in draw(st.sets(st.integers(0, len(lanes) - 1))):  # more lanes at the edge
+        lanes[i] = (edge, *lanes[i][1:])
+    return tol, edge, draw(st.booleans()), [(lo, max(lo, hi), *f) for lo, hi, *f in lanes]
 
 
 @settings(max_examples=200, deadline=None)
-@given(golden_lanes())
-@example((1e-6, [(0.3, 0.3, 0.5, math.inf), (0.2, 1.7, 0.9, math.inf), (0.4, 0.41, 0.0, -0.0625)]))
-@example((1e-4, [(0.1, 1.1, 0.6, math.inf), (0.5, 0.9, 0.7, -0.5)]))
-def test_golden_section_lanes_are_one_lane_runs(case):
-    # lanes that start done, and lanes that finish at different steps, leave
-    # every other lane's search as it would run alone: the all-active steps
-    # and the steps with done lanes both keep each lane's bits
-    tol, lanes = case
+@given(brent_lanes())
+@example(
+    (1e-6, 0.3, False, [(0.3, 0.3, 0.5, math.inf), (0.2, 1.7, 0.9, math.inf), (0.4, 0.41, 0.0, -1.0)])
+)
+@example(
+    (1e-4, 0.1, False, [(0.1, 1.1, 0.6, math.inf), (0.5, 0.9, 0.7, -0.5), (0.1, 0.2, 0.0, math.inf)])
+)
+@example(
+    (1e-6, 0.3, True, [(0.3, 0.31, 0.3, math.inf), (0.3, 0.31, 0.4, math.inf), (0.5, 0.6, 0.9, -1.0)])
+)
+def test_brent_lanes_are_one_lane_runs(case):
+    # lanes stopped at the edge, lanes that start done, and lanes that finish
+    # at different passes leave every other lane's search as it would run
+    # alone: the masked steps keep each lane's bits
+    tol, edge, singular, lanes = case
     lo, hi, peak, cap = (np.array(column) for column in zip(*lanes))
-    mu, rate = _golden_section_max(lambda x: _plateau(x, peak, cap), lo, hi, tol)
+    # every lane evaluates inside its bracket or at the edge points, done or not
+    low, high = np.minimum(lo, edge), np.maximum(hi, edge + tol)
+
+    def rate_fn(x):
+        assert ((low <= x) & (x <= high)).all()
+        return _plateau(x, peak, cap)
+
+    mu, rate = _brent_max(rate_fn, lo, hi, tol, edge, singular)
     for i, (lo_i, hi_i, peak_i, cap_i) in enumerate(lanes):
-        one = _golden_section_max(lambda x: _plateau(x, peak_i, cap_i), lo_i, hi_i, tol)
+        one = _brent_max(lambda x: _plateau(x, peak_i, cap_i), lo_i, hi_i, tol, edge, singular)
         assert (mu[i].hex(), rate[i].hex()) == (one[0].hex(), one[1].hex()), i
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 2.0), st.floats(0.0, 2.0), _TOLS, st.floats(-1.0, 3.0), _CAPS)
+@example(0.31, 0.02, 1e-6, 0.3, -0.0625)
+def test_brent_takes_fminbound_steps(lo, width, tol, peak, cap):
+    # off the edge, the search evaluates the points that SciPy's bounded
+    # Brent evaluates minimizing -rate, in the same order, to the bit
+    optimize = pytest.importorskip("scipy.optimize")
+    hi = lo + width
+    ours, scipys = [], []
+
+    def rate(x):
+        ours.append(float(x).hex())
+        return _plateau(x, peak, cap)
+
+    def loss(x):
+        scipys.append(float(x).hex())
+        return -_plateau(float(x), peak, cap)
+
+    mu, best = _brent_max(rate, lo, hi, tol, lo - 1.0)
+    options = {"xatol": tol}
+    result = optimize.minimize_scalar(loss, bounds=(lo, hi), method="bounded", options=options)
+    assert ours == scipys
+    assert (mu, best) == (float(result.x), -float(result.fun))
+
+
+def test_brent_flat_and_linear_rates_divide_by_no_zero():
+    # a flat or straight rate puts three points on a line: the parabola's q is
+    # zero, which rejects the fit before anything divides by it.  Lanes form
+    # every lane's fit, so they divide only where one is accepted
+    lo, hi = np.array([0.3, 0.3, 0.3, 0.5]), np.array([1.3, 1.3, 1.3, 0.6])
+    slope = np.array([0.0, 1.0, -1.0, 0.5])
+    with np.errstate(all="raise"):
+        mu, rate = _brent_max(lambda x: slope * x, lo, hi, 1e-6, 0.2)
+    for i in range(4):
+        one = _brent_max(lambda x: float(slope[i]) * x, float(lo[i]), float(hi[i]), 1e-6, 0.2)
+        assert (mu[i], rate[i]) == one
+    assert hi[1] - 1e-6 < mu[1] < hi[1] and lo[2] < mu[2] < lo[2] + 1e-6
+
+
+def test_brent_stops_at_a_lower_edge_that_is_not_lower():
+    # a lane whose bracket starts at the edge is done in its first call when
+    # the edge is not below the point one tolerance inside; a lane that rises
+    # from the edge runs its search, and the lanes of a singular edge keep the
+    # first float above it where that is better than their search
+    calls = []
+
+    def falling(x):
+        calls.append(np.shape(x))
+        return -x
+
+    assert _brent_max(falling, np.array([0.3]), np.array([0.32]), 1e-6, 0.3) == (0.3, -0.3)
+    assert calls == [(3, 1)]
+    calls.clear()
+    assert _brent_max(falling, 0.3, 0.32, 1e-6, 0.3) == (0.3, -0.3)
+    assert calls == [(), ()]
+    mu, _ = _brent_max(lambda x: -((x - 0.31) ** 2), 0.3, 0.32, 1e-6, 0.3)
+    assert abs(mu - 0.31) < 1e-6
+    # a spike at the singular edge beside an inner peak at 0.317, higher or lower
+
+    def two_modes(spike):
+        return lambda x: np.maximum(spike - 1e6 * (x - 0.3), -((x - 0.317) ** 2))
+
+    lo, hi = np.array([0.3, 0.31]), np.array([0.32, 0.33])
+    mu, _ = _brent_max(two_modes(1.0), lo, hi, 1e-6, 0.3, singular=True)
+    assert mu.tolist() == [math.nextafter(0.3, 1.0)] * 2
+    mu, _ = _brent_max(two_modes(-1.0), lo, hi, 1e-6, 0.3, singular=True)
+    assert all(abs(m - 0.317) < 1e-6 for m in mu.tolist())
 
 
 def _scan(envelope, lengths):

@@ -100,6 +100,23 @@ def test_spec_validation():
     assert ScenarioSpec("k4", dark_mode="pd-equals-p0").dark_rate_effective == pytest.approx(4e-7)
 
 
+def test_k3_ma_floor_at_the_decimal_sum_is_accepted():
+    # 0.3 lies one float below 0.1 + 0.2 = 0.30000000000000004, by rounding
+    # alone: the spec takes it and searches from just above mu1 + mu2, as the
+    # default floor does, so the rows are the default's.  A floor clearly
+    # below the sum is refused
+    spec = ScenarioSpec("k3-ma", signal_lower=0.3)
+    assert spec.signal_lower == 0.3
+    assert _ScenarioEngine(spec).lower == 0.1 + 0.2 == ScenarioSpec("k3-ma").signal_lower
+    l_range = (60.0, 240.0, 30.0)
+    assert run_scenario(spec, l_range).rows == run_scenario(ScenarioSpec("k3-ma"), l_range).rows
+    with pytest.raises(ConfigurationError, match="minimum spacing"):
+        ScenarioSpec("k3-ma", signal_lower=0.29)
+    for floor in (0.3 - 5e-13, math.nextafter(0.3, 0.0)):
+        with pytest.raises(ConfigurationError, match="ratio estimator"):
+            ScenarioSpec("k3-ma", signal_lower=floor)
+
+
 def test_intensity_with_a_subnormal_square_is_refused():
     # the beta rows divide by mu^2, which below 1.49e-154 is subnormal: 1e-160
     # silently gave a q1_min above the true q1 and 1e-300 divided by zero
@@ -134,7 +151,7 @@ def test_spec_decoys_are_read_as_a_float_tuple():
 
 def test_preset_decoys_and_bounds_kinds():
     # a preset name alone is a runnable spec: its decoys, and a signal floor one
-    # spacing above them; k3's 0.1 + 0.2 rounds above 0.3, as the k3-ma check needs
+    # spacing above them; k3's 0.2 + 0.1 rounds above 0.3, to k3-ma's mu1 + mu2
     k3 = ((0.1, 0.2), "0.30000000000000004")
     for name, (decoys, signal_lower) in {
         "k2": ((0.1,), "0.2"),
@@ -524,12 +541,16 @@ def test_lane_rows_equal_one_distance_rows(case):
         assert repr(row) == repr(one)
 
 
-# The golden section ends on a bracket narrower than DEFAULT_MU_TOL, so at an
-# interior maximum its rate falls short by at most |R''| tol^2 / 8.  The terms
-# of the rate are of the order of the signal's counting rate p(mu) and so is
-# mu^2 R'': that loss is ~1e-12 p, and rounding in the rate is ~1e-16 p.
-# 1e-9 p covers both with room to spare and stays over 100 times below the
-# lower-edge shortfall of test_lower_edge_optimum_is_reached.
+# Brent's search ends with its best point within 2 tol1 of an interior
+# maximum, tol1 = sqrt(2.2e-16) mu + tol / 3 < 4e-7 here, so its rate falls
+# short by at most |R''| (2 tol1)^2 / 2.  A lane that stops at its lower edge
+# has a rate there not below the rate one tolerance inside, so a unimodal
+# maximum lies within tol of the edge, short by at most |R''| tol^2 / 2.  The
+# terms of the rate are of the order of the signal's counting rate p(mu) and
+# so is mu^2 R'': either loss is ~1e-12 p, and rounding in the rate is
+# ~1e-16 p.  1e-9 p covers both with room to spare and stays over 100 times
+# below the shortfall of 1.7e-7 to 6.6e-5 of a search that stops a tolerance
+# inside its lower edge (test_lower_edge_optimum_is_reached).
 _SCAN_RTOL = 1e-9
 _PRESETS = tuple(name for name in SCENARIO_NAMES if name != "custom")
 _NOISY_FIBER = replace(STANDARD_FIBER, s=0.135, p0=9.8e-4)
@@ -546,48 +567,41 @@ def _beats_dense_scan(engine, row, lo, hi, points=20001) -> bool:
 @settings(max_examples=25, deadline=None)
 @given(lane_cases(names=tuple(name for name in SCENARIO_NAMES if name != "k3-ma")))
 def test_optimum_beats_dense_scan(case):
-    # the golden section assumes a unimodal rate; a dense scan of the search
-    # range finds nothing better.  The scan leaves out one tolerance at either
-    # end of (signal_lower, mu_cap], where the search stops up to a tolerance
-    # inside the edge (test_lower_edge_optimum_is_reached).  k3-ma is not
-    # drawn: its rate can have two modes (test_k3_ma_optimum_is_global).
+    # the search assumes a unimodal rate; a dense scan of the search range
+    # finds nothing better.  The range is closed at signal_lower, which the
+    # search evaluates, so the scan starts just above it; at mu_cap the search
+    # stops up to a tolerance inside.  k3-ma is not drawn: its rate can have
+    # two modes (test_k3_ma_optimum_is_global).
     spec, l_range = case
     engine = _ScenarioEngine(spec)
-    lo, hi = spec.signal_lower + DEFAULT_MU_TOL, DEFAULT_MU_CAP - DEFAULT_MU_TOL
+    lo, hi = spec.signal_lower + 1e-9, DEFAULT_MU_CAP - DEFAULT_MU_TOL
     for row in run_scenario(spec, l_range).rows:
         assert _beats_dense_scan(engine, row, lo, hi), row
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="k3-ma's rate peaks at its singular lower edge and again inside the first "
-    "coarse bracket, and the golden section keeps the lower inner peak",
-)
 def test_k3_ma_optimum_is_global():
     # on this noisy channel the ratio estimator's q1 runs to -inf at the lower
     # edge mu1 + mu2, so the rate falls from the edge, dips where q1 is too
-    # small to pay for the error bound, and peaks again near mu = 0.317; at
-    # 70-79 km forward the row is 0.2-2% below the edge's rate (1.3% here)
+    # small to pay for the error bound, and peaks again near mu = 0.317.  At
+    # 70-79 km forward the inner peak is 0.2-2% below the edge's rate (1.3%
+    # here), and the best grid point is the second, so the lane's bracket
+    # holds the inner peak only: the search keeps the edge's rate too
     spec = ScenarioSpec("k3-ma", channel=_NOISY_FIBER)
     row = run_scenario(spec, (75.0, 75.0, 1.0)).rows[0]
     lo, hi = spec.signal_lower + DEFAULT_MU_TOL, DEFAULT_MU_CAP - DEFAULT_MU_TOL
     assert _beats_dense_scan(_ScenarioEngine(spec), row, lo, hi)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the search never evaluates within tol/4 of signal_lower and returns the "
-    "midpoint of its last bracket, so an optimum on the lower edge is missed",
-)
 @pytest.mark.parametrize("name", _PRESETS)
 def test_lower_edge_optimum_is_reached(name):
     # at 115.7 km on this noisy channel every preset's rate falls from
     # signal_lower, which for k3-ma is the ratio estimator's singular point
-    # mu1 + mu2; the row lands 6.6e-7 inside and is short by ~2e-6 relative
+    # mu1 + mu2.  A search that stops 6.6e-7 inside is short by ~2e-6
+    # relative, so the row sits on the edge (for k3-ma the first float above)
     spec = ScenarioSpec(name, channel=_NOISY_FIBER)
     row = run_scenario(spec, (115.7, 115.7, 1.0)).rows[0]
+    edge = math.nextafter(spec.signal_lower, 1.0) if name == "k3-ma" else spec.signal_lower
+    assert row.optimal_mu == edge
     lo = spec.signal_lower + 1e-9
     assert _beats_dense_scan(_ScenarioEngine(spec), row, lo, lo + 1e-4)
 
