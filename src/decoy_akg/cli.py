@@ -97,13 +97,19 @@ def _describe(spec: ScenarioSpec) -> str:
     )
 
 
-def _rows_lines(result: SweepResult, sep: str) -> list[str]:
-    # one format per row: "%.12g" % x is _fmt(x) and "%d" % j is str(j)
-    template = sep.join(("%s", *["%.12g"] * 6, "%d", "%d"))
-    lines = []
-    for row in result.rows:
-        values = (row.L_km, row.optimal_mu, row.rate, row.rate_signed, row.q1_min, row.b1_max)
-        lines.append(template % (result.spec.name, *values, row.q1_source_j, row.b1_source_j))
+def _rows_lines(result: SweepResult, sep: str, distances: Optional[list[str]] = None) -> list[str]:
+    """The rows of ``result`` as output lines; ``distances`` are their distances' text, if known."""
+    # "%.12g" % x is _fmt(x) and "%d" % j is str(j).  A positive signed rate
+    # is its clamped rate, the same float, so one text serves both
+    if distances is None:
+        distances = ["%.12g" % row.L_km for row in result.rows]
+    template = sep.join(("%s", "%s", "%.12g", "%s", "%s", "%.12g", "%.12g", "%d", "%d"))
+    name, lines = result.spec.name, []
+    for row, distance in zip(result.rows, distances, strict=True):
+        _, mu, rate, signed, q1, b1, q_j, b_j = row
+        text = "%.12g" % signed
+        rate_text = text if signed > 0.0 else "%.12g" % rate
+        lines.append(template % (name, distance, mu, rate_text, text, q1, b1, q_j, b_j))
     return lines
 
 
@@ -154,12 +160,22 @@ def _emit_distance_table(results: Iterable[SweepResult], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _emit_intensity_profile(results: Iterable[SweepResult], path: Path) -> None:
+def _emit_intensity_profile(
+    results: Iterable[SweepResult], path: Path, csv_lines: Optional[Sequence[list[str]]] = None
+) -> None:
+    """Write each row's scenario, distance and optimal signal.
+
+    ``csv_lines``, if given, holds each result's CSV rows lines, whose first
+    three fields are these.
+    """
     lines = ["scenario,L_km,optimal_mu"]
-    for result in results:
-        # "%.12g" % x is _fmt(x), as in _rows_lines
-        name = result.spec.name
-        lines += ["%s,%.12g,%.12g" % (name, row.L_km, row.optimal_mu) for row in result.rows]
+    if csv_lines is not None:
+        lines += [",".join(line.split(",", 3)[:3]) for rows in csv_lines for line in rows]
+    else:
+        for result in results:
+            # "%.12g" % x is _fmt(x), as in _rows_lines
+            name = result.spec.name
+            lines += ["%s,%.12g,%.12g" % (name, row.L_km, row.optimal_mu) for row in result.rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -261,15 +277,19 @@ def _cmd_figures(args) -> int:
     sep = _FORMATS[args.format][0]
     # sweep key -> (result, its formatted rows): a spec whose engine reads what
     # an earlier one read (the forward pD = p0 set) reuses both under its own
-    # spec; the rows read only the spec's name, which the key holds
+    # spec; the rows read only the spec's name, which the key holds.  Every
+    # sweep scans the same distances, formatted once
     sweeps: dict[tuple, tuple[SweepResult, list[str]]] = {}
+    distances = None
     for direction, dark_mode, specs in figure_sets:
         results, lines = [], []
         for spec in specs:
             key = _sweep_key(spec)
             if key not in sweeps:
                 result = run_scenario(spec, l_range)
-                sweeps[key] = (result, _rows_lines(result, sep))
+                if distances is None:
+                    distances = ["%.12g" % row.L_km for row in result.rows]
+                sweeps[key] = (result, _rows_lines(result, sep, distances))
             result, rows = sweeps[key]
             results.append(replace(result, spec=spec))
             lines.append(rows)
@@ -277,7 +297,8 @@ def _cmd_figures(args) -> int:
         emit(results, args.format, out / f"rates_{tag}", lines)
         _emit_distance_table(results, out / f"distances_{tag}.csv")
         if direction == "reverse":
-            _emit_intensity_profile(results, out / f"optimal_intensity_{tag}.csv")
+            csv_lines = lines if args.format == "csv" else None
+            _emit_intensity_profile(results, out / f"optimal_intensity_{tag}.csv", csv_lines)
         for result in results:
             _print_reach(f"[{tag}] {result.spec.name}", result)
     return EXIT_OK

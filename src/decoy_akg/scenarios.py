@@ -43,12 +43,14 @@ win; elsewhere the exact bound loses as well, and every byte stands.
 
 The achievable distance bisects the scan's last sign change, and a sweep
 answers its first ``_BISECTION_LANE_LEVELS`` levels itself.  After the
-coarse grid it predicts the bracket: the last row with a positive best grid
-rate has a positive optimum.  The midpoints that bisecting that bracket can
-reach join the intensity search as extra lanes.  Each lane has the bits of a
-one-distance optimization, ``settled_rate`` has the optimum's sign, and the
-bisection reads only signs, so no byte moves.  A step at any other distance
-(a wrong prediction, a deeper level, a scan of several blocks) calls
+grid's band (its signals up to ``_FIRST_BAND_MU``) it predicts the bracket:
+the last row with a positive best band rate has a positive optimum.  The
+midpoints that bisecting that bracket can reach join the scan as extra
+lanes, with their own band; one pass of pruned boxes and one intensity
+search then serve all lanes.  Each lane has the bits of a one-distance
+optimization, ``settled_rate`` has the optimum's sign, and the bisection
+reads only signs, so no byte moves.  A step at any other distance (a wrong
+prediction, a deeper level, a scan of several blocks) calls
 ``settled_rate`` as before.
 """
 
@@ -108,7 +110,8 @@ _EVAL_ELEMENTS = 8192
 # many points where the envelope reaches a lane's best.  CPU time of the 11
 # default figures grids over the full grid's (2-CPU host, min of 25, 2-5
 # runs): boxes of 20 -> 0.53-0.62, of 10 -> 0.58-0.64, of 5 -> 0.69-0.76; a
-# band up to 0.4, 0.5 or 0.7 instead of 0.6 reads within that spread
+# band up to 0.4, 0.5 or 0.7 instead of 0.6 reads within that spread.  The
+# band's maxima also predict the bisection's bracket (``_predicted_row``)
 _FIRST_BAND_MU = 0.6
 _BOX_POINTS = 20
 # most distances in one scan, and in all scans of one command (`run` sweeps
@@ -450,25 +453,32 @@ class _ScenarioEngine:
             reach = np.maximum(reach, alpha + self.p0 + self.p0 * saturation)
         return reach
 
-    def _pruned_grid_max(self, state: dict, grid: np.ndarray):
-        """Each lane's first maximum on the coarse grid, (index, rate), read off pruned boxes.
+    def _band_max(self, state: dict, grid: np.ndarray):
+        """Each lane's first maximum, (index, rate), on the grid's band: every lane runs it.
 
-        The columns up to ``_FIRST_BAND_MU`` (at least one) run on every lane;
-        each later box of ``_BOX_POINTS`` only on the lanes where its bound
-        reaches the best rate so far.  A box takes over a lane's maximum only
-        where its own is strictly greater, ``np.argmax``'s first-occurrence
-        rule, so the pair is ``keyrate._first_max`` of the full grid (a rate
-        is never NaN: the credit and the entropy reject one).
+        The band is the columns up to ``_FIRST_BAND_MU``, at least one.
         """
-        band = max(1, int(np.searchsorted(grid, _FIRST_BAND_MU, side="right")))
-        starts = np.arange(band, grid.size, _BOX_POINTS)
+        return _first_max(self._grid_rates(state, grid, slice(0, _band_size(grid))))
+
+    def _pruned_grid_max(self, state: dict, grid: np.ndarray, band_max):
+        """Each lane's first maximum on the coarse grid, (index, rate), from its band and boxes.
+
+        ``band_max`` is ``_band_max`` of the lanes; each box of ``_BOX_POINTS``
+        after the band runs only on the lanes where its bound reaches the best
+        rate so far.  A box takes over a lane's maximum only where its own is
+        strictly greater, ``np.argmax``'s first-occurrence rule, so the pair
+        is ``keyrate._first_max`` of the full grid (a rate is never NaN: the
+        credit and the entropy reject one).  The lanes are all of a sweep's,
+        scan and bisection alike, so each sweep bounds its boxes once.
+        """
+        starts = np.arange(_band_size(grid), grid.size, _BOX_POINTS)
         ends = np.minimum(starts + _BOX_POINTS, grid.size)
         highs = grid[ends - 1]
         q1 = self._q1_reach(state, highs)
         ceilings = _universal_box_bound(
             state["alpha"][:, None], q1, grid[starts], highs, self.params, self.spec.direction
         )
-        index, best = _first_max(self._grid_rates(state, grid, slice(0, band)))
+        index, best = band_max
         for start, end, ceiling in zip(starts, ends, ceilings.T):
             live = np.flatnonzero(~(ceiling < best))  # a NaN ceiling skips nothing
             if live.size:
@@ -484,14 +494,14 @@ class _ScenarioEngine:
     def _rows(self, lengths, state: dict, mu, rate) -> list[SweepRow]:
         """Rows at the optimal signals ``mu`` and rates, in the lanes' shape."""
         q1, b1, q_src, b_src = self._bounds(state, mu)
-        columns = (
-            np.broadcast_to(v, np.shape(mu)).ravel().tolist()
+        shape = np.shape(mu)
+        signals, signed, *bounds = (
+            np.broadcast_to(v, shape).ravel().tolist()
             for v in (mu, rate, _clamp(q1, 1.0), _clamp(b1, 1.0), q_src, b_src)
         )
-        return [
-            SweepRow(length, m, max(r, 0.0), r, q, b, q_j, b_j)
-            for length, m, r, q, b, q_j, b_j in zip(lengths, *columns, strict=True)
-        ]
+        clamped = [max(r, 0.0) for r in signed]
+        columns = zip(lengths, signals, clamped, signed, *bounds, strict=True)
+        return list(map(SweepRow._make, columns))
 
     def _optimum(self, state: dict):
         """(optimal signal, signed rate) at a distance state, via ``optimize_signal_intensity``."""
@@ -520,18 +530,15 @@ class _ScenarioEngine:
         rate = self.rate(state, mu)
         return rate if rate > 0.0 else self._optimum(state)[1]
 
-    def _brackets(self, state: dict):
-        """``keyrate._grid_brackets`` of the lanes of ``state`` on their pruned coarse grid."""
-        return _grid_brackets(partial(self._pruned_grid_max, state), self.lower)
-
     def sweep(self, lengths: list[float]):
         """The rows at every distance, optimized at once with one lane each, and lane-answered steps.
 
         Returns the rows and a dict from distance to optimized signed rate
         for the midpoints of the first ``_BISECTION_LANE_LEVELS`` bisection
-        levels of the predicted bracket (``_predicted_row``).  They join the
-        scan's lanes after the coarse grid, with their own distance state and
-        grid, and all lanes share one intensity search; every lane searches
+        levels of the predicted bracket (``_predicted_row``, read off the
+        scan's band).  They join the scan's lanes with their own distance
+        state and band, and all lanes share one pass of pruned boxes and one
+        intensity search; every lane keeps its own grid maximum and searches
         its own bracket, so each has the bits of a one-distance optimization.
         A scan longer than one block of ``_EVAL_ELEMENTS`` answers none.
         """
@@ -539,16 +546,19 @@ class _ScenarioEngine:
         for start in range(0, len(lengths), _EVAL_ELEMENTS):
             block = lengths[start : start + _EVAL_ELEMENTS]
             state = self._distance_state(np.asarray(block))
-            brackets = self._brackets(state)
-            row = _predicted_row(brackets[1]) if len(block) == len(lengths) else None
+            lanes, band_max = state, self._band_max(state, self.grid)
+            row = _predicted_row(band_max[1]) if len(block) == len(lengths) else None
             midpoints = []
             if row is not None:
                 midpoints = _bisection_midpoints(*block[row : row + 2], _BISECTION_LANE_LEVELS)
-            lanes = state
             if midpoints:
                 extra = self._distance_state(np.asarray(midpoints))
                 lanes = self._joined(state, extra)
-                brackets = [np.concatenate(pair) for pair in zip(brackets, self._brackets(extra))]
+                band_max = [
+                    np.concatenate(pair) for pair in zip(band_max, self._band_max(extra, self.grid))
+                ]
+            grid_max = partial(self._pruned_grid_max, lanes, band_max=band_max)
+            brackets = _grid_brackets(grid_max, self.lower)
             mu, rate = _refined(
                 partial(self.rate, lanes), brackets, self.lower, DEFAULT_MU_TOL, self.singular
             )
@@ -558,18 +568,24 @@ class _ScenarioEngine:
         return rows, answered
 
 
-def _predicted_row(grid_rates: np.ndarray) -> Optional[int]:
+def _predicted_row(band_rates: np.ndarray) -> Optional[int]:
     """The scan row predicted to open the bisection's bracket, or None if no row follows it.
 
-    The last row with a positive best grid rate has a positive optimum, since
-    the search returns at least that rate; the prediction is that no later
-    row's optimum is positive.  If one is, the bisection runs on another
-    bracket and its steps fall back to ``settled_rate``.
+    ``band_rates`` are the rows' best rates on the grid's band.  The last
+    row with a positive one has a positive optimum, since the search returns
+    at least its best grid rate; the prediction is that no later row's
+    optimum is positive.  If one is, the bisection runs on another bracket
+    and its steps fall back to ``settled_rate``: a miss costs only time.
     """
-    positive = np.flatnonzero(grid_rates > 0.0)
-    if positive.size and positive[-1] + 1 < grid_rates.size:
+    positive = np.flatnonzero(band_rates > 0.0)
+    if positive.size and positive[-1] + 1 < band_rates.size:
         return int(positive[-1])
     return None
+
+
+def _band_size(grid: np.ndarray) -> int:
+    """How many first grid signals every lane evaluates: up to ``_FIRST_BAND_MU``, at least one."""
+    return max(1, int(np.searchsorted(grid, _FIRST_BAND_MU, side="right")))
 
 
 def _sweep_key(spec: ScenarioSpec) -> tuple:

@@ -291,9 +291,9 @@ def test_figures_formats_each_sweep_once(tmp_path, monkeypatch):
     # and the files are those of emit formatting all 16 results itself
     calls, rows_lines, emit = [], cli._rows_lines, cli.emit
 
-    def spy(result, sep):
+    def spy(result, sep, distances=None):
         calls.append(result.spec)
-        return rows_lines(result, sep)
+        return rows_lines(result, sep, distances)
 
     def tree(root):
         return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -308,6 +308,14 @@ def test_figures_formats_each_sweep_once(tmp_path, monkeypatch):
     reused = tree(tmp_path / "reused")
     assert len(reused) == 23
     assert reused == tree(tmp_path / "again") == tree(tmp_path / "formatted")
+    # the distance tables and the intensity profile do not depend on the format:
+    # a CSV call cuts the profile from its row lines, a gnuplot-data call formats it
+    argv = ["figures", "--l-step", "50", "--format", "gnuplot-data", "--out", tmp_path / "gnuplot"]
+    assert _run(argv) == EXIT_OK
+    gnuplot = tree(tmp_path / "gnuplot")
+    tables = [path for path in reused if path.parent == Path(".")]
+    assert len(tables) == 4
+    assert all(gnuplot[path] == reused[path] for path in tables)
 
 
 def test_non_finite_loss_in_params_file_is_config_error(tmp_path):

@@ -21,7 +21,7 @@ from decoy_akg import (
     single_photon_credit,
     universal_upper,
 )
-from decoy_akg.keyrate import _brent_max
+from decoy_akg.keyrate import _brent_max, _first_max
 from decoy_akg.reference import optimal_mu_derivative_check
 
 
@@ -438,6 +438,31 @@ def test_brent_stops_at_a_lower_edge_that_is_not_lower():
 
 def _scan(envelope, lengths):
     return find_zero_distance(envelope, lengths, [envelope(L) for L in lengths])
+
+
+_TIED = [0.5, -0.0, 0.0, -np.inf, 0.5, 0.25]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array(_TIED),
+        np.array([-0.0, 0.0, -0.0]),  # a tie of the two zeros: the first, with its sign
+        np.array([-np.inf, -np.inf]),
+        np.array([_TIED, _TIED[::-1], [-0.0, 0.0, -np.inf, -np.inf, 0.0, -0.0]]),
+        np.array([[_TIED, _TIED[::-1]], [[0.0, -0.0] * 3, [-np.inf] * 6], [[-0.0] * 6] * 2]),
+        np.array(_TIED)[::-1],  # a strided view
+        np.asfortranarray([_TIED, _TIED[::-1]]),
+    ],
+)
+def test_first_max_is_argmax_with_its_elements_bits(values):
+    index, value = _first_max(values)
+    expected = np.argmax(values, axis=-1)
+    assert np.shape(index) == np.shape(value) == expected.shape
+    assert np.array_equal(index, expected)
+    for lane in np.ndindex(expected.shape):
+        element = values[lane][expected[lane]]
+        assert np.asarray(value)[lane].tobytes() == element.tobytes()
 
 
 def test_zero_distance_bisection():

@@ -19,7 +19,7 @@ from decoy_akg import (
     run_scenario,
     universal_upper,
 )
-from decoy_akg import scenarios
+from decoy_akg import cli, scenarios
 from decoy_akg.bounds import _best, _pick, ma_q1_lower, order_bounds
 from decoy_akg.channel import STANDARD_FIBER, ChannelParams, counting_rate
 from decoy_akg.divided_diff import h_series
@@ -30,6 +30,7 @@ from decoy_akg.keyrate import (
     DISTANCE_TOL_KM,
     _bisection_midpoints,
     _coarse_grid,
+    _first_max,
     _universal_box_bound,
     find_zero_distance,
 )
@@ -702,55 +703,128 @@ def test_box_bound_covers_every_grid_rate_in_its_box(case):
         assert np.all(runs <= ceilings), width
 
 
-def _pruned_grid(engine, state):
-    """``_pruned_grid_max`` of ``state``, and each (lane, signal) rate that it evaluated.
+def _pruned_grid(engine, lengths):
+    """The lanes of ``engine.sweep(lengths)``, their grid maxima and each (lane, signal) rate read.
 
-    A spy on ``_grid_rates`` records every evaluation; the rates read NaN
-    where none was made.
+    The lanes are the scan's distances, then the bisection midpoints that
+    the sweep answered, as the sweep joins them.  Spies number each lane,
+    record every ``_grid_rates`` evaluation and the one ``_pruned_grid_max``
+    pass; the rates read NaN where none was made.
     """
-    lanes = state["alpha"].size
-    state = {**state, "lane": np.arange(lanes)}  # sliced with the lanes, so each call names its own
-    seen = np.full((lanes, engine.grid.size), np.nan)
-    evaluations = []
-    grid_rates = engine._grid_rates
+    grid_rates, distance_state = engine._grid_rates, engine._distance_state
+    pruned_grid_max = engine._pruned_grid_max
+    numbered, evaluations, passes = [], [], []
 
-    def spy(lane_state, grid, columns=slice(None)):
-        values = grid_rates(lane_state, grid, columns)
-        evaluations.append(values.size)
-        seen[lane_state["lane"][:, None], np.arange(grid.size)[columns]] = values
+    def numbered_state(lengths):
+        # sliced and joined with the lanes, so each evaluation names its own
+        first = sum(map(len, numbered))
+        numbered.append(np.arange(first, first + len(lengths)))
+        return {**distance_state(lengths), "lane": numbered[-1]}
+
+    def rates_spy(state, grid, columns=slice(None)):
+        values = grid_rates(state, grid, columns)
+        evaluations.append((state["lane"][:, None], np.arange(grid.size)[columns], values))
         return values
 
-    with mock.patch.object(engine, "_grid_rates", spy):
-        first_max = engine._pruned_grid_max(state, engine.grid)
-    assert sum(evaluations) == np.count_nonzero(~np.isnan(seen))  # no element twice
-    return first_max, seen
+    def pass_spy(state, grid, band_max):
+        passes.append(pruned_grid_max(state, grid, band_max))
+        return passes[-1]
+
+    spies = {"_grid_rates": rates_spy, "_distance_state": numbered_state}
+    with mock.patch.multiple(engine, **spies, _pruned_grid_max=pass_spy):
+        _, answered = engine.sweep(list(lengths))
+    lanes = np.concatenate((lengths, list(answered)))
+    assert np.array_equal(np.concatenate(numbered), np.arange(lanes.size))
+    seen = np.full((lanes.size, engine.grid.size), np.nan)
+    for lane, columns, values in evaluations:
+        assert np.all(np.isnan(seen[lane, columns]))  # no element twice
+        seen[lane, columns] = values
+    (first_max,) = passes  # one pass of boxes over all lanes
+    return lanes, first_max, seen
 
 
 @settings(max_examples=25, deadline=None)
 @given(lane_cases())
 @_corner_examples
+@example((ScenarioSpec("k2"), (200.0, 240.0, 10.0)))  # scan and bisection lanes
+@example((ScenarioSpec("k3-ma", "reverse", "pd-equals-p0"), (215.0, 235.0, 5.0)))
 def test_pruned_grid_keeps_every_lane_optimum(case):
-    # a sweep reads its grid pruned: every point it evaluates has the full
-    # grid's bits, and every point it skips lies strictly below its lane's
-    # best, so the first maximum and its value are the full grid's
-    engine, _, state, full = _lane_grid(case)
-    (index, value), seen = _pruned_grid(engine, state)
+    # a sweep reads its grid pruned, its scan's and bisection's lanes in one
+    # pass: every point it evaluates has the full grid's bits, and every
+    # point it skips lies strictly below its lane's best, so the first
+    # maximum and its value are the full grid's
+    spec, (l_min, l_max, step) = case
+    engine = _ScenarioEngine(spec)
+    lengths = np.arange(l_min, l_max + 0.5 * step, step)
+    lanes, (index, value), seen = _pruned_grid(engine, lengths)
+    full = engine._grid_rates(engine._distance_state(lanes), engine.grid)
     evaluated = ~np.isnan(seen)
     best = np.max(full, axis=1)
     assert np.array_equal(seen[evaluated], full[evaluated])
     assert np.all(evaluated | (full < best[:, None]))
-    first = np.argmax(full, axis=1)
+    first, first_value = _first_max(full)
     assert np.array_equal(index, first)
-    assert np.array_equal(value, best)
-    assert value.tobytes() == full[np.arange(full.shape[0]), first].tobytes()
+    assert value.tobytes() == first_value.tobytes()
 
 
 @pytest.mark.parametrize("name", _PRESETS)
 def test_sweep_prunes_most_of_its_grid(name):
-    # over 0-250 km on the standard fiber the envelope skips over half of the grid
-    engine = _ScenarioEngine(ScenarioSpec(name))
-    _, seen = _pruned_grid(engine, engine._distance_state(np.arange(0.0, 251.0)))
+    # over 0-250 km on the standard fiber the envelope skips over half of the
+    # grid of the scan and the 63 bisection lanes
+    lanes, _, seen = _pruned_grid(_ScenarioEngine(ScenarioSpec(name)), np.arange(0.0, 251.0))
+    assert lanes.size == 251 + 63
     assert np.mean(np.isnan(seen)) > 0.5
+
+
+def _default_sweeps():
+    """The distinct sweeps of a default ``figures`` call: one spec per ``_sweep_key``."""
+    specs = {}
+    for direction, dark_mode, names in cli._FIGURE_SETS:
+        for name in names:
+            spec = ScenarioSpec(name, direction, dark_mode)
+            specs.setdefault(scenarios._sweep_key(spec), spec)
+    return list(specs.values())
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.347, 0.625])
+def test_band_predicts_the_full_grids_bracket(offset):
+    # the sweep predicts the bisection's bracket from the band alone; on the
+    # default sweeps, and scans off the whole kilometre, the full grid
+    # predicts the same row
+    specs = _default_sweeps()
+    assert len(specs) == 11
+    for spec in specs:
+        engine = _ScenarioEngine(spec)
+        state = engine._distance_state(np.arange(0.0, 251.0) + offset)
+        band = engine._band_max(state, engine.grid)[1]
+        full = np.max(engine._grid_rates(state, engine.grid), axis=1)
+        predicted = scenarios._predicted_row(band)
+        assert predicted is not None
+        assert predicted == scenarios._predicted_row(full)
+
+
+def test_missed_band_prediction_keeps_every_byte(monkeypatch):
+    # a band of one grid point predicts some brackets wrong; those sweeps'
+    # bisections then read settled_rate at every step, and every row and
+    # achievable distance stays as without lanes
+    settled_rate, calls, misses = _ScenarioEngine.settled_rate, [], []
+
+    def counted(self, length_km, mu_hint):
+        calls.append(length_km)
+        return settled_rate(self, length_km, mu_hint)
+
+    monkeypatch.setattr(_ScenarioEngine, "settled_rate", counted)
+    for direction, name in itertools.product(("forward", "reverse"), _PRESETS):
+        spec = ScenarioSpec(name, direction, "pd-equals-p0")
+        reference = _without_lanes(spec, (0.0, 250.0, 1.0))
+        first_signal = float(_ScenarioEngine(spec).grid[0])
+        calls.clear()
+        with mock.patch.object(scenarios, "_FIRST_BAND_MU", first_signal):
+            result = run_scenario(spec)
+        assert result.rows == reference.rows
+        assert repr(result.achievable_km) == repr(reference.achievable_km)
+        misses.append(len(calls) == 7)  # all seven steps of a 1 km bracket
+    assert any(misses)
 
 
 _AGGREGATES = tuple(name for name, (_, kind) in scenarios._SCENARIOS.items() if kind == "aggregate")
