@@ -730,8 +730,9 @@ def _pruned_grid(engine, lengths):
         passes.append(pruned_grid_max(state, grid, band_max))
         return passes[-1]
 
-    spies = {"_grid_rates": rates_spy, "_distance_state": numbered_state}
-    with mock.patch.multiple(engine, **spies, _pruned_grid_max=pass_spy):
+    with mock.patch.multiple(
+        engine, _grid_rates=rates_spy, _distance_state=numbered_state, _pruned_grid_max=pass_spy
+    ):
         _, answered = engine.sweep(list(lengths))
     lanes = np.concatenate((lengths, list(answered)))
     assert np.array_equal(np.concatenate(numbered), np.arange(lanes.size))
