@@ -97,16 +97,13 @@ def _describe(spec: ScenarioSpec) -> str:
     )
 
 
-def _rows_lines(result: SweepResult, sep: str, distances: Optional[list[str]] = None) -> list[str]:
-    """The rows of ``result`` as output lines; ``distances`` are their distances' text, if known."""
+def _rows_lines(result: SweepResult, sep: str) -> list[str]:
     # "%.12g" % x is _fmt(x) and "%d" % j is str(j).  A positive signed rate
     # is its clamped rate, the same float, so one text serves both
-    if distances is None:
-        distances = ["%.12g" % row.L_km for row in result.rows]
-    template = sep.join(("%s", "%s", "%.12g", "%s", "%s", "%.12g", "%.12g", "%d", "%d"))
+    template = sep.join(("%s", "%.12g", "%.12g", "%s", "%s", "%.12g", "%.12g", "%d", "%d"))
     name, lines = result.spec.name, []
-    for row, distance in zip(result.rows, distances, strict=True):
-        _, mu, rate, signed, q1, b1, q_j, b_j = row
+    for row in result.rows:
+        distance, mu, rate, signed, q1, b1, q_j, b_j = row
         text = "%.12g" % signed
         rate_text = text if signed > 0.0 else "%.12g" % rate
         lines.append(template % (name, distance, mu, rate_text, text, q1, b1, q_j, b_j))
@@ -160,23 +157,15 @@ def _emit_distance_table(results: Iterable[SweepResult], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _emit_intensity_profile(
-    results: Iterable[SweepResult], path: Path, csv_lines: Optional[Sequence[list[str]]] = None
-) -> None:
-    """Write each row's scenario, distance and optimal signal.
+def _emit_intensity_profile(lines: Iterable[list[str]], sep: str, path: Path) -> None:
+    """Write each row's scenario, distance and optimal signal, cut from its output line.
 
-    ``csv_lines``, if given, holds each result's CSV rows lines, whose first
-    three fields are these.
+    ``lines`` holds each result's rows as ``_rows_lines`` formats them with
+    ``sep``; no scenario name holds a separator.
     """
-    lines = ["scenario,L_km,optimal_mu"]
-    if csv_lines is not None:
-        lines += [",".join(line.split(",", 3)[:3]) for rows in csv_lines for line in rows]
-    else:
-        for result in results:
-            # "%.12g" % x is _fmt(x), as in _rows_lines
-            name = result.spec.name
-            lines += ["%s,%.12g,%.12g" % (name, row.L_km, row.optimal_mu) for row in result.rows]
-    path.write_text("\n".join(lines) + "\n")
+    profile = ["scenario,L_km,optimal_mu"]
+    profile += [",".join(line.split(sep, 3)[:3]) for rows in lines for line in rows]
+    path.write_text("\n".join(profile) + "\n")
 
 
 def _print_reach(label: str, result: SweepResult) -> None:
@@ -277,19 +266,15 @@ def _cmd_figures(args) -> int:
     sep = _FORMATS[args.format][0]
     # sweep key -> (result, its formatted rows): a spec whose engine reads what
     # an earlier one read (the forward pD = p0 set) reuses both under its own
-    # spec; the rows read only the spec's name, which the key holds.  Every
-    # sweep scans the same distances, formatted once
+    # spec; the rows read only the spec's name, which the key holds
     sweeps: dict[tuple, tuple[SweepResult, list[str]]] = {}
-    distances = None
     for direction, dark_mode, specs in figure_sets:
         results, lines = [], []
         for spec in specs:
             key = _sweep_key(spec)
             if key not in sweeps:
                 result = run_scenario(spec, l_range)
-                if distances is None:
-                    distances = ["%.12g" % row.L_km for row in result.rows]
-                sweeps[key] = (result, _rows_lines(result, sep, distances))
+                sweeps[key] = (result, _rows_lines(result, sep))
             result, rows = sweeps[key]
             results.append(replace(result, spec=spec))
             lines.append(rows)
@@ -297,8 +282,7 @@ def _cmd_figures(args) -> int:
         emit(results, args.format, out / f"rates_{tag}", lines)
         _emit_distance_table(results, out / f"distances_{tag}.csv")
         if direction == "reverse":
-            csv_lines = lines if args.format == "csv" else None
-            _emit_intensity_profile(results, out / f"optimal_intensity_{tag}.csv", csv_lines)
+            _emit_intensity_profile(lines, sep, out / f"optimal_intensity_{tag}.csv")
         for result in results:
             _print_reach(f"[{tag}] {result.spec.name}", result)
     return EXIT_OK

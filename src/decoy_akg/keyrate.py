@@ -240,7 +240,7 @@ def _brent_steps(fn: Callable, a, b, xf, fx, tol: float, active):
     # (xf, fx), (nfc, fnfc) and (fulc, ffulc); lanes stack each as (2, lanes)
     best = second = third = pair((xf, fx))
     e = rat = 0.0  # the steps before last and last
-    for evals in range(_MAX_EVALS - 1):
+    for _ in range(_MAX_EVALS - 1):
         (xf, fx), (nfc, fnfc), (fulc, ffulc) = best, second, third
         xm = 0.5 * (a + b)
         tol1 = _SQRT_EPS * abs(xf) + tol / 3.0
@@ -249,27 +249,23 @@ def _brent_steps(fn: Callable, a, b, xf, fx, tol: float, active):
         active = active & (abs(to_mid) > tol2 - 0.5 * (b - a))
         if not (active.any() if lanes else active):
             break
-        to_a, to_b = a - xf, b - xf
+        # the parabola through the three points: its step is p / q
+        to_nfc, to_fulc, to_a, to_b = xf - nfc, xf - fulc, a - xf, b - xf
+        r = to_nfc * (fx - ffulc)
+        q = to_fulc * (fx - fnfc)
+        p = to_fulc * q - to_nfc * r
+        q = 2.0 * (q - r)
+        p = _pick(q > 0.0, -p, p)
+        q = abs(q)
+        e_size = abs(e)
+        # a fit has q > 0, so only a fit divides by q
+        fits = (e_size > tol1) & (abs(p) < 0.5 * q * e_size) & (p > q * to_a) & (p < q * to_b)
+        step = (p + 0.0) / _pick(fits, q, 1.0)
+        x = xf + step
+        near = (x - a < tol2) | (b - x < tol2)  # then tol1 toward the midpoint
+        step = _pick(near, _pick(to_mid >= 0.0, tol1, -tol1), step)
         golden = _pick(to_mid <= 0.0, to_a, to_b)
-        if evals:  # on the first pass e = 0.0 and no parabola fits
-            # the parabola through the three points: its step is p / q
-            to_nfc, to_fulc = xf - nfc, xf - fulc
-            r = to_nfc * (fx - ffulc)
-            q = to_fulc * (fx - fnfc)
-            p = to_fulc * q - to_nfc * r
-            q = 2.0 * (q - r)
-            p = _pick(q > 0.0, -p, p)
-            q = abs(q)
-            e_size = abs(e)
-            # a fit has q > 0, so only a fit divides by q
-            fits = (e_size > tol1) & (abs(p) < 0.5 * q * e_size) & (p > q * to_a) & (p < q * to_b)
-            step = (p + 0.0) / _pick(fits, q, 1.0)
-            x = xf + step
-            near = (x - a < tol2) | (b - x < tol2)  # then tol1 toward the midpoint
-            step = _pick(near, _pick(to_mid >= 0.0, tol1, -tol1), step)
-            e, rat = _pick(fits, rat, golden), _pick(fits, step, _GOLDEN_MEAN * golden)
-        else:
-            e, rat = golden, _GOLDEN_MEAN * golden
+        e, rat = _pick(fits, rat, golden), _pick(fits, step, _GOLDEN_MEAN * golden)
         # abs(rat) and tol1 are never -0.0 or NaN, so their maximum is the pick of the larger
         size = np.maximum(abs(rat), tol1) if lanes else max(abs(rat), tol1)
         x = xf + _pick(rat >= 0.0, size, -size)

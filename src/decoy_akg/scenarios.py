@@ -453,12 +453,12 @@ class _ScenarioEngine:
             reach = np.maximum(reach, alpha + self.p0 + self.p0 * saturation)
         return reach
 
-    def _band_max(self, state: dict, grid: np.ndarray):
-        """Each lane's first maximum, (index, rate), on the grid's band: every lane runs it.
+    def _band_max(self, state: dict):
+        """Each lane's first maximum, (index, rate), on the engine grid's band: every lane runs it.
 
         The band is the columns up to ``_FIRST_BAND_MU``, at least one.
         """
-        return _first_max(self._grid_rates(state, grid, slice(0, _band_size(grid))))
+        return _first_max(self._grid_rates(state, self.grid, slice(0, _band_size(self.grid))))
 
     def _pruned_grid_max(self, state: dict, grid: np.ndarray, band_max):
         """Each lane's first maximum on the coarse grid, (index, rate), from its band and boxes.
@@ -470,7 +470,11 @@ class _ScenarioEngine:
         is ``keyrate._first_max`` of the full grid (a rate is never NaN: the
         credit and the entropy reject one).  The lanes are all of a sweep's,
         scan and bisection alike, so each sweep bounds its boxes once.
+        ``grid`` is the one ``keyrate._grid_brackets`` builds; it must be the
+        engine's, which the band read.
         """
+        if not np.array_equal(grid, self.grid):
+            raise ValueError("the boxes must read the grid that the band read")
         starts = np.arange(_band_size(grid), grid.size, _BOX_POINTS)
         ends = np.minimum(starts + _BOX_POINTS, grid.size)
         highs = grid[ends - 1]
@@ -546,7 +550,7 @@ class _ScenarioEngine:
         for start in range(0, len(lengths), _EVAL_ELEMENTS):
             block = lengths[start : start + _EVAL_ELEMENTS]
             state = self._distance_state(np.asarray(block))
-            lanes, band_max = state, self._band_max(state, self.grid)
+            lanes, band_max = state, self._band_max(state)
             row = _predicted_row(band_max[1]) if len(block) == len(lengths) else None
             midpoints = []
             if row is not None:
@@ -554,9 +558,7 @@ class _ScenarioEngine:
             if midpoints:
                 extra = self._distance_state(np.asarray(midpoints))
                 lanes = self._joined(state, extra)
-                band_max = [
-                    np.concatenate(pair) for pair in zip(band_max, self._band_max(extra, self.grid))
-                ]
+                band_max = [np.concatenate(pair) for pair in zip(band_max, self._band_max(extra))]
             grid_max = partial(self._pruned_grid_max, lanes, band_max=band_max)
             brackets = _grid_brackets(grid_max, self.lower)
             mu, rate = _refined(

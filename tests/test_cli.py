@@ -291,9 +291,9 @@ def test_figures_formats_each_sweep_once(tmp_path, monkeypatch):
     # and the files are those of emit formatting all 16 results itself
     calls, rows_lines, emit = [], cli._rows_lines, cli.emit
 
-    def spy(result, sep, distances=None):
+    def spy(result, sep):
         calls.append(result.spec)
-        return rows_lines(result, sep, distances)
+        return rows_lines(result, sep)
 
     def tree(root):
         return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -309,7 +309,7 @@ def test_figures_formats_each_sweep_once(tmp_path, monkeypatch):
     assert len(reused) == 23
     assert reused == tree(tmp_path / "again") == tree(tmp_path / "formatted")
     # the distance tables and the intensity profile do not depend on the format:
-    # a CSV call cuts the profile from its row lines, a gnuplot-data call formats it
+    # both cut the profile from their row lines, whose fields differ only in the separator
     argv = ["figures", "--l-step", "50", "--format", "gnuplot-data", "--out", tmp_path / "gnuplot"]
     assert _run(argv) == EXIT_OK
     gnuplot = tree(tmp_path / "gnuplot")

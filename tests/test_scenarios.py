@@ -797,11 +797,20 @@ def test_band_predicts_the_full_grids_bracket(offset):
     for spec in specs:
         engine = _ScenarioEngine(spec)
         state = engine._distance_state(np.arange(0.0, 251.0) + offset)
-        band = engine._band_max(state, engine.grid)[1]
+        band = engine._band_max(state)[1]
         full = np.max(engine._grid_rates(state, engine.grid), axis=1)
         predicted = scenarios._predicted_row(band)
         assert predicted is not None
         assert predicted == scenarios._predicted_row(full)
+
+
+def test_boxes_refuse_a_grid_the_band_did_not_read():
+    # the band reads the engine's grid, so the boxes after it must too
+    engine = _ScenarioEngine(ScenarioSpec("k2"))
+    state = engine._distance_state(np.arange(0.0, 251.0, 50.0))
+    band_max = engine._band_max(state)
+    with pytest.raises(ValueError, match="grid that the band read"):
+        engine._pruned_grid_max(state, engine.grid[1:], band_max)
 
 
 def test_missed_band_prediction_keeps_every_byte(monkeypatch):
