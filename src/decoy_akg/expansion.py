@@ -148,9 +148,7 @@ class ExpansionTable:
     grid's counting-rate system, which the LP oracle reads.  ``beta_rows[j-1]`` is
     the inversion row beta(j, 1..j) of order j and ``decays[i-1]`` the vacuum
     weight e^(-mu_i); neither depends on observed rates, so the bounds of
-    every stats block on the grid read them from here.  ``truncation_tail``
-    records the crude bound e^(mu_k) mu_k^N / N! (N = DEFAULT_N_MAX) on any
-    discarded Fock mass.
+    every stats block on the grid read them from here.
     """
 
     grid: IntensityGrid
@@ -159,7 +157,6 @@ class ExpansionTable:
     constraint: ConstraintMatrix = field(repr=False)
     beta_rows: tuple[tuple[float, ...], ...] = field(repr=False)
     decays: tuple[float, ...] = field(repr=False)
-    truncation_tail: float = 0.0
 
     @classmethod
     def build(cls, grid: IntensityGrid) -> "ExpansionTable":
@@ -172,9 +169,7 @@ class ExpansionTable:
                 gammas[(i, n)] = divided_difference_recurrence(lambda x: x ** (n - 2), points)
         beta_rows = tuple(tuple(_beta_row(mus[:j])) for j in range(1, grid.k + 1))
         decays = tuple(math.exp(-mu) for mu in mus)  # constraint.y's np.exp may differ by an ulp
-        mu_top = mus[-1]
-        tail = math.exp(mu_top) * mu_top**DEFAULT_N_MAX / math.factorial(DEFAULT_N_MAX)
-        return cls(grid, omegas, gammas, constraint_matrix(mus, omegas), beta_rows, decays, tail)
+        return cls(grid, omegas, gammas, constraint_matrix(mus, omegas), beta_rows, decays)
 
 
 @dataclass(frozen=True)

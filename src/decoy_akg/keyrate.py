@@ -344,84 +344,31 @@ def _first_max(values):
     return best, rows[np.arange(rows.shape[0]), best.ravel()].reshape(best.shape)
 
 
-def _grid_brackets(
-    grid_fn: Callable[[np.ndarray], tuple], mu_lower: float, mu_cap: float = DEFAULT_MU_CAP
-):
-    """Step one of :func:`optimize_lanes`: each lane's best coarse-grid point and its bracket.
-
-    Returns (best grid signal, its rate, bracket low, bracket high), shape
-    ``lanes``; the bracket ends are floats for one lane.  The first grid
-    point's bracket starts at ``mu_lower`` itself.
-    """
-    if mu_lower <= 0.0:
-        raise ValueError("mu_lower must be positive")
-    if mu_cap <= mu_lower:
-        raise ValueError("mu_cap must exceed mu_lower")
-    grid = _coarse_grid(mu_lower, mu_cap)
-    best, best_value = grid_fn(grid)
-    # bracket ends of each grid point: its neighbours, or the search range
-    lower_ends = np.concatenate(([mu_lower], grid[:-1]))
-    upper_ends = np.concatenate((grid[1:], [mu_cap]))
-    lo, hi = lower_ends[best], upper_ends[best]
-    if np.ndim(best) == 0:  # one lane: the search runs in floats
-        lo, hi = float(lo), float(hi)
-    return grid[best], best_value, lo, hi
-
-
 def _refined(
     rate_fn: Callable,
-    brackets,
+    grid: np.ndarray,
+    grid_max,
     mu_lower: float,
-    tol: float = DEFAULT_MU_TOL,
-    singular_lower: bool = False,
+    mu_cap: float,
+    tol: float,
+    singular_lower: bool,
 ):
-    """Step two of :func:`optimize_lanes`: the edge check and Brent's search on the brackets."""
-    grid_mu, grid_rate, lo, hi = brackets
-    mu_opt, rate_opt = _brent_max(rate_fn, lo, hi, tol, mu_lower, singular_lower)
-    # the bracket interior can lose to the best grid point in flat regions
-    flat = grid_rate > rate_opt
-    return _pick(flat, grid_mu, mu_opt), _pick(flat, grid_rate, rate_opt)
+    """Each lane's optimum from its first maximum (index, rate) on ``grid``, shape ``lanes``.
 
-
-def optimize_lanes(
-    rate_fn: Callable[[np.ndarray], np.ndarray],
-    grid_fn: Callable[[np.ndarray], tuple],
-    mu_lower: float,
-    mu_cap: float = DEFAULT_MU_CAP,
-    tol: float = DEFAULT_MU_TOL,
-    *,
-    singular_lower: bool = False,
-):
-    """Maximize rates over signal intensities in [mu_lower, mu_cap], lane by lane.
-
-    ``grid_fn(grid)`` gives each lane's first maximum on the coarse grid
-    (step ``DEFAULT_COARSE_STEP``) as (index, rate), shape ``lanes``: the
-    ``np.argmax`` of its rates there and the rate at that index, as
-    ``_first_max`` reads them off a full grid.  It may skip a point proven
-    strictly below its lane's best, which leaves the first maximum, its
-    bracket and every byte of the result unchanged.  A lane whose best grid
-    point is the first then evaluates ``mu_lower`` and ``mu_lower + tol``
-    and, if ``mu_lower`` is not lower, is done there.  Every other lane is
-    refined by Brent's bounded search (SciPy's ``fminbound`` steps, to
-    ``tol``) on its best bracket, through ``rate_fn``, which maps trial
-    signals, one per lane (shape ``lanes``) or a stack of them (shape
-    (n, *lanes)), to the rates there, elementwise; with one lane
-    (``lanes`` = ()) it is called with floats.  The search assumes a rate
-    with one mode.
-
-    ``singular_lower`` is for a rate that is undefined at ``mu_lower`` and
-    may have a second mode beside it (Ma's ratio estimator at mu1 + mu2):
-    the range is then open at ``mu_lower``, every lane evaluates the first
-    float above it as well as its search, and keeps the better.
-
-    Returns the optimal signals and rates, shape ``lanes``.  The best point
-    is returned even when the rate is negative everywhere, which distance
-    root finding relies on.  The two steps are ``_grid_brackets`` and
-    ``_refined``; a caller may join the brackets of several grid steps into
-    one refinement, since every lane searches its own.
+    A grid point's bracket runs between its neighbours; the first point's
+    starts at ``mu_lower``, so :func:`_brent_max` checks that edge, and the
+    last point's ends at ``mu_cap``.  Brent's search runs on every bracket
+    at once, in floats for one lane (``lanes`` = ()), and a lane keeps its
+    grid point where the bracket's interior is lower (flat regions).
     """
-    brackets = _grid_brackets(grid_fn, mu_lower, mu_cap)
-    return _refined(rate_fn, brackets, mu_lower, tol, singular_lower)
+    best, best_rate = grid_max
+    ends = np.concatenate(([mu_lower], grid, [mu_cap]))  # grid[i]'s bracket: ends[i], ends[i + 2]
+    lo, hi = ends[best], ends[best + 2]
+    if np.ndim(best) == 0:  # one lane: the search runs in floats
+        lo, hi = float(lo), float(hi)
+    mu_opt, rate_opt = _brent_max(rate_fn, lo, hi, tol, mu_lower, singular_lower)
+    flat = best_rate > rate_opt
+    return _pick(flat, grid[best], mu_opt), _pick(flat, best_rate, rate_opt)
 
 
 def optimize_signal_intensity(
@@ -435,18 +382,32 @@ def optimize_signal_intensity(
 ) -> tuple[float, float]:
     """Maximize a rate over signal intensities in [mu_lower, mu_cap].
 
-    One lane of :func:`optimize_lanes`: a coarse grid scan (step
-    ``DEFAULT_COARSE_STEP``), the lower-edge check and Brent's search on the
-    best bracket, calling ``rate_fn`` with one float at a time.
-    ``vector_fn``, when given, evaluates the whole coarse grid in one call.
-    ``singular_lower`` opens the range at ``mu_lower``, as in ``optimize_lanes``.
+    A coarse grid scan (step ``DEFAULT_COARSE_STEP``) finds the first
+    maximum, and :func:`_refined` searches its bracket; ``vector_fn``, when
+    given, evaluates the whole grid in one call.  If the maximum is the
+    first grid point, the search first evaluates ``mu_lower`` and
+    ``mu_lower + tol`` and is done at ``mu_lower`` if that is not lower.
+    Otherwise Brent's bounded search (SciPy's ``fminbound`` steps, to
+    ``tol``) refines the bracket, calling ``rate_fn`` with one float at a
+    time.  The search assumes a rate with one mode.
+
+    ``singular_lower`` is for a rate that is undefined at ``mu_lower`` and
+    may have a second mode beside it (Ma's ratio estimator at mu1 + mu2):
+    the range is then open at ``mu_lower``, the search evaluates the first
+    float above it as well, and keeps the better.
+
+    The best point is returned even when the rate is negative everywhere,
+    which distance root finding relies on.
     """
+    if mu_lower <= 0.0:
+        raise ValueError("mu_lower must be positive")
+    if mu_cap <= mu_lower:
+        raise ValueError("mu_cap must exceed mu_lower")
     if vector_fn is None:
         vector_fn = lambda grid: np.array([rate_fn(m) for m in grid])  # noqa: E731
-    grid_fn = lambda grid: _first_max(vector_fn(grid))  # noqa: E731
-    mu_opt, rate_opt = optimize_lanes(
-        rate_fn, grid_fn, mu_lower, mu_cap, tol, singular_lower=singular_lower
-    )
+    grid = _coarse_grid(mu_lower, mu_cap)
+    grid_max = _first_max(vector_fn(grid))
+    mu_opt, rate_opt = _refined(rate_fn, grid, grid_max, mu_lower, mu_cap, tol, singular_lower)
     return float(mu_opt), float(rate_opt)
 
 

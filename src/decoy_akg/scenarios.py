@@ -75,7 +75,6 @@ from .keyrate import (
     _bisection_midpoints,
     _coarse_grid,
     _first_max,
-    _grid_brackets,
     _model_rate,
     _refined,
     _universal_bounds,
@@ -278,12 +277,13 @@ class _ScenarioEngine:
         self.trial_omega = _PrefixSeries(self.decoys)
         # the intensity search's lower end.  Ma's ratio estimator is undefined at
         # mu1 + mu2, which a floor may lie below by the sum's rounding, so its
-        # search is open there (``keyrate.optimize_lanes``' singular_lower)
+        # search is open there (``optimize_signal_intensity``'s singular_lower)
         self.singular = self.kind == "ma"
         self.lower = spec.signal_lower
         if self.singular:
             self.lower = max(self.lower, sum(self.decoys))
-        # the coarse grid that the intensity search scans at every distance
+        # the coarse grid that every intensity search of this engine scans: a
+        # sweep's band, boxes and brackets, and each one-distance optimization
         self.grid = _coarse_grid(self.lower, DEFAULT_MU_CAP)
         self.grid_terms = None
         if self.kind == "aggregate":
@@ -460,8 +460,8 @@ class _ScenarioEngine:
         """
         return _first_max(self._grid_rates(state, self.grid, slice(0, _band_size(self.grid))))
 
-    def _pruned_grid_max(self, state: dict, grid: np.ndarray, band_max):
-        """Each lane's first maximum on the coarse grid, (index, rate), from its band and boxes.
+    def _pruned_grid_max(self, state: dict, band_max):
+        """Each lane's first maximum on the engine's grid, (index, rate), from its band and boxes.
 
         ``band_max`` is ``_band_max`` of the lanes; each box of ``_BOX_POINTS``
         after the band runs only on the lanes where its bound reaches the best
@@ -470,11 +470,8 @@ class _ScenarioEngine:
         is ``keyrate._first_max`` of the full grid (a rate is never NaN: the
         credit and the entropy reject one).  The lanes are all of a sweep's,
         scan and bisection alike, so each sweep bounds its boxes once.
-        ``grid`` is the one ``keyrate._grid_brackets`` builds; it must be the
-        engine's, which the band read.
         """
-        if not np.array_equal(grid, self.grid):
-            raise ValueError("the boxes must read the grid that the band read")
+        grid = self.grid
         starts = np.arange(_band_size(grid), grid.size, _BOX_POINTS)
         ends = np.minimum(starts + _BOX_POINTS, grid.size)
         highs = grid[ends - 1]
@@ -542,8 +539,10 @@ class _ScenarioEngine:
         levels of the predicted bracket (``_predicted_row``, read off the
         scan's band).  They join the scan's lanes with their own distance
         state and band, and all lanes share one pass of pruned boxes and one
-        intensity search; every lane keeps its own grid maximum and searches
-        its own bracket, so each has the bits of a one-distance optimization.
+        ``keyrate._refined`` search, both on the engine's grid, which the
+        one-distance optimization scans too; every lane keeps its own grid
+        maximum and searches its own bracket, so each has that one-distance
+        optimization's bits.
         A scan longer than one block of ``_EVAL_ELEMENTS`` answers none.
         """
         rows, answered = [], {}
@@ -559,10 +558,14 @@ class _ScenarioEngine:
                 extra = self._distance_state(np.asarray(midpoints))
                 lanes = self._joined(state, extra)
                 band_max = [np.concatenate(pair) for pair in zip(band_max, self._band_max(extra))]
-            grid_max = partial(self._pruned_grid_max, lanes, band_max=band_max)
-            brackets = _grid_brackets(grid_max, self.lower)
             mu, rate = _refined(
-                partial(self.rate, lanes), brackets, self.lower, DEFAULT_MU_TOL, self.singular
+                partial(self.rate, lanes),
+                self.grid,
+                self._pruned_grid_max(lanes, band_max),
+                self.lower,
+                DEFAULT_MU_CAP,
+                DEFAULT_MU_TOL,
+                self.singular,
             )
             size = len(block)
             rows += self._rows(block, state, mu[:size], rate[:size])

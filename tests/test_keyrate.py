@@ -21,7 +21,7 @@ from decoy_akg import (
     single_photon_credit,
     universal_upper,
 )
-from decoy_akg.keyrate import _brent_max, _first_max
+from decoy_akg.keyrate import _brent_max, _coarse_grid, _first_max, _refined
 from decoy_akg.reference import optimal_mu_derivative_check
 
 
@@ -434,6 +434,45 @@ def test_brent_stops_at_a_lower_edge_that_is_not_lower():
     assert mu.tolist() == [math.nextafter(0.3, 1.0)] * 2
     mu, _ = _brent_max(two_modes(-1.0), lo, hi, 1e-6, 0.3, singular=True)
     assert all(abs(m - 0.317) < 1e-6 for m in mu.tolist())
+
+
+@pytest.mark.parametrize("singular", [False, True])
+@pytest.mark.parametrize(
+    "lower, peaks, expected",
+    [
+        # grid maxima at the first point (a rate falling from the edge), the
+        # last (one rising to the cap), inside, and at the first again
+        (0.3, [0.1, 2.5, 0.777, 0.305], [0.3, 2.0, 0.777, 0.305]),
+        # the one-point grid [1.9995]: every bracket is [lower, cap]
+        (1.999, [1.0, 2.5, 1.9995], [1.999, 2.0, 1.9995]),
+    ],
+)
+def test_refined_brackets_each_grid_maximum_by_its_neighbours(lower, peaks, expected, singular):
+    # a grid point's bracket runs between its neighbours, the first point's
+    # from the range's lower end, whose edge check then runs, and the last
+    # point's to its cap; every lane has the bits of its one-float run
+    tol, cap = 1e-6, 2.0
+    grid = _coarse_grid(lower, cap)
+    peak = np.array(peaks)
+    index, value = _first_max(_plateau(grid, peak[:, None], math.inf))
+    assert index.tolist() == ([0, 169, 47, 0] if grid.size > 1 else [0, 0, 0])
+    ends = np.concatenate(([lower], grid, [cap]))
+    low, high = ends[index], ends[index + 2]
+    edge_points = (lower, lower + tol, math.nextafter(lower, math.inf))
+
+    def rate_fn(x):
+        # inside each lane's bracket, or at the edge points that every lane evaluates
+        assert (((low <= x) & (x <= high)) | np.isin(x, edge_points)).all()
+        return _plateau(x, peak, math.inf)
+
+    mu, rate = _refined(rate_fn, grid, (index, value), lower, cap, tol, singular)
+    for i, peak_i in enumerate(peaks):
+        fn = lambda x: _plateau(x, peak_i, math.inf)  # noqa: E731
+        one = _refined(fn, grid, (index[i], value[i]), lower, cap, tol, singular)
+        assert (mu[i].hex(), rate[i].hex()) == (float(one[0]).hex(), float(one[1]).hex()), i
+    edge = math.nextafter(lower, math.inf) if singular else lower
+    assert mu[0] == edge  # a falling rate stops at the lower end
+    assert abs(mu - np.array(expected))[1:].max() < tol
 
 
 def _scan(envelope, lengths):

@@ -395,9 +395,9 @@ def test_sweep_bisects_its_own_scan(monkeypatch):
         sweeps.append((list(lengths), list(answered)))
         return rows, answered
 
-    def refinement(rate_fn, brackets, *args):
-        refinements.append(np.shape(brackets[2]))
-        return refined(rate_fn, brackets, *args)
+    def refinement(rate_fn, grid, grid_max, *args):
+        refinements.append(np.shape(grid_max[0]))
+        return refined(rate_fn, grid, grid_max, *args)
 
     monkeypatch.setattr(scenarios, "find_zero_distance", counted)
     monkeypatch.setattr(_ScenarioEngine, "sweep", lanes)
@@ -726,8 +726,8 @@ def _pruned_grid(engine, lengths):
         evaluations.append((state["lane"][:, None], np.arange(grid.size)[columns], values))
         return values
 
-    def pass_spy(state, grid, band_max):
-        passes.append(pruned_grid_max(state, grid, band_max))
+    def pass_spy(state, band_max):
+        passes.append(pruned_grid_max(state, band_max))
         return passes[-1]
 
     with mock.patch.multiple(
@@ -802,15 +802,6 @@ def test_band_predicts_the_full_grids_bracket(offset):
         predicted = scenarios._predicted_row(band)
         assert predicted is not None
         assert predicted == scenarios._predicted_row(full)
-
-
-def test_boxes_refuse_a_grid_the_band_did_not_read():
-    # the band reads the engine's grid, so the boxes after it must too
-    engine = _ScenarioEngine(ScenarioSpec("k2"))
-    state = engine._distance_state(np.arange(0.0, 251.0, 50.0))
-    band_max = engine._band_max(state)
-    with pytest.raises(ValueError, match="grid that the band read"):
-        engine._pruned_grid_max(state, engine.grid[1:], band_max)
 
 
 def test_missed_band_prediction_keeps_every_byte(monkeypatch):
@@ -942,13 +933,16 @@ def test_equal_sweep_keys_give_equal_sweeps(case):
 @pytest.mark.parametrize(
     "spec",
     [ScenarioSpec(name) for name in _PRESETS]
-    + [ScenarioSpec("custom", decoy_mus=(0.1, 0.25, 0.4, 0.6, 0.85, 1.1), signal_lower=1.3)],
+    + [ScenarioSpec("custom", decoy_mus=(0.1, 0.25, 0.4, 0.6, 0.85, 1.1), signal_lower=1.3)]
+    # Ma's search starts at mu1 + mu2, one float above this floor
+    + [pytest.param(ScenarioSpec("k3-ma", signal_lower=0.3), id="k3-ma-floor")],
     ids=lambda spec: spec.name,
 )
 def test_grid_terms_are_fresh_terms(spec):
-    # the aggregation's kept trial row and Omega are those of the grid the search scans
+    # the aggregation's kept trial row and Omega are those of the grid both
+    # searches scan, from the engine's lower end
     engine = _ScenarioEngine(spec)
-    assert np.array_equal(engine.grid, _coarse_grid(spec.signal_lower, DEFAULT_MU_CAP))
+    assert np.array_equal(engine.grid, _coarse_grid(engine.lower, DEFAULT_MU_CAP))
     if spec.estimator_kind != "aggregate":
         assert engine.grid_terms is None
         return
