@@ -14,7 +14,9 @@ with beta(j, i) = (-1)^(j-1) mu_1..mu_j e^(mu_i) / (mu_i^2 prod_{t!=i}
 (mu_i - mu_t)), and a mirrored order-j upper bound b_j_max.  The best
 estimates are the max of the q bounds over both measurement bases and the
 min of the b bounds; a generic LP over the full boxed system acts as an
-independent oracle for the whole construction.
+independent oracle for the whole construction.  HiGHS solves it, reached
+through SciPy's ``milp`` with no integer unknowns (the ``linprog`` hook), and
+``_solve_lp`` checks each result as ``scipy.optimize.linprog`` would.
 """
 
 from __future__ import annotations
@@ -253,31 +255,77 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
     )
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first LP-oracle solve.
+def linprog(c, a_eq, b_eq, lower, upper):
+    """HiGHS's result for min c @ x over a_eq x = b_eq, lower <= x <= upper.
 
-    SciPy serves only the oracle, so importing the package does not load it.
+    SciPy serves only the oracle, so it is imported on the first solve and
+    importing the package does not load it.  HiGHS is reached through
+    ``scipy.optimize.milp`` with no integer unknowns, which solves the LP with
+    the settings of ``linprog(method="highs")`` (presolve on, the dual
+    simplex, HiGHS's default tolerances) without linprog's input cleaning,
+    option checks and result check; ``_solve_lp`` restates the check.  The
+    hook keeps linprog's name as the one module-level entry to the solver,
+    which the benchmark's trace wraps to count and time the oracle's solves.
     """
-    from scipy.optimize import linprog as scipy_linprog
+    from scipy.optimize import milp
 
-    return scipy_linprog(*args, **kwargs)
+    return milp(c, constraints=(a_eq, b_eq, b_eq), bounds=(lower, upper))
+
+
+# the tolerance of linprog's result check for its default tol 1e-9: sqrt(tol) * 10
+_LP_CHECK_TOL = math.sqrt(1e-9) * 10
+
+
+def _checked_status(res, a_eq, b_eq, lower, upper) -> tuple[int, str]:
+    """(status, message) of a HiGHS result after linprog's check of its solution.
+
+    A solution is feasible when it holds no NaN and it meets every bound and
+    every equality within ``_LP_CHECK_TOL``.  An optimum (status 0) that
+    gives no solution or an infeasible one, and a feasible solution under
+    status 2 (infeasible), become status 4.  linprog reads the equality
+    residuals from HiGHS's row slacks where this computes b_eq - a_eq @ x;
+    the two agree to rounding (within 4e-10 on the oracle's systems), far
+    inside the tolerance.
+    """
+    status, x = res.status, res.x
+    if x is None:
+        if status == 0:
+            return 4, "HiGHS reported an optimum but gave no solution"
+        return status, res.message
+    if status not in (0, 2):
+        return status, res.message
+    violation = float(np.max(np.maximum(lower - x, x - upper), initial=0.0))
+    residual = float(np.max(np.abs(b_eq - a_eq @ x)))
+    tol = _LP_CHECK_TOL
+    feasible = violation <= tol and residual <= tol and not np.isnan(res.fun)
+    if status == (0 if feasible else 2):
+        return status, res.message
+    claim = "an optimum that misses" if status == 0 else "infeasibility, yet its solution meets"
+    return 4, (
+        f"HiGHS reported {claim} the constraints: largest bound violation {violation:.3e}, "
+        f"largest equality residual {residual:.3e}, tolerance {tol:.3e}"
+    )
 
 
 def _solve_lp(a_eq, b_eq, objective: int, sign: float, cap: float, boxed=None) -> float:
     """min of sign * x[objective] over a_eq x = b_eq by HiGHS.
 
     Every unknown lies in [0, cap], or only x[boxed] when ``boxed`` is given
-    and the others are free.
+    and the others are free.  One ``linprog`` hook call per solve; its result
+    passes linprog's check (``_checked_status``) before its value is read.
     """
     n = a_eq.shape[1]
     c = np.zeros(n)
     c[objective] = sign
-    box = [(0.0, cap) if boxed in (None, i) else (None, None) for i in range(n)]
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=box, method="highs")
-    if res.status == 2:
-        raise InfeasibleStatsError(f"constraint system infeasible: {res.message}")
-    if not res.success:
-        raise InfeasibleStatsError(f"LP solver failed (status {res.status}): {res.message}")
+    lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+    box = slice(None) if boxed is None else boxed
+    lower[box], upper[box] = 0.0, cap
+    res = linprog(c, a_eq, b_eq, lower, upper)
+    status, message = _checked_status(res, a_eq, b_eq, lower, upper)
+    if status == 2:
+        raise InfeasibleStatsError(f"constraint system infeasible: {message}")
+    if status != 0:
+        raise InfeasibleStatsError(f"LP solver failed (status {status}): {message}")
     return float(res.fun)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -284,18 +285,119 @@ def test_lp_oracle_solves_through_the_module_hook(monkeypatch):
     lazy_linprog = bounds.linprog
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs["method"])
-        return lazy_linprog(*args, **kwargs)
+    def spy(c, a_eq, b_eq, lower, upper):
+        calls.append((c.shape, a_eq.shape, b_eq.shape, lower.shape, upper.shape))
+        return lazy_linprog(c, a_eq, b_eq, lower, upper)
 
     monkeypatch.setattr(bounds, "linprog", spy)
     assert lp_oracle_q1_min(stats, grid, table) == expected
-    assert calls == ["highs"]
+    n = 2 * grid.k + 2
+    assert calls == [((n,), (n - 1, n), (n - 1,), (n,), (n,))]
     # a solver status other than optimal (0) and infeasible (2) is a failure too
-    failed = SimpleNamespace(status=4, success=False, message="numerical difficulties", fun=0.0)
-    monkeypatch.setattr(bounds, "linprog", lambda *args, **kwargs: failed)
+    failed = SimpleNamespace(status=4, x=None, message="numerical difficulties", fun=0.0)
+    monkeypatch.setattr(bounds, "linprog", lambda *args: failed)
     with pytest.raises(InfeasibleStatsError, match=r"LP solver failed \(status 4\)"):
         lp_oracle_q1_min(stats, grid, table)
+
+
+def _fake_lp(status, solution):
+    """A hook claiming ``status`` for ``solution(x, a_eq)``, x the true optimum."""
+    solve = bounds.linprog
+
+    def hook(c, a_eq, b_eq, lower, upper):
+        x = solution(solve(c, a_eq, b_eq, lower, upper).x, a_eq)
+        return SimpleNamespace(status=status, x=x, fun=0.0, message="claimed by the fake")
+
+    return hook
+
+
+def _off_the_box(x, a_eq):
+    """x moved along the null space of a_eq, far out of the box [0, 1 - p_dark]."""
+    step = np.linalg.svd(a_eq)[2][-1]
+    return x + 10.0 * step / np.max(np.abs(step))
+
+
+_DEMOTED = (
+    r"LP solver failed \(status 4\): .* largest bound violation (?P<v>\S+), "
+    r"largest equality residual (?P<r>\S+), tolerance (?P<tol>\S+)$"
+)
+
+
+@pytest.mark.parametrize(
+    "status, solution, message, violated, off_equalities",
+    [
+        # an optimum without a solution
+        (0, lambda x, a_eq: None, r"\(status 4\): .*gave no solution", None, None),
+        # an optimum whose solution holds a NaN
+        (0, lambda x, a_eq: np.full_like(x, np.nan), _DEMOTED, None, None),
+        # an optimum that misses the equalities: x = 0 leaves the residual p - p_dark
+        (0, lambda x, a_eq: np.zeros_like(x), _DEMOTED, False, True),
+        # an optimum that meets the equalities but leaves the box
+        (0, _off_the_box, _DEMOTED, True, False),
+        # a claimed infeasibility with a feasible solution
+        (2, lambda x, a_eq: x, _DEMOTED, False, False),
+    ],
+)
+def test_lp_result_check_demotes_a_status_it_cannot_confirm(
+    monkeypatch, status, solution, message, violated, off_equalities
+):
+    rng = np.random.default_rng(29)
+    grid, table, stats, _, _ = _feasible_instance(rng, 3, p_dark=1e-4)
+    monkeypatch.setattr(bounds, "linprog", _fake_lp(status, solution))
+    with pytest.raises(InfeasibleStatsError, match=message) as raised:
+        lp_oracle_q1_min(stats, grid, table)
+    if violated is None:
+        return
+    # the message names the largest violation, the largest residual and the tolerance
+    found = re.search(message, str(raised.value))
+    tol = float(found["tol"])
+    assert tol == pytest.approx(math.sqrt(1e-9) * 10, rel=1e-3)
+    assert (float(found["v"]) > tol) == violated
+    assert (float(found["r"]) > tol) == off_equalities
+
+
+def test_lp_oracles_keep_the_bits_of_linprog(monkeypatch):
+    # the hook and linprog(method="highs") hand HiGHS the same LP with the same settings
+    from scipy.optimize import linprog
+
+    solve, reference = bounds.linprog, []
+
+    def both(c, a_eq, b_eq, lower, upper):
+        box = np.column_stack((lower, upper))
+        reference.append(linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=box, method="highs"))
+        return solve(c, a_eq, b_eq, lower, upper)
+
+    monkeypatch.setattr(bounds, "linprog", both)
+    statuses = set()
+    rng = np.random.default_rng(166)  # its solves include statuses 2 and 4
+    for k in range(1, 11):
+        p_dark = float(rng.choice([0.0, 1e-6, 1e-4]))
+        grid, table, stats, _, _ = _feasible_instance(rng, k, p_dark)
+        oracles = [
+            (1.0, lambda: lp_oracle_q1_min(stats, grid, table)),
+            (-1.0, lambda: lp_oracle_b1_max(stats, grid, table)),
+        ]
+        for j in range(1, k + 1):
+            oracles += [
+                (1.0, lambda j=j: lp_oracle_q_j_min(j, stats, grid, table)),
+                (1.0, lambda j=j: lp_oracle_q_j_min(j, stats, grid, table, plus_basis=True)),
+                (-1.0, lambda j=j: lp_oracle_b_j_max(j, stats, grid, table)),
+            ]
+        for sign, oracle in oracles:
+            try:
+                value = oracle().hex()
+            except InfeasibleStatsError as error:
+                value = str(error).split(":")[0]
+            res = reference.pop()
+            statuses.add(res.status)
+            if res.status == 0:
+                expected = (sign * res.fun).hex()
+            elif res.status == 2:
+                expected = "constraint system infeasible"
+            else:
+                expected = f"LP solver failed (status {res.status})"
+            assert value == expected, (k, res.message)
+    assert statuses == {0, 2, 4}
 
 
 def test_bounds_tighten_with_more_intensities():
