@@ -14,16 +14,19 @@ with beta(j, i) = (-1)^(j-1) mu_1..mu_j e^(mu_i) / (mu_i^2 prod_{t!=i}
 (mu_i - mu_t)), and a mirrored order-j upper bound b_j_max.  The best
 estimates are the max of the q bounds over both measurement bases and the
 min of the b bounds; a generic LP over the full boxed system acts as an
-independent oracle for the whole construction.  HiGHS solves it, reached
-through SciPy's ``milp`` with no integer unknowns (the ``linprog`` hook), and
-``_solve_lp`` checks each result as ``scipy.optimize.linprog`` would.
+independent oracle for the whole construction.  It reads the constraint
+matrix, not the beta rows.  Its equalities leave one unknown free, so the
+``linprog`` hook solves it directly: forward substitution puts every unknown
+on a line through the objective's unknown t, the boxes cut out an interval
+of t, and the optimum is an end of it.  ``_solve_lp`` then checks the
+returned point against every bound and equality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -255,42 +258,103 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
     )
 
 
-def linprog(c, a_eq, b_eq, lower, upper):
-    """HiGHS's result for min c @ x over a_eq x = b_eq, lower <= x <= upper.
+class LPResult(NamedTuple):
+    """What :func:`linprog` found: a status, the point, the objective there and why.
 
-    SciPy serves only the oracle, so it is imported on the first solve and
-    importing the package does not load it.  HiGHS is reached through
-    ``scipy.optimize.milp`` with no integer unknowns, which solves the LP with
-    the settings of ``linprog(method="highs")`` (presolve on, the dual
-    simplex, HiGHS's default tolerances) without linprog's input cleaning,
-    option checks and result check; ``_solve_lp`` restates the check.  The
-    hook keeps linprog's name as the one module-level entry to the solver,
-    which the benchmark's trace wraps to count and time the oracle's solves.
+    ``status`` is 0 (optimum), 2 (infeasible) or 3 (unbounded); ``x`` and ``fun``
+    are None unless it is 0.
     """
-    from scipy.optimize import milp
 
-    return milp(c, constraints=(a_eq, b_eq, b_eq), bounds=(lower, upper))
+    status: int
+    x: np.ndarray | None
+    fun: float | None
+    message: str
 
 
-# the tolerance of linprog's result check for its default tol 1e-9: sqrt(tol) * 10
+def _forward_substitution(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution u of ``matrix @ u = rhs``, two columns, for a lower-triangular ``matrix``.
+
+    Row i gives u[i] once u[:i] is known; the sums run in Python floats, left to right.
+    """
+    u: list[tuple[float, float]] = []
+    for i, (row, (first, second)) in enumerate(zip(matrix.tolist(), rhs.tolist())):
+        for entry, (known_first, known_second) in zip(row, u):
+            first -= entry * known_first
+            second -= entry * known_second
+        u.append((first / row[i], second / row[i]))
+    return np.array(u)
+
+
+def linprog(c, a_eq, b_eq, lower, upper) -> LPResult:
+    """min c @ x over a_eq x = b_eq, lower <= x <= upper, on a one-parameter solution set.
+
+    The objective names one unknown, the parameter t = x[p] (``c`` has one
+    non-zero entry, at p).  The other columns of ``a_eq`` must form a square
+    lower-triangular matrix with a non-zero diagonal; a system of any other
+    shape raises ``ValueError``.  Forward substitution then writes every
+    unknown as x = a + t d on the line of solutions, each bound cuts the
+    line to an interval of t, and the optimum is the end of their
+    intersection that the sign of c[p] picks: status 2 when the intersection
+    is empty, 3 when that end is infinite.  Every oracle solve goes through
+    this one module-level function, which the benchmark's trace wraps to
+    count and time the solves.
+    """
+    rows, n = a_eq.shape
+    objective = np.flatnonzero(c)
+    if len(objective) != 1 or n != rows + 1:
+        raise ValueError(
+            f"linprog needs one objective unknown and one unknown more than rows; got "
+            f"{len(objective)} objective unknowns, {rows} rows and {n} unknowns"
+        )
+    free = int(objective[0])
+    others = np.delete(np.arange(n), free)
+    square = a_eq[:, others]
+    if np.any(np.triu(square, 1)) or not np.all(np.diagonal(square)):
+        raise ValueError(
+            "the columns besides the objective's must form a lower-triangular matrix "
+            "with a non-zero diagonal"
+        )
+    # the solutions a + t d: a is the one at t = 0, d its change per unit of t
+    a, d = np.zeros(n), np.zeros(n)
+    d[free] = 1.0
+    a[others], d[others] = _forward_substitution(square, np.column_stack((b_eq, -a_eq[:, free]))).T
+    moving = d != 0.0
+    stuck = ~moving & ((a < lower) | (a > upper))
+    if np.any(stuck):
+        j = int(np.flatnonzero(stuck)[0])
+        message = f"x[{j}] = {float(a[j])!r} on every solution, outside its bounds"
+        return LPResult(2, None, None, message)
+    # each moving unknown's bounds, mapped to t, in either order
+    ends = np.array([lower[moving] - a[moving], upper[moving] - a[moving]]) / d[moving]
+    t_low = float(np.max(ends.min(axis=0)))
+    t_high = float(np.min(ends.max(axis=0)))
+    if t_low > t_high:
+        return LPResult(2, None, None, f"the bounds leave no t: [{t_low!r}, {t_high!r}]")
+    t = t_low if c[free] > 0 else t_high
+    if math.isinf(t):
+        return LPResult(3, None, None, "the objective falls without bound along the solutions")
+    return LPResult(0, a + t * d, float(c[free] * t), "optimum at an end of the interval of t")
+
+
+# the tolerance of scipy.optimize.linprog's result check for its default tol 1e-9: sqrt(tol) * 10
 _LP_CHECK_TOL = math.sqrt(1e-9) * 10
 
 
 def _checked_status(res, a_eq, b_eq, lower, upper) -> tuple[int, str]:
-    """(status, message) of a HiGHS result after linprog's check of its solution.
+    """(status, message) of a ``linprog`` result after an a-posteriori check of its point.
 
-    A solution is feasible when it holds no NaN and it meets every bound and
-    every equality within ``_LP_CHECK_TOL``.  An optimum (status 0) that
-    gives no solution or an infeasible one, and a feasible solution under
-    status 2 (infeasible), become status 4.  linprog reads the equality
-    residuals from HiGHS's row slacks where this computes b_eq - a_eq @ x;
-    the two agree to rounding (within 4e-10 on the oracle's systems), far
-    inside the tolerance.
+    A point is feasible when it holds no NaN and it meets every bound and
+    every equality, by the residual b_eq - a_eq @ x, within
+    ``_LP_CHECK_TOL``.  An optimum (status 0) that gives no point or an
+    infeasible one, and a feasible point under status 2 (infeasible), become
+    status 4.  The solve's own rounding stays far inside the tolerance, so
+    the check catches a solve that breaks its contract, not the solve's
+    rounding.
     """
     status, x = res.status, res.x
     if x is None:
         if status == 0:
-            return 4, "HiGHS reported an optimum but gave no solution"
+            return 4, "the solve reported an optimum but gave no solution"
         return status, res.message
     if status not in (0, 2):
         return status, res.message
@@ -302,17 +366,17 @@ def _checked_status(res, a_eq, b_eq, lower, upper) -> tuple[int, str]:
         return status, res.message
     claim = "an optimum that misses" if status == 0 else "infeasibility, yet its solution meets"
     return 4, (
-        f"HiGHS reported {claim} the constraints: largest bound violation {violation:.3e}, "
+        f"the solve reported {claim} the constraints: largest bound violation {violation:.3e}, "
         f"largest equality residual {residual:.3e}, tolerance {tol:.3e}"
     )
 
 
 def _solve_lp(a_eq, b_eq, objective: int, sign: float, cap: float, boxed=None) -> float:
-    """min of sign * x[objective] over a_eq x = b_eq by HiGHS.
+    """min of sign * x[objective] over a_eq x = b_eq, on the system's line of solutions.
 
     Every unknown lies in [0, cap], or only x[boxed] when ``boxed`` is given
-    and the others are free.  One ``linprog`` hook call per solve; its result
-    passes linprog's check (``_checked_status``) before its value is read.
+    and the others are free.  One ``linprog`` hook call per solve; its point
+    passes ``_checked_status`` before its value is read.
     """
     n = a_eq.shape[1]
     c = np.zeros(n)

@@ -220,7 +220,7 @@ def test_criterion_8_lp_oracle_equivalence():
     rng = np.random.default_rng(2718)
     worst = 0.0
     checked = 0
-    for k in range(1, 5):
+    for k in range(1, 11):
         for _ in range(100):
             p_dark = float(rng.choice([0.0, 1e-6, 1e-4]))
             grid, table, stats, _, _ = feasible_instance(rng, k, p_dark)
@@ -231,7 +231,7 @@ def test_criterion_8_lp_oracle_equivalence():
     _report(
         8,
         worst <= 1e-8,
-        f"{checked} random feasible instances (100 per k=1..4); "
+        f"{checked} random feasible instances (100 per k=1..10); "
         f"worst closed-form vs LP deviation {worst:.2e} (tol 1e-8)",
     )
 
