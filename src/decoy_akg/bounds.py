@@ -13,20 +13,16 @@ the one on q^(1+j) yields a closed-form order-j lower bound
 with beta(j, i) = (-1)^(j-1) mu_1..mu_j e^(mu_i) / (mu_i^2 prod_{t!=i}
 (mu_i - mu_t)), and a mirrored order-j upper bound b_j_max.  The best
 estimates are the max of the q bounds over both measurement bases and the
-min of the b bounds; a generic LP over the full boxed system acts as an
-independent oracle for the whole construction.  It reads the constraint
-matrix, not the beta rows.  Its equalities leave one unknown free, so the
-``linprog`` hook solves it directly: forward substitution puts every unknown
-on a line through the objective's unknown t, the boxes cut out an interval
-of t, and the optimum is an end of it.  ``_solve_lp`` then checks the
-returned point against every bound and equality.
+min of the b bounds.  An LP over the full boxed system, which reads the
+constraint matrix rather than the beta rows, is their independent oracle:
+``linprog`` solves it on its line of solutions and checks the point it finds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -258,19 +254,6 @@ def aggregate(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) 
     )
 
 
-class LPResult(NamedTuple):
-    """What :func:`linprog` found: a status, the point, the objective there and why.
-
-    ``status`` is 0 (optimum), 2 (infeasible) or 3 (unbounded); ``x`` and ``fun``
-    are None unless it is 0.
-    """
-
-    status: int
-    x: np.ndarray | None
-    fun: float | None
-    message: str
-
-
 def _forward_substitution(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The solution u of ``matrix @ u = rhs``, two columns, for a lower-triangular ``matrix``.
 
@@ -285,112 +268,77 @@ def _forward_substitution(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.array(u)
 
 
-def linprog(c, a_eq, b_eq, lower, upper) -> LPResult:
-    """min c @ x over a_eq x = b_eq, lower <= x <= upper, on a one-parameter solution set.
+# the tolerance of scipy.optimize.linprog's result check for its default tol 1e-9: sqrt(tol) * 10
+_LP_CHECK_TOL = math.sqrt(1e-9) * 10
 
-    The objective names one unknown, the parameter t = x[p] (``c`` has one
-    non-zero entry, at p).  The other columns of ``a_eq`` must form a square
-    lower-triangular matrix with a non-zero diagonal; a system of any other
-    shape raises ``ValueError``.  Forward substitution then writes every
-    unknown as x = a + t d on the line of solutions, each bound cuts the
-    line to an interval of t, and the optimum is the end of their
-    intersection that the sign of c[p] picks: status 2 when the intersection
-    is empty, 3 when that end is infinite.  Every oracle solve goes through
-    this one module-level function, which the benchmark's trace wraps to
-    count and time the solves.
+
+def _check_point(x, a_eq, b_eq, lower, upper) -> None:
+    """Raise ``InfeasibleStatsError`` unless ``x`` meets its bounds and equalities.
+
+    Both hold within ``_LP_CHECK_TOL``, the equalities by the residual b_eq -
+    a_eq @ x; a NaN in ``x`` fails both.  The solve's own rounding stays far
+    inside the tolerance, so this catches a solve that breaks its contract.
+    """
+    violation = float(np.max(np.maximum(lower - x, x - upper), initial=0.0))
+    residual = float(np.max(np.abs(b_eq - a_eq @ x)))
+    tol = _LP_CHECK_TOL
+    if violation <= tol and residual <= tol:
+        return
+    raise InfeasibleStatsError(
+        f"the solve's point misses the constraints: largest bound violation {violation:.3e}, "
+        f"largest equality residual {residual:.3e}, tolerance {tol:.3e}"
+    )
+
+
+def linprog(a_eq, b_eq, objective: int, sign: float, cap: float, boxed=None) -> float:
+    """min of sign * x[objective] over a_eq x = b_eq with every x in [0, cap], or only x[boxed].
+
+    The objective's unknown is the parameter t, and the other columns must
+    form a square lower-triangular matrix with a non-zero diagonal, or
+    ``ValueError`` is raised.  Forward substitution on them writes every
+    unknown as a + t d, each bound cuts out an interval of t, and ``sign``
+    picks an end.  An empty interval, a fixed unknown outside its bounds, an
+    infinite end and a point that fails ``_check_point`` raise
+    ``InfeasibleStatsError``.  The benchmark's trace wraps this one function
+    to count and time the oracle's solves.
     """
     rows, n = a_eq.shape
-    objective = np.flatnonzero(c)
-    if len(objective) != 1 or n != rows + 1:
-        raise ValueError(
-            f"linprog needs one objective unknown and one unknown more than rows; got "
-            f"{len(objective)} objective unknowns, {rows} rows and {n} unknowns"
-        )
-    free = int(objective[0])
-    others = np.delete(np.arange(n), free)
+    others = np.delete(np.arange(n), objective)
     square = a_eq[:, others]
-    if np.any(np.triu(square, 1)) or not np.all(np.diagonal(square)):
+    if n != rows + 1 or np.any(np.triu(square, 1)) or not np.all(np.diagonal(square)):
         raise ValueError(
-            "the columns besides the objective's must form a lower-triangular matrix "
+            "the columns besides the objective's must form a square lower-triangular matrix "
             "with a non-zero diagonal"
         )
     # the solutions a + t d: a is the one at t = 0, d its change per unit of t
     a, d = np.zeros(n), np.zeros(n)
-    d[free] = 1.0
-    a[others], d[others] = _forward_substitution(square, np.column_stack((b_eq, -a_eq[:, free]))).T
+    d[objective] = 1.0
+    rhs = np.column_stack((b_eq, -a_eq[:, objective]))
+    a[others], d[others] = _forward_substitution(square, rhs).T
+    lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+    box = slice(None) if boxed is None else boxed
+    lower[box], upper[box] = 0.0, cap
     moving = d != 0.0
     stuck = ~moving & ((a < lower) | (a > upper))
     if np.any(stuck):
         j = int(np.flatnonzero(stuck)[0])
-        message = f"x[{j}] = {float(a[j])!r} on every solution, outside its bounds"
-        return LPResult(2, None, None, message)
+        raise InfeasibleStatsError(
+            f"constraint system infeasible: x[{j}] = {float(a[j])!r} on every solution, "
+            "outside its bounds"
+        )
     # each moving unknown's bounds, mapped to t, in either order
     ends = np.array([lower[moving] - a[moving], upper[moving] - a[moving]]) / d[moving]
     t_low = float(np.max(ends.min(axis=0)))
     t_high = float(np.min(ends.max(axis=0)))
     if t_low > t_high:
-        return LPResult(2, None, None, f"the bounds leave no t: [{t_low!r}, {t_high!r}]")
-    t = t_low if c[free] > 0 else t_high
+        raise InfeasibleStatsError(
+            f"constraint system infeasible: the bounds leave no t: [{t_low!r}, {t_high!r}]"
+        )
+    t = t_low if sign > 0 else t_high
     if math.isinf(t):
-        return LPResult(3, None, None, "the objective falls without bound along the solutions")
-    return LPResult(0, a + t * d, float(c[free] * t), "optimum at an end of the interval of t")
-
-
-# the tolerance of scipy.optimize.linprog's result check for its default tol 1e-9: sqrt(tol) * 10
-_LP_CHECK_TOL = math.sqrt(1e-9) * 10
-
-
-def _checked_status(res, a_eq, b_eq, lower, upper) -> tuple[int, str]:
-    """(status, message) of a ``linprog`` result after an a-posteriori check of its point.
-
-    A point is feasible when it holds no NaN and it meets every bound and
-    every equality, by the residual b_eq - a_eq @ x, within
-    ``_LP_CHECK_TOL``.  An optimum (status 0) that gives no point or an
-    infeasible one, and a feasible point under status 2 (infeasible), become
-    status 4.  The solve's own rounding stays far inside the tolerance, so
-    the check catches a solve that breaks its contract, not the solve's
-    rounding.
-    """
-    status, x = res.status, res.x
-    if x is None:
-        if status == 0:
-            return 4, "the solve reported an optimum but gave no solution"
-        return status, res.message
-    if status not in (0, 2):
-        return status, res.message
-    violation = float(np.max(np.maximum(lower - x, x - upper), initial=0.0))
-    residual = float(np.max(np.abs(b_eq - a_eq @ x)))
-    tol = _LP_CHECK_TOL
-    feasible = violation <= tol and residual <= tol and not np.isnan(res.fun)
-    if status == (0 if feasible else 2):
-        return status, res.message
-    claim = "an optimum that misses" if status == 0 else "infeasibility, yet its solution meets"
-    return 4, (
-        f"the solve reported {claim} the constraints: largest bound violation {violation:.3e}, "
-        f"largest equality residual {residual:.3e}, tolerance {tol:.3e}"
-    )
-
-
-def _solve_lp(a_eq, b_eq, objective: int, sign: float, cap: float, boxed=None) -> float:
-    """min of sign * x[objective] over a_eq x = b_eq, on the system's line of solutions.
-
-    Every unknown lies in [0, cap], or only x[boxed] when ``boxed`` is given
-    and the others are free.  One ``linprog`` hook call per solve; its point
-    passes ``_checked_status`` before its value is read.
-    """
-    n = a_eq.shape[1]
-    c = np.zeros(n)
-    c[objective] = sign
-    lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
-    box = slice(None) if boxed is None else boxed
-    lower[box], upper[box] = 0.0, cap
-    res = linprog(c, a_eq, b_eq, lower, upper)
-    status, message = _checked_status(res, a_eq, b_eq, lower, upper)
-    if status == 2:
-        raise InfeasibleStatsError(f"constraint system infeasible: {message}")
-    if status != 0:
-        raise InfeasibleStatsError(f"LP solver failed (status {status}): {message}")
-    return float(res.fun)
+        raise InfeasibleStatsError("the objective falls without bound along the solutions")
+    _check_point(a + t * d, a_eq, b_eq, lower, upper)
+    return sign * t
 
 
 def _q_system(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable):
@@ -415,13 +363,13 @@ def lp_oracle_q1_min(stats: ObservedStats, grid: IntensityGrid, table: Expansion
     dark floor.
     """
     a_eq, rhs = _q_system(stats, grid, table)
-    return _solve_lp(a_eq, rhs, objective=1, sign=1.0, cap=1.0 - stats.p_dark)
+    return linprog(a_eq, rhs, objective=1, sign=1.0, cap=1.0 - stats.p_dark)
 
 
 def lp_oracle_b1_max(stats: ObservedStats, grid: IntensityGrid, table: ExpansionTable) -> float:
     """Brute-force maximum of b^1 over the boxed error-rate system."""
     a_eq, rhs = _b_system(stats, grid, table)
-    return -_solve_lp(a_eq, rhs, objective=0, sign=-1.0, cap=1.0 - stats.p_dark)
+    return -linprog(a_eq, rhs, objective=0, sign=-1.0, cap=1.0 - stats.p_dark)
 
 
 def lp_oracle_q_j_min(
@@ -440,7 +388,7 @@ def lp_oracle_q_j_min(
     _check_order(j, grid.k)
     a_eq, rhs = _q_system(stats, grid, table)
     column = 1 + j + (stats.k if plus_basis else 0)
-    return _solve_lp(a_eq, rhs, objective=1, sign=1.0, cap=1.0 - stats.p_dark, boxed=column)
+    return linprog(a_eq, rhs, objective=1, sign=1.0, cap=1.0 - stats.p_dark, boxed=column)
 
 
 def lp_oracle_b_j_max(
@@ -452,4 +400,4 @@ def lp_oracle_b_j_max(
     """
     _check_order(j, grid.k)
     a_eq, rhs = _b_system(stats, grid, table)
-    return -_solve_lp(a_eq, rhs, objective=0, sign=-1.0, cap=1.0 - stats.p_dark, boxed=j)
+    return -linprog(a_eq, rhs, objective=0, sign=-1.0, cap=1.0 - stats.p_dark, boxed=j)

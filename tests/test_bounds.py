@@ -5,7 +5,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -285,34 +284,34 @@ def test_stats_grid_and_table_must_agree():
 def test_lp_oracle_solves_through_the_module_hook(monkeypatch):
     rng = np.random.default_rng(29)
     grid, table, stats, _, _ = _feasible_instance(rng, 3, p_dark=1e-4)
-    expected = lp_oracle_q1_min(stats, grid, table)
-    lazy_linprog = bounds.linprog
-    calls = []
+    oracles = _every_oracle(stats, grid, table)
+    expected = [oracle() for _, _, oracle in oracles]
+    solve, calls = bounds.linprog, []
 
-    def spy(c, a_eq, b_eq, lower, upper):
-        calls.append((c.shape, a_eq.shape, b_eq.shape, lower.shape, upper.shape))
-        return lazy_linprog(c, a_eq, b_eq, lower, upper)
+    def spy(a_eq, b_eq, objective, sign, cap, boxed=None):
+        calls.append((a_eq.shape, b_eq.shape, objective, sign, cap, boxed))
+        return solve(a_eq, b_eq, objective, sign, cap, boxed)
 
     monkeypatch.setattr(bounds, "linprog", spy)
-    assert lp_oracle_q1_min(stats, grid, table) == expected
-    n = 2 * grid.k + 2
-    assert calls == [((n,), (n - 1, n), (n - 1,), (n,), (n,))]
-    # a solver status other than optimal (0) and infeasible (2) is a failure too
-    failed = SimpleNamespace(status=4, x=None, message="numerical difficulties", fun=0.0)
-    monkeypatch.setattr(bounds, "linprog", lambda *args: failed)
-    with pytest.raises(InfeasibleStatsError, match=r"LP solver failed \(status 4\)"):
+    for (_, _, oracle), value in zip(oracles, expected):
+        before = len(calls)
+        assert oracle() == value
+        assert len(calls) == before + 1  # one solve per oracle
+    k, n, cap = grid.k, 2 * grid.k + 2, 1.0 - stats.p_dark
+    q_system, b_system = ((n - 1, n), (n - 1,)), ((k, k + 1), (k,))
+    assert calls[:2] == [(*q_system, 1, 1.0, cap, None), (*b_system, 0, -1.0, cap, None)]
+    assert calls[2:5] == [
+        (*q_system, 1, 1.0, cap, 2),
+        (*q_system, 1, 1.0, cap, 2 + k),
+        (*b_system, 0, -1.0, cap, 1),
+    ]
+
+    def failing(*args, **kwargs):
+        raise InfeasibleStatsError("claimed by the fake")
+
+    monkeypatch.setattr(bounds, "linprog", failing)
+    with pytest.raises(InfeasibleStatsError, match="claimed by the fake"):
         lp_oracle_q1_min(stats, grid, table)
-
-
-def _fake_lp(status, solution):
-    """A hook claiming ``status`` for ``solution(x, a_eq)``, x the true optimum."""
-    solve = bounds.linprog
-
-    def hook(c, a_eq, b_eq, lower, upper):
-        x = solution(solve(c, a_eq, b_eq, lower, upper).x, a_eq)
-        return SimpleNamespace(status=status, x=x, fun=0.0, message="claimed by the fake")
-
-    return hook
 
 
 def _off_the_box(x, a_eq):
@@ -321,81 +320,72 @@ def _off_the_box(x, a_eq):
     return x + 10.0 * step / np.max(np.abs(step))
 
 
-_DEMOTED = (
-    r"LP solver failed \(status 4\): .* largest bound violation (?P<v>\S+), "
+_MISSED = (
+    r"^the solve's point misses the constraints: largest bound violation (?P<v>\S+), "
     r"largest equality residual (?P<r>\S+), tolerance (?P<tol>\S+)$"
 )
 
 
 @pytest.mark.parametrize(
-    "status, solution, message, violated, off_equalities",
+    "point, violated, off_equalities",
     [
-        # an optimum without a solution
-        (0, lambda x, a_eq: None, r"\(status 4\): .*gave no solution", None, None),
-        # an optimum whose solution holds a NaN
-        (0, lambda x, a_eq: np.full_like(x, np.nan), _DEMOTED, None, None),
-        # an optimum that misses the equalities: x = 0 leaves the residual p - p_dark
-        (0, lambda x, a_eq: np.zeros_like(x), _DEMOTED, False, True),
-        # an optimum that meets the equalities but leaves the box
-        (0, _off_the_box, _DEMOTED, True, False),
-        # a claimed infeasibility with a feasible solution
-        (2, lambda x, a_eq: x, _DEMOTED, False, False),
+        # x = 0 meets the box but leaves the residual p - p_dark
+        (lambda x, a_eq: np.zeros_like(x), False, True),
+        # a point that meets the equalities but leaves the box
+        (_off_the_box, True, False),
+        # a NaN makes both the violation and the residual NaN
+        (lambda x, a_eq: np.where(np.arange(len(x)) == 1, np.nan, x), None, None),
     ],
 )
-def test_lp_result_check_demotes_a_status_it_cannot_confirm(
-    monkeypatch, status, solution, message, violated, off_equalities
-):
+def test_point_check_refuses_a_point_off_the_constraints(point, violated, off_equalities):
     rng = np.random.default_rng(29)
-    grid, table, stats, _, _ = _feasible_instance(rng, 3, p_dark=1e-4)
-    monkeypatch.setattr(bounds, "linprog", _fake_lp(status, solution))
-    with pytest.raises(InfeasibleStatsError, match=message) as raised:
-        lp_oracle_q1_min(stats, grid, table)
-    if violated is None:
-        return
+    grid, table, stats, q_vec, _ = _feasible_instance(rng, 3, p_dark=1e-4)
+    a_eq, b_eq = bounds._q_system(stats, grid, table)
+    box = np.zeros(len(q_vec)), np.full(len(q_vec), 1.0 - stats.p_dark)
+    bounds._check_point(q_vec, a_eq, b_eq, *box)  # the point the stats were made from passes
+    with pytest.raises(InfeasibleStatsError, match=_MISSED) as raised:
+        bounds._check_point(point(q_vec, a_eq), a_eq, b_eq, *box)
     # the message names the largest violation, the largest residual and the tolerance
-    found = re.search(message, str(raised.value))
+    found = re.search(_MISSED, str(raised.value))
     tol = float(found["tol"])
     assert tol == pytest.approx(math.sqrt(1e-9) * 10, rel=1e-3)
-    assert (float(found["v"]) > tol) == violated
-    assert (float(found["r"]) > tol) == off_equalities
+    for name, expected in (("v", violated), ("r", off_equalities)):
+        value = float(found[name])
+        assert math.isnan(value) if expected is None else (value > tol) == expected
 
 
 def test_linprog_solves_on_the_line_of_solutions_and_refuses_other_systems():
-    box = np.zeros(2), np.ones(2)
     # x0 + x1 = 1.5 in the unit box: t = x0 lies in [0.5, 1]
-    res = bounds.linprog(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.5]), *box)
-    assert (res.status, res.x.tolist(), res.fun) == (0, [0.5, 1.0], 0.5)
-    res = bounds.linprog(np.array([0.0, -2.0]), np.array([[1.0, 1.0]]), np.array([1.5]), *box)
-    assert (res.status, res.x.tolist(), res.fun) == (0, [0.5, 1.0], -2.0)  # t = x1 at its top
+    a_eq, b_eq = np.array([[1.0, 1.0]]), np.array([1.5])
+    assert bounds.linprog(a_eq, b_eq, 0, 1.0, 1.0) == 0.5
+    assert bounds.linprog(a_eq, b_eq, 1, -1.0, 1.0) == -1.0  # t = x1 at its top
+    assert bounds.linprog(a_eq, b_eq, 0, -1.0, 1.0, boxed=1) == -1.5  # x0 free: t up to 1.5
     # the bounds meet nowhere on the line: x0 + x1 = 3
-    res = bounds.linprog(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([3.0]), *box)
-    assert (res.status, res.x, res.fun) == (2, None, None)
-    assert res.message == "the bounds leave no t: [2.0, 1.0]"
+    empty = r"infeasible: the bounds leave no t: \[2.0, 1.0\]$"
+    with pytest.raises(InfeasibleStatsError, match=empty):
+        bounds.linprog(a_eq, np.array([3.0]), 0, 1.0, 1.0)
     # x1 = 2 on every solution, outside its box, whatever t is
     a_eq, b_eq = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]), np.array([2.0, 1.0])
-    res = bounds.linprog(np.array([1.0, 0.0, 0.0]), a_eq, b_eq, np.zeros(3), np.ones(3))
-    assert (res.status, res.message) == (2, "x[1] = 2.0 on every solution, outside its bounds")
-    # a free t whose objective falls without bound
-    free = np.full(2, -np.inf), np.full(2, np.inf)
-    res = bounds.linprog(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.5]), *free)
-    assert (res.status, res.x, res.fun) == (3, None, None)
+    with pytest.raises(InfeasibleStatsError, match=r"x\[1\] = 2.0 on every solution, outside"):
+        bounds.linprog(a_eq, b_eq, 0, 1.0, 1.0)
+    # only x1 = 0.5 is boxed, so t = x0 falls without bound
+    with pytest.raises(InfeasibleStatsError, match="falls without bound"):
+        bounds.linprog(a_eq, np.array([0.5, 1.0]), 0, 1.0, 1.0, boxed=1)
     refused = [
-        (np.array([1.0, 1.0]), np.array([[1.0, 1.0]])),  # two objective unknowns
-        (np.array([0.0, 0.0]), np.array([[1.0, 1.0]])),  # none
-        (np.array([1.0, 0.0, 0.0]), np.array([[1.0, 1.0, 0.0]])),  # two free unknowns
-        (np.array([1.0, 0.0, 0.0]), np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])),  # not triangular
-        (np.array([1.0, 0.0, 0.0]), np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])),  # a zero pivot
+        np.array([[1.0, 1.0, 0.0]]),  # two free unknowns
+        np.array([[1.0, 0.0], [1.0, 1.0]]),  # none
+        np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),  # not triangular
+        np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),  # a zero pivot
     ]
-    for c, a_eq in refused:
-        n = a_eq.shape[1]
-        with pytest.raises(ValueError, match="objective unknown|lower-triangular"):
-            bounds.linprog(c, a_eq, np.ones(len(a_eq)), np.zeros(n), np.ones(n))
+    for a_eq in refused:
+        with pytest.raises(ValueError, match="square lower-triangular"):
+            bounds.linprog(a_eq, np.ones(len(a_eq)), 0, 1.0, 1.0)
 
 
 def _every_oracle(stats, grid, table):
     """(sign, closed form, oracle) of every LP oracle of an instance.
 
-    An oracle's value is sign * the hook's ``fun``.
+    An oracle's value is sign * the hook's value, the LP's minimum.
     """
     agg = aggregate(stats, grid, table)
     oracles = [
@@ -420,10 +410,14 @@ def test_lp_oracles_agree_with_highs(monkeypatch):
     optimize = pytest.importorskip("scipy.optimize")
     solve, reference = bounds.linprog, []
 
-    def both(c, a_eq, b_eq, lower, upper):
-        box = np.column_stack((lower, upper))
+    def both(a_eq, b_eq, objective, sign, cap, boxed=None):
+        n = a_eq.shape[1]
+        c = np.zeros(n)
+        c[objective] = sign
+        box = np.tile([-np.inf, np.inf], (n, 1))
+        box[slice(None) if boxed is None else boxed] = 0.0, cap
         reference.append(optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=box, method="highs"))
-        return solve(c, a_eq, b_eq, lower, upper)
+        return solve(a_eq, b_eq, objective, sign, cap, boxed)
 
     monkeypatch.setattr(bounds, "linprog", both)
     rng = np.random.default_rng(166)
@@ -498,20 +492,17 @@ def test_lp_oracles_match_an_exact_forward_substitution(monkeypatch):
     # the exact optimum of the same float system
     solve, checked, lines = bounds.linprog, [], {}
 
-    def exact_too(c, a_eq, b_eq, lower, upper):
-        free = int(np.flatnonzero(c)[0])
-        key = (a_eq.tobytes(), b_eq.tobytes(), free)  # the oracles of one system share its line
+    def exact_too(a_eq, b_eq, objective, sign, cap, boxed=None):
+        key = (a_eq.tobytes(), b_eq.tobytes(), objective)  # one system's oracles share its line
         if key not in lines:
-            lines[key] = _exact_line(a_eq, b_eq, free)
+            lines[key] = _exact_line(a_eq, b_eq, objective)
         (a, delta_a, a_hat), (d, delta_d, d_hat) = lines[key]
         lows, highs = [], []
-        for j in range(len(c)):
+        for j in range(a_eq.shape[1]) if boxed is None else [boxed]:
             if d[j] == 0:
-                assert d_hat[j] == 0.0 and lower[j] <= a[j] <= upper[j]
+                assert d_hat[j] == 0.0 and 0 <= a[j] <= cap
                 continue
-            for bound in (lower[j], upper[j]):
-                if math.isinf(bound):
-                    continue
+            for bound, lower in ((0.0, True), (cap, False)):
                 exact = (Fraction(bound) - a[j]) / d[j]
                 computed = (bound - a_hat[j]) / d_hat[j]  # as the solve rounds it
                 assert abs(Fraction(d_hat[j])) > delta_d[j]  # so d has the sign of the float d
@@ -519,16 +510,15 @@ def test_lp_oracles_match_an_exact_forward_substitution(monkeypatch):
                 spread = 3 * _UNIT_ROUNDOFF * abs(Fraction(computed)) + (
                     abs(Fraction(computed)) * (1 + 3 * _UNIT_ROUNDOFF) * delta_d[j] + delta_a[j]
                 ) / (abs(Fraction(d_hat[j])) - delta_d[j])
-                low = (lower[j] if d[j] > 0 else upper[j]) == bound
-                (lows if low else highs).append((exact, computed, spread))
-        if c[free] > 0:
+                (lows if lower == (d[j] > 0) else highs).append((exact, computed, spread))
+        if sign > 0:
             exact, computed, spread = _end_with_bound(lows)
         else:
             exact, computed, spread = _end_with_bound([(-e, -f, s) for e, f, s in highs])
             exact, computed = -exact, -computed
-        res = solve(c, a_eq, b_eq, lower, upper)
-        checked.append((exact, computed, spread, res.fun / c[free]))
-        return res
+        value = solve(a_eq, b_eq, objective, sign, cap, boxed)
+        checked.append((exact, computed, spread, value / sign))
+        return value
 
     monkeypatch.setattr(bounds, "linprog", exact_too)
     rng = np.random.default_rng(166)
