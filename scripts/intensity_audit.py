@@ -4,18 +4,20 @@
 Prints the finite-difference derivative of both rate directions at mu = 1
 across a span of distances (it must never be positive, which pins the
 optimal intensity below 1), followed by the optimal intensity the sweep
-actually selects for each estimation scenario.
+actually selects for each estimation scenario.  Exits with status 1 when
+the derivative check reads VIOLATION.
 
 Usage: python scripts/intensity_audit.py [--l-max 250] [--step 25]
 """
 
 import argparse
+import sys
 
 from decoy_akg import STANDARD_FIBER, ScenarioSpec, alpha_of_distance, run_scenario
 from decoy_akg.reference import optimal_mu_derivative_check
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--l-max", type=float, default=250.0)
     parser.add_argument("--step", type=float, default=25.0)
@@ -42,7 +44,8 @@ def main() -> None:
         length = results[names[0]].rows[idx].L_km
         cells = "".join(f"{results[name].rows[idx].optimal_mu:>11.4f}" for name in names)
         print(f"{length:>6.0f}{cells}")
+    return 0 if report.all_nonpositive else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

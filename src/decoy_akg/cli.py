@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .bounds import InfeasibleStatsError
 from .channel import STANDARD_FIBER, ChannelParams
@@ -111,17 +111,14 @@ def _rows_lines(result: SweepResult, sep: str) -> list[str]:
 
 
 def emit(
-    results: Sequence[SweepResult],
-    fmt: str,
-    out_dir: Path,
-    lines: Optional[Sequence[list[str]]] = None,
+    results: Sequence[SweepResult], fmt: str, out_dir: Path, lines: Sequence[list[str]]
 ) -> list[Path]:
     """Write one file per scenario plus a combined file; returns the paths.
 
     ``fmt`` is 'csv' or 'gnuplot-data'.  gnuplot data uses whitespace
     separated columns with one blank-line-separated block per scenario.
-    ``lines``, if given, holds each result's rows as ``_rows_lines`` formats
-    them for ``fmt``.  Output is deterministic for identical inputs.
+    ``lines`` holds each result's rows as ``_rows_lines`` formats them for
+    ``fmt``.  Output is deterministic for identical inputs.
     """
     if not results:
         raise ConfigurationError("nothing to emit: no sweep results")
@@ -132,9 +129,8 @@ def emit(
     header = CSV_HEADER.replace(",", sep)
     written = []
     combined = [header if fmt == "csv" else f"# {header}"]
-    for index, result in enumerate(results):
+    for index, (result, rows) in enumerate(zip(results, lines, strict=True)):
         spec = result.spec
-        rows = lines[index] if lines is not None else _rows_lines(result, sep)
         path = out_dir / f"{spec.name}_{spec.direction}_{spec.dark_mode}{suffix}"
         path.write_text("\n".join([f"# {_describe(spec)}", header, *rows]) + "\n")
         written.append(path)
@@ -239,7 +235,8 @@ def _cmd_run(args) -> int:
     l_range = (args.l_min, args.l_max, args.l_step)
     _checked_range(l_range, len(specs))
     results = [run_scenario(spec, l_range) for spec in specs]
-    paths = emit(results, args.format, args.out)
+    sep = _FORMATS[args.format][0]
+    paths = emit(results, args.format, args.out, [_rows_lines(result, sep) for result in results])
     for result in results:
         _print_reach(f"{result.spec.name} ({result.spec.direction})", result)
     print(f"wrote {len(paths)} files to {args.out}")

@@ -1,6 +1,7 @@
 """Independent verification routes, which tests and scripts hold the library to.
 
-Each function reaches a number the library computes by another route.  This
+Each function reaches a number the library computes by another route, and
+``PUBLISHED_DISTANCES_KM`` holds the published comparison tables.  This
 module imports the library; the library never imports it.  The routes are
 the symmetric-sum divided difference, the power-function closed forms and a
 Monte-Carlo simplex oracle; the literal Omega_i and Poisson reconstruction;
@@ -41,6 +42,35 @@ from .expansion import (
     gamma_coefficient,
 )
 from .keyrate import DIRECTIONS, universal_upper
+
+# The published achievable distances (km) on the standard fiber, one table
+# per (direction, dark_mode); an optimized sweep must reach each within
+# PUBLISHED_TOL_KM
+PUBLISHED_DISTANCES_KM = {
+    ("forward", "pd-zero"): {
+        "k2": 222.8,
+        "k3-ma": 215.2,
+        "k3-wang": 223.2,
+        "k3-ours": 224.5,
+        "k4": 224.8,
+        "universal": 225.2,
+    },
+    ("forward", "pd-equals-p0"): {
+        "k2": 223.0,
+        "k3-wang": 223.5,
+        "k3-ours": 224.5,
+        "k4": 224.8,
+        "universal": 225.2,
+    },
+    ("reverse", "pd-equals-p0"): {
+        "k2": 230.7,
+        "k3-wang": 231.3,
+        "k3-ours": 232.5,
+        "k4": 233.2,
+        "universal": 233.3,
+    },
+}
+PUBLISHED_TOL_KM = 0.5
 
 
 def divided_difference(f: Callable[[float], float], pts: PointSet) -> float:

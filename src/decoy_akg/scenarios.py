@@ -48,16 +48,14 @@ the last row with a positive best band rate has a positive optimum.  The
 midpoints that bisecting that bracket can reach join the scan as extra
 lanes, with their own band; one pass of pruned boxes and one intensity
 search then serve all lanes.  Each lane has the bits of a one-distance
-optimization, ``settled_rate`` has the optimum's sign, and the bisection
-reads only signs, so no byte moves.  A step at any other distance (a wrong
-prediction, a deeper level, a scan of several blocks) calls
-``settled_rate`` as before.
+optimization, so no byte moves.  A step at any other distance (a wrong
+prediction, a deeper level, a scan of several blocks) runs that
+optimization itself.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple, Optional
@@ -518,19 +516,6 @@ class _ScenarioEngine:
         state = self._distance_state(length_km)
         return self._rows([length_km], state, *self._optimum(state))[0]
 
-    def settled_rate(self, length_km: float, mu_hint: float) -> float:
-        """The rate at the grid signal nearest ``mu_hint`` if positive, else the optimum's.
-
-        The search returns at least its best grid rate, so a positive grid
-        rate gives the optimum's sign, all that the bisection reads.  Both
-        rates read one distance state.  Bisection steps that the sweep's
-        lanes answered (``sweep``) do not come here.
-        """
-        state = self._distance_state(length_km)
-        mu = float(self.grid[np.argmin(np.abs(self.grid - mu_hint))])
-        rate = self.rate(state, mu)
-        return rate if rate > 0.0 else self._optimum(state)[1]
-
     def sweep(self, lengths: list[float]):
         """The rows at every distance, optimized at once with one lane each, and lane-answered steps.
 
@@ -580,7 +565,7 @@ def _predicted_row(band_rates: np.ndarray) -> Optional[int]:
     row with a positive one has a positive optimum, since the search returns
     at least its best grid rate; the prediction is that no later row's
     optimum is positive.  If one is, the bisection runs on another bracket
-    and its steps fall back to ``settled_rate``: a miss costs only time.
+    and each of its steps optimizes its own distance: a miss costs only time.
     """
     positive = np.flatnonzero(band_rates > 0.0)
     if positive.size and positive[-1] + 1 < band_rates.size:
@@ -646,7 +631,7 @@ def run_scenario(
     the optimized rate, None when the rate is still positive at max_km
     (range too short) and 0.0 when it is never positive.  A bisection step
     at a midpoint that the sweep optimized as a lane reads that lane's rate;
-    any other step reads ``settled_rate``, which has the same sign.
+    any other step optimizes its distance alone, with the same bits.
     """
     l_min, l_max, step = _checked_range(l_range)
     lengths = np.arange(l_min, l_max + 0.5 * step, step).tolist()
@@ -658,8 +643,7 @@ def run_scenario(
     def envelope(length_km: float) -> float:
         if length_km in answered:
             return answered[length_km]
-        # the optimal signal of the scan row just below hints at a positive grid rate
-        return engine.settled_rate(length_km, rows[bisect_left(lengths, length_km) - 1].optimal_mu)
+        return engine._optimum(engine._distance_state(length_km))[1]
 
     achievable = find_zero_distance(envelope, lengths, signed)
     return SweepResult(spec=spec, rows=rows, achievable_km=achievable)

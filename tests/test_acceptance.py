@@ -3,7 +3,8 @@
 Every test prints one PASS/FAIL line (visible under ``pytest -s`` or in the
 captured output of a failing run) and enforces its tolerance with asserts.
 Reference values are the published comparison tables for the standard fiber
-parameter set; distances carry a +-0.5 km tolerance.
+parameter set (``decoy_akg.reference.PUBLISHED_DISTANCES_KM``); distances
+carry a +-0.5 km tolerance.
 """
 
 import math
@@ -25,6 +26,8 @@ from decoy_akg import (
     run_scenario,
 )
 from decoy_akg.reference import (
+    PUBLISHED_DISTANCES_KM,
+    PUBLISHED_TOL_KM,
     epsilon,
     epsilon_beta_form,
     epsilon_simplex_mc,
@@ -34,41 +37,15 @@ from decoy_akg.reference import (
 )
 from conftest import feasible_instance, random_grid
 
-DISTANCE_TOL_KM = 0.5
-
-FORWARD_DARK_FREE = {
-    "k2": 222.8,
-    "k3-ma": 215.2,
-    "k3-wang": 223.2,
-    "k3-ours": 224.5,
-    "k4": 224.8,
-    "universal": 225.2,
-}
-FORWARD_DARK_EQUALS_P0 = {
-    "k2": 223.0,
-    "k3-wang": 223.5,
-    "k3-ours": 224.5,
-    "k4": 224.8,
-    "universal": 225.2,
-}
-REVERSE_DARK_EQUALS_P0 = {
-    "k2": 230.7,
-    "k3-wang": 231.3,
-    "k3-ours": 232.5,
-    "k4": 233.2,
-    "universal": 233.3,
-}
-
-
 def _report(criterion: int, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[acceptance] criterion {criterion:2d}: {status} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def _distance_table(direction: str, dark_mode: str, expected: dict) -> dict:
+def _distance_table(direction: str, dark_mode: str) -> dict:
     got = {}
-    for name in expected:
+    for name in PUBLISHED_DISTANCES_KM[direction, dark_mode]:
         spec = ScenarioSpec(name, direction=direction, dark_mode=dark_mode)
         got[name] = run_scenario(spec, (0.0, 240.0, 1.0)).achievable_km
     return got
@@ -76,7 +53,7 @@ def _distance_table(direction: str, dark_mode: str, expected: dict) -> dict:
 
 def _check_distances(criterion: int, label: str, expected: dict, got: dict, extra_ok=True, extra=""):
     deviations = {name: got[name] - expected[name] for name in expected}
-    ok = all(abs(d) <= DISTANCE_TOL_KM for d in deviations.values()) and extra_ok
+    ok = all(abs(d) <= PUBLISHED_TOL_KM for d in deviations.values()) and extra_ok
     detail = ", ".join(
         f"{name}={got[name]:.2f} (ref {expected[name]}, {dev:+.2f})"
         for name, dev in deviations.items()
@@ -86,12 +63,12 @@ def _check_distances(criterion: int, label: str, expected: dict, got: dict, extr
 
 def test_criterion_1_forward_dark_free_distances():
     start = time.perf_counter()
-    got = _distance_table("forward", "pd-zero", FORWARD_DARK_FREE)
+    got = _distance_table("forward", "pd-zero")
     elapsed = time.perf_counter() - start
     _check_distances(
         1,
         "forward, dark-free",
-        FORWARD_DARK_FREE,
+        PUBLISHED_DISTANCES_KM["forward", "pd-zero"],
         got,
         extra_ok=elapsed < 60.0,
         extra=f"; sweep took {elapsed:.1f}s (budget 60s)",
@@ -99,12 +76,12 @@ def test_criterion_1_forward_dark_free_distances():
 
 
 def test_criterion_2_forward_dark_equals_vacuum_distances():
-    got = _distance_table("forward", "pd-equals-p0", FORWARD_DARK_EQUALS_P0)
-    _check_distances(2, "forward, pD=p0", FORWARD_DARK_EQUALS_P0, got)
+    got = _distance_table("forward", "pd-equals-p0")
+    _check_distances(2, "forward, pD=p0", PUBLISHED_DISTANCES_KM["forward", "pd-equals-p0"], got)
 
 
 def test_criterion_3_reverse_dark_equals_vacuum_distances():
-    got = _distance_table("reverse", "pd-equals-p0", REVERSE_DARK_EQUALS_P0)
+    got = _distance_table("reverse", "pd-equals-p0")
     order = ["k2", "k3-wang", "k3-ours", "k4", "universal"]
     values = [got[name] for name in order]
     ordered = all(b >= a for a, b in zip(values, values[1:]))
@@ -114,7 +91,7 @@ def test_criterion_3_reverse_dark_equals_vacuum_distances():
     _check_distances(
         3,
         "reverse, pD=p0",
-        REVERSE_DARK_EQUALS_P0,
+        PUBLISHED_DISTANCES_KM["reverse", "pd-equals-p0"],
         got,
         extra_ok=ordered and saturation,
         extra=f"; ordered={ordered}, k3-saturation={saturation}",

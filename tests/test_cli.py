@@ -182,7 +182,7 @@ def test_gnuplot_format_blocks(tmp_path):
     result = SweepResult(ScenarioSpec("k2"), rows=())
     for results, fmt, message in (([], "csv", "no sweep results"), ([result], "xml", "format")):
         with pytest.raises(ConfigurationError, match=message):
-            cli.emit(results, fmt, tmp_path / "refused")
+            cli.emit(results, fmt, tmp_path / "refused", [[] for _ in results])
     assert not (tmp_path / "refused").exists()
 
 
@@ -288,7 +288,7 @@ def test_figures_sweeps_each_sweep_key_once(tmp_path, monkeypatch):
 def test_figures_formats_each_sweep_once(tmp_path, monkeypatch):
     # a figures call formats the rows of each of its 11 distinct sweeps once
     # and hands them to emit; each call formats its own (no memo across calls),
-    # and the files are those of emit formatting all 16 results itself
+    # and the files are those of emit given all 16 results freshly formatted
     calls, rows_lines, emit = [], cli._rows_lines, cli.emit
 
     def spy(result, sep):
@@ -302,9 +302,14 @@ def test_figures_formats_each_sweep_once(tmp_path, monkeypatch):
     for count, out in ((11, "reused"), (22, "again")):
         assert _run(["figures", "--l-step", "50", "--out", tmp_path / out]) == EXIT_OK
         assert len(calls) == count
-    monkeypatch.setattr(cli, "emit", lambda results, fmt, out, lines: emit(results, fmt, out))
+
+    def formatted(results, fmt, out, lines):
+        sep = cli._FORMATS[fmt][0]
+        return emit(results, fmt, out, [cli._rows_lines(result, sep) for result in results])
+
+    monkeypatch.setattr(cli, "emit", formatted)
     assert _run(["figures", "--l-step", "50", "--out", tmp_path / "formatted"]) == EXIT_OK
-    assert len(calls) == 22 + 11 + 16  # the 11 sweeps, then emit all 16 results again
+    assert len(calls) == 22 + 11 + 16  # the 11 sweeps, then all 16 results again
     reused = tree(tmp_path / "reused")
     assert len(reused) == 23
     assert reused == tree(tmp_path / "again") == tree(tmp_path / "formatted")

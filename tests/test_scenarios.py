@@ -421,20 +421,23 @@ def test_sweep_bisects_its_own_scan(monkeypatch):
 @pytest.mark.parametrize("dark_mode", DARK_MODES)
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 @pytest.mark.parametrize("name", [name for name in SCENARIO_NAMES if name != "custom"])
-def test_envelope_is_the_row_rate(name, direction, dark_mode):
-    # the bisection's envelope has the sign of the one-distance row's rate,
-    # whatever its hint: the row's rate itself when that is not positive, and
-    # a grid rate no larger than the optimum when it is
+def test_envelope_is_the_row_rate(monkeypatch, name, direction, dark_mode):
+    # the bisection's envelope at a distance that no lane answered is the
+    # one-distance row's signed rate, bit for bit
+    envelopes = []
+
+    def spied(envelope, lengths, values):
+        envelopes.append(envelope)
+        return find_zero_distance(envelope, lengths, values)
+
+    monkeypatch.setattr(scenarios, "find_zero_distance", spied)
     dark_rate = 0.5 * STANDARD_FIBER.p0 if dark_mode == "explicit" else None
-    engine = _ScenarioEngine(ScenarioSpec(name, direction, dark_mode, dark_rate=dark_rate))
+    spec = ScenarioSpec(name, direction, dark_mode, dark_rate=dark_rate)
+    run_scenario(spec, (0.0, 250.0, 50.0))
+    (envelope,) = envelopes
+    engine = _ScenarioEngine(spec)
     for length in (0.0, 97.3, 180.0, 241.5):
-        row = engine.optimized(length)
-        for hint in (engine.grid[0], row.optimal_mu, engine.grid[-1]):
-            rate = engine.settled_rate(length, hint)
-            if row.rate_signed > 0.0:
-                assert 0.0 < rate <= row.rate_signed
-            else:
-                assert rate == row.rate_signed
+        assert envelope(length).hex() == engine.optimized(length).rate_signed.hex()
 
 
 @settings(max_examples=50, deadline=None)
@@ -610,8 +613,8 @@ def test_lower_edge_optimum_is_reached(name):
 @settings(max_examples=10, deadline=None)
 @given(lane_cases())
 def test_grid_rates_are_scalar_rates(case):
-    # a settled bisection step reads one scalar rate for its grid point: it is
-    # that point's rate in the one-distance grid and in a lane chunk of the sweep
+    # a grid point's rate is one scalar rate, in the one-distance grid and in
+    # a lane chunk of the sweep
     spec, (l_min, l_max, step) = case
     engine = _ScenarioEngine(spec)
     lengths = np.arange(l_min, l_max + 0.5 * step, step)
@@ -804,17 +807,23 @@ def test_band_predicts_the_full_grids_bracket(offset):
         assert predicted == scenarios._predicted_row(full)
 
 
+def _counted_optimizations(monkeypatch) -> list:
+    """The arguments of every later ``optimize_signal_intensity`` call of ``scenarios``."""
+    optimize, calls = scenarios.optimize_signal_intensity, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return optimize(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "optimize_signal_intensity", counted)
+    return calls
+
+
 def test_missed_band_prediction_keeps_every_byte(monkeypatch):
     # a band of one grid point predicts some brackets wrong; those sweeps'
-    # bisections then read settled_rate at every step, and every row and
-    # achievable distance stays as without lanes
-    settled_rate, calls, misses = _ScenarioEngine.settled_rate, [], []
-
-    def counted(self, length_km, mu_hint):
-        calls.append(length_km)
-        return settled_rate(self, length_km, mu_hint)
-
-    monkeypatch.setattr(_ScenarioEngine, "settled_rate", counted)
+    # bisections then optimize at every step, and every row and achievable
+    # distance stays as without lanes
+    calls, misses = _counted_optimizations(monkeypatch), []
     for direction, name in itertools.product(("forward", "reverse"), _PRESETS):
         spec = ScenarioSpec(name, direction, "pd-equals-p0")
         reference = _without_lanes(spec, (0.0, 250.0, 1.0))
@@ -957,17 +966,12 @@ def test_grid_terms_are_fresh_terms(spec):
 @pytest.mark.parametrize("name", _PRESETS)
 def test_settled_bisection_equals_optimized_bisection(monkeypatch, name):
     # a step answered by a lane of the sweep builds no distance state and
-    # calls no optimizer; of the later steps, one settled by one positive grid
-    # rate calls no optimizer, one that falls back calls it once, and either
-    # builds one distance state.  The bisection ends where it ends on the
+    # calls no optimizer; every later step builds one distance state and
+    # calls the optimizer once.  The bisection ends where it ends on the
     # optimized rate alone.  The noisy channel is never positive, so there the
     # scan alone decides (0.0).
-    optimize, distance_state = scenarios.optimize_signal_intensity, _ScenarioEngine._distance_state
-    optimizations, states, bisections = [], [], []
-
-    def counted(*args, **kwargs):
-        optimizations.append(args)
-        return optimize(*args, **kwargs)
+    distance_state = _ScenarioEngine._distance_state
+    optimizations, states, bisections = _counted_optimizations(monkeypatch), [], []
 
     def built(self, lengths):
         states.append(lengths)
@@ -985,7 +989,6 @@ def test_settled_bisection_equals_optimized_bisection(monkeypatch, name):
 
         return find_zero_distance(step, lengths, values)
 
-    monkeypatch.setattr(scenarios, "optimize_signal_intensity", counted)
     monkeypatch.setattr(_ScenarioEngine, "_distance_state", built)
     monkeypatch.setattr(scenarios, "find_zero_distance", spied)
     configs = itertools.product(("forward", "reverse"), DARK_MODES, (STANDARD_FIBER, _NOISY_FIBER))
@@ -1011,10 +1014,7 @@ def test_settled_bisection_equals_optimized_bisection(monkeypatch, name):
     assert all(len(run) == 8 for run in runs)
     assert all(calls == built_states == 0 for run in runs for calls, built_states, _ in run[:levels])
     later = [step for run in runs for step in run[levels:]]
-    settled = [rate for calls, _, rate in later if not calls]
-    assert settled and all(rate > 0.0 for rate in settled)
-    assert len(settled) < len(later)
-    assert all(calls <= 1 and built_states == 1 for calls, built_states, _ in later)
+    assert all(calls == built_states == 1 for calls, built_states, _ in later)
 
 
 def _without_lanes(spec, l_range):
@@ -1051,14 +1051,16 @@ def test_lane_answered_bisection_equals_sequential_bisection(
 
 @pytest.mark.parametrize("name", _PRESETS)
 def test_wrong_bracket_prediction_falls_back(monkeypatch, name):
-    # lanes on another bracket answer none of the bisection's steps, which all
-    # go to settled_rate, and the result stays the sequential bisection's
-    settled_rate, predicted = _ScenarioEngine.settled_rate, scenarios._predicted_row
-    calls, steps = [], []
+    # lanes on another bracket answer none of the bisection's steps, which
+    # each build the state of their own distance and optimize it once, and
+    # the result stays the sequential bisection's
+    distance_state, predicted = _ScenarioEngine._distance_state, scenarios._predicted_row
+    states, steps = [], []
 
-    def counted(self, length_km, mu_hint):
-        calls.append(length_km)
-        return settled_rate(self, length_km, mu_hint)
+    def built(self, lengths):
+        if np.ndim(lengths) == 0:  # one distance; a sweep builds arrays
+            states.append(lengths)
+        return distance_state(self, lengths)
 
     def spied(envelope, lengths, values):
         def step(length_km):
@@ -1067,29 +1069,24 @@ def test_wrong_bracket_prediction_falls_back(monkeypatch, name):
 
         return find_zero_distance(step, lengths, values)
 
-    monkeypatch.setattr(_ScenarioEngine, "settled_rate", counted)
-    monkeypatch.setattr(scenarios, "find_zero_distance", spied)
     spec, l_range = ScenarioSpec(name), (190.0, 240.0, 1.0)
     reference = _without_lanes(spec, l_range)
+    calls = _counted_optimizations(monkeypatch)
+    monkeypatch.setattr(_ScenarioEngine, "_distance_state", built)
+    monkeypatch.setattr(scenarios, "find_zero_distance", spied)
     for shift in (-1, -5, 1):
         monkeypatch.setattr(scenarios, "_predicted_row", lambda rates: predicted(rates) + shift)
-        calls.clear(), steps.clear()
+        calls.clear(), states.clear(), steps.clear()
         result = run_scenario(spec, l_range)
         assert result.rows == reference.rows
         assert repr(result.achievable_km) == repr(reference.achievable_km)
-        assert len(steps) == 7 and calls == steps
+        assert len(steps) == 7 and states == steps and len(calls) == 7
 
 
 def test_default_scan_bisects_with_one_sequential_step(monkeypatch):
     # the first six of the seven bisection levels of a 1 km scan are lanes
-    # of its sweep, so only the last step reads a one-distance rate
-    settled_rate, calls = _ScenarioEngine.settled_rate, []
-
-    def counted(self, length_km, mu_hint):
-        calls.append(length_km)
-        return settled_rate(self, length_km, mu_hint)
-
-    monkeypatch.setattr(_ScenarioEngine, "settled_rate", counted)
+    # of its sweep, so only the last step optimizes one distance
+    calls = _counted_optimizations(monkeypatch)
     result = run_scenario(ScenarioSpec("k2"))
     assert len(result.rows) == 251
     assert 222.0 < result.achievable_km < 223.0
